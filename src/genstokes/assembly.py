@@ -119,12 +119,12 @@ def assemble(
     """Assemble the discrete saddle-point system.
 
     Raises NotElliptic when the sampled positivity constant of A(B) at the
-    quadrature points is not strictly positive.
+    quadrature points is not strictly positive (NaN included).
     """
     geom = ElementGeometry(mesh, space, quad_n)
     pts = geom.flat_points
     report = alpha_field(mu, b_field, pts)
-    if report.alpha <= 0.0:
+    if not report.alpha > 0.0:
         raise NotElliptic(
             f"coefficient not uniformly positive: alpha = {report.alpha:.6g} "
             f"at {report.minimizer_point}",

@@ -4,8 +4,15 @@ Three representations share one evaluation interface:
 
 * ``constant`` -- a single value everywhere,
 * ``expression`` -- a closed-form expression in x, y, z built from
-  arithmetic, sin/cos/exp and numeric constants (sympy-backed, so spatial
-  derivatives are analytic),
+  arithmetic, sin/cos/exp and numeric constants (sympy-backed).  ``grad``
+  and ``hess`` evaluate lambdified closed-form derivatives;
+  ``derivative_stack`` runs truncated Taylor arithmetic (Taylor-mode
+  automatic differentiation) over the expression DAG.  Both are exact up
+  to rounding.  The Taylor pass supports x, y, z, numbers and numeric
+  constants such as pi, sums, products, powers (integral exponents as
+  repeated products, others as a binomial series, symbolic exponents as
+  exp(b log a)) and sin/cos/exp; any other node raises
+  NonDifferentiableField,
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
   evaluated by trilinear interpolation, with second-order finite-difference
   derivatives (one-sided at the faces).
@@ -20,7 +27,10 @@ Fields are read-only after construction; concurrent evaluation is safe.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import math
 
 import numpy as np
 import sympy as sp
@@ -38,6 +48,7 @@ __all__ = [
 ]
 
 _X, _Y, _Z = sp.symbols("x y z")
+_VARS = (_X, _Y, _Z)
 _ALLOWED_FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
 
 # Storage/file order of the six independent components of a symmetric tensor.
@@ -74,6 +85,155 @@ def _lambdify(expr: sp.Expr):
         return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
 
     return wrapped
+
+
+# -- truncated Taylor arithmetic ----------------------------------------------
+# A jet holds c_alpha = d^alpha f / alpha! for every |alpha| <= order, one row
+# per multi-index (graded, combinations_with_replacement order within a
+# degree), one column per sample point.  Constants stay np.float64 scalars.
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_tables(order: int):
+    """({alpha: row}, and per output row the (i, j) rows of its factor pairs)."""
+    monos = [
+        tuple(combo.count(k) for k in range(3))
+        for deg in range(order + 1)
+        for combo in itertools.combinations_with_replacement(range(3), deg)
+    ]
+    row = {a: i for i, a in enumerate(monos)}
+    pairs = [[] for _ in monos]
+    for i, a in enumerate(monos):
+        for j, b in enumerate(monos):
+            s = tuple(p + q for p, q in zip(a, b))
+            if s in row:
+                pairs[row[s]].append((i, j))
+    return row, tuple(map(tuple, pairs))
+
+
+def _jet_mul(a, b, pairs):
+    if isinstance(a, float) or isinstance(b, float):
+        return a * b
+    out = np.empty_like(a)
+    for g, pl in enumerate(pairs):
+        i, j = pl[0]
+        acc = a[i] * b[j]
+        for i, j in pl[1:]:
+            acc += a[i] * b[j]
+        out[g] = acc
+    return out
+
+
+def _jet_series(a, coeffs, pairs):
+    """sum_k coeffs[k] h^k with h = a - a(0); coeffs[k] = g^(k)(a0) / k!."""
+    h = a.copy()
+    h[0] = 0.0
+    out = np.zeros_like(a)
+    out[0] = coeffs[0]
+    hk = h
+    for k in range(1, len(coeffs)):
+        out += coeffs[k] * hk
+        if k + 1 < len(coeffs):
+            hk = _jet_mul(hk, h, pairs)
+    return out
+
+
+def _jet_pow(a, p, order, pairs):
+    if isinstance(a, float):
+        return a ** p
+    if float(p).is_integer():
+        n = int(p)
+        if n < 0:  # reciprocal series, then repeated products
+            a = _jet_series(a, [(-1.0) ** k * a[0] ** (-k - 1)
+                                for k in range(order + 1)], pairs)
+            n = -n
+        out = 1.0
+        for _ in range(n):
+            out = _jet_mul(out, a, pairs)
+        return out
+    coeffs, binom = [], 1.0  # binomial series about the base's value
+    for k in range(order + 1):
+        coeffs.append(binom * a[0] ** (p - k))
+        binom *= (p - k) / (k + 1)
+    return _jet_series(a, coeffs, pairs)
+
+
+def _jet_func(func, a, order, pairs):
+    """exp, log, sin or cos of a jet through its series about a's value."""
+    a0 = a if isinstance(a, float) else a[0]
+    if func is sp.exp:
+        e = np.exp(a0)
+        coeffs = [e / math.factorial(k) for k in range(order + 1)]
+    elif func is sp.log:  # reached only through a**b = exp(b log a)
+        coeffs = [np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k)
+                                 for k in range(1, order + 1)]
+    else:  # sin^(k)(t) = sin(t + k pi/2), cos^(k)(t) = sin(t + (k+1) pi/2)
+        s, c = np.sin(a0), np.cos(a0)
+        shift = 0 if func is sp.sin else 1
+        coeffs = [(s, c, -s, -c)[(k + shift) % 4] / math.factorial(k)
+                  for k in range(order + 1)]
+    return coeffs[0] if isinstance(a, float) else _jet_series(a, coeffs, pairs)
+
+
+def _taylor_jet(expr: sp.Expr, pts: np.ndarray, order: int):
+    """Jet of ``expr`` at ``pts`` by one pass over its expression DAG.
+
+    A node's jet is kept only while some parent still has to read it.
+    """
+    row, pairs = _taylor_tables(order)
+    post, seen, todo = [], set(), [(expr, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if expanded:
+            post.append(node)
+        elif node not in seen:
+            seen.add(node)
+            todo.append((node, True))
+            todo.extend((a, False) for a in node.args if a not in seen)
+    uses = collections.Counter(a for node in post for a in node.args)
+    jets = {}
+    for node in post:
+        args = [jets[a] for a in node.args]
+        if node.is_Symbol and node in _VARS:
+            val = np.zeros((len(row), pts.shape[0]))
+            k = _VARS.index(node)
+            val[0] = pts[:, k]
+            if order:
+                val[1 + k] = 1.0
+        elif node.is_Number or isinstance(node, sp.NumberSymbol):
+            val = np.float64(node)  # numpy semantics: inf/nan, not exceptions
+        elif node.is_Add:
+            consts = sum((a for a in args if isinstance(a, float)), 0.0)
+            arrays = [a for a in args if not isinstance(a, float)]
+            if not arrays:
+                val = consts
+            else:
+                val = arrays[0].copy()
+                for a in arrays[1:]:
+                    val += a
+                val[0] += consts
+        elif node.is_Mul:
+            val = 1.0
+            for a in sorted(args, key=lambda a: not isinstance(a, float)):
+                val = _jet_mul(val, a, pairs)
+        elif node.is_Pow and isinstance(args[1], float):
+            val = _jet_pow(args[0], args[1], order, pairs)
+        elif node.is_Pow:  # a**b = exp(b log a)
+            val = _jet_func(sp.exp, _jet_mul(
+                args[1], _jet_func(sp.log, args[0], order, pairs), pairs),
+                order, pairs)
+        elif node.func in (sp.sin, sp.cos, sp.exp):
+            val = _jet_func(node.func, args[0], order, pairs)
+        else:
+            raise NonDifferentiableField(
+                f"no Taylor rule for {type(node).__name__} node {node}"
+            )
+        jets[node] = val
+        for a in node.args:
+            uses[a] -= 1
+            if not uses[a]:
+                del jets[a]
+    return jets[expr], row
 
 
 class ScalarField:
@@ -211,7 +371,8 @@ class ScalarField:
 
         Multi-indices are enumerated once each (no repetition), matching the
         derivative-tensor convention used by the dimensional norms.  Grid
-        fields support order <= 2; expressions any order.
+        fields support order <= 2; expressions any order, by truncated
+        Taylor arithmetic (column alpha is alpha! times the jet's c_alpha).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         combos = list(itertools.combinations_with_replacement(range(3), order))
@@ -228,15 +389,15 @@ class ScalarField:
             raise NonDifferentiableField(
                 f"grid fields provide derivatives up to order 2, not {order}"
             )
-        if not hasattr(self, "_stack_fns"):
-            self._stack_fns = {}
-        if order not in self._stack_fns:
-            syms = (_X, _Y, _Z)
-            self._stack_fns[order] = [
-                _lambdify(sp.diff(self._payload, *(syms[i] for i in combo)))
-                for combo in combos
-            ]
-        return np.stack([f(pts) for f in self._stack_fns[order]], axis=-1)
+        jet, row = _taylor_jet(self._payload, pts, order)
+        if isinstance(jet, float):
+            return np.zeros((pts.shape[0], len(combos)))
+        cols = []
+        for combo in combos:
+            alpha = tuple(combo.count(k) for k in range(3))
+            scale = math.prod(math.factorial(a) for a in alpha)
+            cols.append(scale * jet[row[alpha]])
+        return np.stack(cols, axis=-1)
 
 
 class TensorField:

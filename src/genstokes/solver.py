@@ -69,7 +69,9 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     a = system.kkt()
     try:
         lu = spla.splu(a)
-    except RuntimeError as exc:
+    except (RuntimeError, SystemError, MemoryError) as exc:
+        # SuperLU reports exhausted workspace ("Can't expand MemType") as
+        # SystemError; allocations outside it raise MemoryError
         raise FactorizationFailure(
             f"sparse factorization failed on n = {a.shape[0]} system: {exc}"
         ) from exc

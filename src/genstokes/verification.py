@@ -71,6 +71,8 @@ class MMSCase:
     b_field: TensorField = field(init=False)
     f_exprs: tuple = field(init=False)
     f_field: VectorField = field(init=False)
+    v_field: VectorField = field(init=False)
+    p_field: ScalarField = field(init=False)
 
     def __post_init__(self):
         if self.b_exprs is None:
@@ -84,10 +86,8 @@ class MMSCase:
             self.b_field = TensorField("expression", comps)
         self.f_exprs = mms_forcing(self.v_exprs, self.p_expr, self.mu, self.b_exprs)
         self.f_field = VectorField.expression(self.f_exprs)
-
-    @property
-    def v_field(self) -> VectorField:
-        return VectorField.expression(self.v_exprs)
+        self.v_field = VectorField.expression(self.v_exprs)
+        self.p_field = ScalarField.expression(self.p_expr)
 
     @property
     def a_exprs(self) -> sp.Matrix:
@@ -194,7 +194,7 @@ def errors_against_exact(system: SaddleSystem, result: SolveResult,
     e_l2 = math.sqrt(float(np.einsum("eq,eqa,eqa->", geom.wdet, dv, dv)))
     e_h1 = math.sqrt(float(np.einsum("eq,eqac,eqac->", geom.wdet, dg, dg)))
 
-    p_exact = ScalarField.expression(case.p_expr).eval(pts).reshape(ne, nq)
+    p_exact = case.p_field.eval(pts).reshape(ne, nq)
     p_h = np.einsum("qj,ej->eq", geom.p1_vals, result.pressure[system.mesh.tets])
     vol = float(np.sum(geom.wdet))
     diff = (p_h - np.sum(geom.wdet * p_h) / vol) - (
@@ -506,8 +506,7 @@ def case_norm_suite(case: MMSCase, lambda1: float, box,
     f_norms["hm1"] = f_norms["h0"] / math.sqrt(lambda1)
     exact = {
         "d3v_l2": derivative_lp(case.v_field, 3, 2.0, box, n_axis),
-        "d2p_l2": derivative_lp(ScalarField.expression(case.p_expr), 2, 2.0,
-                                box, n_axis),
+        "d2p_l2": derivative_lp(case.p_field, 2, 2.0, box, n_axis),
     }
     return {"a": a_norms, "f": f_norms, "exact": exact}
 

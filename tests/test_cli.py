@@ -120,6 +120,22 @@ def test_solve_not_elliptic_exits_4(tmp_path):
     assert code == 4
 
 
+def test_solve_nan_grid_exits_4(tmp_path, capsys):
+    # nan <= 0 is false, so a NaN alpha must not slip through the precheck
+    grid = tmp_path / "nan.txt"
+    values = np.zeros((3, 3, 3, 6))
+    values[..., :3] = 1.0
+    values[1, 1, 1, 0] = np.nan
+    write_grid_file(grid, values, (1.0, 1.0, 1.0))
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,1,1",
+                 "--mesh", "2", "--b-grid", str(grid), "--f-expr", "1; 0; 0"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "precheck failed" in captured.out
+    assert "alpha = nan" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_solve_uzawa_method(tmp_path):
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
                  "--mesh", "2", "--method", "uzawa", "--tol", "1e-9",

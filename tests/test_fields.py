@@ -1,7 +1,12 @@
 """Field representations: expression parsing, grid interpolation, files."""
 
+import itertools
+
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genstokes.errors import ConfigError, NonDifferentiableField
 from genstokes.fields import (
@@ -143,6 +148,79 @@ def test_derivative_stack_orders():
     assert d3[0, 0] == pytest.approx(6.0 * 2.0)  # d^3/dx^3 = 6y
     assert d3[0, 1] == pytest.approx(6.0)        # d^3/dx^2 dy = 6x -> 6
     assert np.allclose(d3[0, 2:], 0.0)
+
+
+_SYMS = sp.symbols("x y z")
+# includes a point with x = y = 0, where x**2.0 must still differentiate
+_STACK_PTS = np.array([[0.0, 0.0, 0.4], [0.3, 0.7, 0.1], [0.9, 0.25, 0.6],
+                       [0.55, 0.45, 1.0], [1.0, 0.05, 0.8]])
+
+
+def sympy_stack(expr, pts, order):
+    """Oracle: one sp.diff + lambdify per multi-index."""
+    cols = []
+    for combo in itertools.combinations_with_replacement(range(3), order):
+        d = sp.diff(expr, *(_SYMS[i] for i in combo)) if combo else expr
+        fn = sp.lambdify(_SYMS, d, modules="numpy")
+        cols.append(np.broadcast_to(
+            np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float),
+            pts.shape[:1]))
+    return np.stack(cols, axis=-1)
+
+
+def assert_stack_matches(text, rel=1e-12):
+    fld = ScalarField.expression(text)
+    for order in range(4):
+        want = sympy_stack(fld.expr, _STACK_PTS, order)
+        got = fld.derivative_stack(_STACK_PTS, order)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=rel, atol=rel * scale,
+                                   err_msg=f"{text} at order {order}")
+
+
+_LEAVES = st.sampled_from(["x", "y", "z", "pi", "3", "2/7", "0.3", "-1.5"])
+# a base in [1, 3], for negative and non-integral exponents
+_POSITIVE = "(2 + sin({}))"
+
+
+def _grammar(sub):
+    return st.one_of(
+        st.tuples(sub, sub).map(lambda ab: f"({ab[0]}) + ({ab[1]})"),
+        st.tuples(sub, sub).map(lambda ab: f"({ab[0]}) - ({ab[1]})"),
+        st.tuples(sub, sub).map(lambda ab: f"({ab[0]})*({ab[1]})"),
+        st.tuples(sub, st.sampled_from(["sin", "cos", "exp"])).map(
+            lambda af: f"{af[1]}({af[0]})"),
+        st.tuples(sub, st.sampled_from(["2", "3", "2.0", "0"])).map(
+            lambda an: f"({an[0]})**{an[1]}"),
+        st.tuples(sub, st.sampled_from(["-1", "-2", "-2.0", "1/2", "-1/3",
+                                        "0.75"])).map(
+            lambda an: f"{_POSITIVE.format(an[0])}**({an[1]})"),
+        st.tuples(sub, sub).map(lambda ab: f"({ab[0]})/{_POSITIVE.format(ab[1])}"),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.recursive(_LEAVES, _grammar, max_leaves=8))
+def test_derivative_stack_matches_symbolic_oracle(text):
+    assert_stack_matches(text)
+
+
+@pytest.mark.parametrize("text", [
+    "x**2.0 + y**2",            # integral Float exponent at x = 0
+    "2**x + (2 + sin(y))**z",   # symbolic exponents: exp(b log a)
+    "exp(sin(pi*x)*cos(y))*(1 + z**3)/(3 + x*y)",
+])
+def test_derivative_stack_special_powers(text):
+    assert_stack_matches(text)
+
+
+@pytest.mark.parametrize("expr", [sp.tan(_SYMS[0]), sp.Abs(_SYMS[1]) + 1,
+                                  sp.log(1 + _SYMS[2])])
+def test_derivative_stack_unsupported_node(expr):
+    fld = ScalarField.expression(expr)
+    with pytest.raises(NonDifferentiableField, match=type(
+            expr.atoms(sp.Function).pop()).__name__):
+        fld.derivative_stack(_STACK_PTS, 1)
 
 
 def test_derivative_stack_grid_order_limit():

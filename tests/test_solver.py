@@ -93,3 +93,14 @@ def test_factorization_failure_reported(small_system):
     broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
     with pytest.raises(FactorizationFailure):
         solve(broken)
+
+
+@pytest.mark.parametrize("exc", [SystemError("Can't expand MemType 1: jcol 7"),
+                                 MemoryError()])
+def test_superlu_resource_errors_reported(small_system, monkeypatch, exc):
+    def failing_splu(a):
+        raise exc
+
+    monkeypatch.setattr("genstokes.solver.spla.splu", failing_splu)
+    with pytest.raises(FactorizationFailure):
+        solve(small_system)

@@ -1,6 +1,7 @@
 """Manufactured forcing, dimensional norms, and the diagnostic scalar."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from genstokes.verification import (
     boundary_trace_max,
     broken_h1_pressure,
     broken_h2_velocity,
+    case_norm_suite,
     derivative_lp,
     dim_norm,
     divergence_expr,
@@ -268,6 +270,46 @@ def test_broken_h1_pressure_linear_field():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     p = mesh.vertices[:, 0].copy()
     assert broken_h1_pressure(mesh, p) == pytest.approx(1.0, rel=1e-12)
+
+
+# case_norm_suite values of the sp.diff + lambdify implementation; the
+# Taylor-mode derivative stacks must reproduce them up to rounding
+_PINNED_NORMS = {
+    "anisotropic": {
+        ("a", "w1inf"): 14.982169533026479, ("a", "d2_l3"): 2.3015920248544273,
+        ("a", "h3"): 751.6382145510278, ("f", "h0"): 2.2222336030221257,
+        ("f", "h1"): 19.086075659624775, ("f", "h2"): 125.99009238147714,
+        ("exact", "d3v_l2"): 0.1425393290199598,
+        ("exact", "d2p_l2"): 6.978864199638883,
+    },
+    "classical": {
+        ("a", "w1inf"): 5.441398092702653, ("a", "h3"): 279.0564901226984,
+        ("f", "h2"): 125.72443759655573,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def shipped_cases():
+    return {"anisotropic": make_anisotropic_case(),
+            "classical": make_classical_case()}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_NORMS))
+def test_case_norm_suite_pinned(shipped_cases, name):
+    box = (1.0, 1.0, 1.0)
+    norms = case_norm_suite(shipped_cases[name], lambda1_box(*box), box)
+    for (group, key), want in _PINNED_NORMS[name].items():
+        assert norms[group][key] == pytest.approx(want, rel=1e-12), (group, key)
+
+
+def test_case_norm_suite_runtime_budget():
+    case = make_anisotropic_case()  # fresh: no derivative work cached yet
+    box = (1.0, 1.0, 1.0)
+    start = time.perf_counter()
+    case_norm_suite(case, lambda1_box(*box), box)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"runtime {elapsed:.2f}s exceeds 3s"
 
 
 def test_single_mesh_run_has_no_rates():
