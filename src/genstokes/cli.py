@@ -50,7 +50,7 @@ from .errors import (
 )
 from .fem import ElementGeometry, TaylorHoodSpace, build_mesh
 from .fields import TensorField, VectorField
-from .solver import solve, uzawa_solve
+from .solver import minres_solve, solve, uzawa_solve
 from .tensors import eig_sym3_batch
 from .verification import (
     SHIPPED_CASES,
@@ -242,9 +242,11 @@ def cmd_solve(args) -> int:
         return EXIT_NOT_ELLIPTIC
     try:
         if args.method == "uzawa":
-            result = uzawa_solve(system, outer_tol=args.tol)
-        else:
+            result = uzawa_solve(system, outer_tol=args.tol, tol=args.tol)
+        elif args.method == "direct":
             result = solve(system, tol=args.tol)
+        else:
+            result = minres_solve(system, tol=args.tol)
     except (FactorizationFailure, ResidualTooLarge, MaxIterations) as exc:
         print(f"solver failed: {exc}")
         return EXIT_SOLVER
@@ -386,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--f-expr", help="fx;fy;fz forcing expressions")
     ps.add_argument("--quad", type=int, default=3,
                     help="quadrature points per direction")
-    ps.add_argument("--method", choices=("direct", "uzawa"), default="direct")
+    ps.add_argument("--method", choices=("minres", "direct", "uzawa"),
+                    default="minres")
     ps.add_argument("--tol", type=float, default=1e-10)
     ps.add_argument("--vtk", help="VTK output path")
     ps.add_argument("--report", help="JSON report path")

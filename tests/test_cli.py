@@ -7,6 +7,7 @@ import pytest
 
 from genstokes.cli import main
 from genstokes.fields import write_grid_file
+from genstokes.solver import uzawa_solve
 
 
 def make_identity_grid(path, n=3, spd=True):
@@ -88,6 +89,8 @@ def test_solve_writes_artifacts(tmp_path):
     apriori = [b for b in report["bounds"]
                if b["id"] == "velocity_gradient_apriori"][0]
     assert apriori["satisfied"] is True
+    assert report["solver"]["method"] == "minres"  # the default
+    assert report["solver"]["iterations"] > 0
     vtk = (tmp_path / "solution.vtk").read_text().splitlines()
     assert vtk[0] == "# vtk DataFile Version 3.0"
     assert vtk[3] == "DATASET UNSTRUCTURED_GRID"
@@ -143,6 +146,33 @@ def test_solve_uzawa_method(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["solver"]["method"] == "uzawa"
+
+
+@pytest.mark.parametrize("method", ["minres", "direct"])
+def test_solve_nan_forcing_exits_5(tmp_path, method):
+    # a NaN load gives a NaN residual, which must fail the gate
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
+                 "--mesh", "2", "--method", method, "--f-expr", "nan; 0; 0"])
+    assert code == 5
+
+
+def test_solve_uzawa_tol_gates_final_residual(tmp_path, monkeypatch):
+    # --tol is the final residual gate too, not only the outer tolerance
+    seen = {}
+
+    def spy(system, **kwargs):
+        seen.update(kwargs)
+        return uzawa_solve(system, **kwargs)
+
+    monkeypatch.setattr("genstokes.cli.uzawa_solve", spy)
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
+                 "--mesh", "2", "--method", "uzawa", "--tol", "1e-12",
+                 "--f-expr", "0; 1; 0"])
+    assert seen["tol"] == 1e-12
+    assert code in (0, 5)
+    if code == 0:
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["solver"]["residual"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------

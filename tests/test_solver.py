@@ -4,14 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple
 from genstokes.errors import FactorizationFailure, MaxIterations
 from genstokes.fem import TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, VectorField
-from genstokes.solver import solve, uzawa_solve
-from genstokes.verification import make_classical_case
+from genstokes.solver import (_lattice_preconditioner, minres_solve, solve,
+                              uzawa_solve)
+from genstokes.verification import SHIPPED_CASES, make_classical_case
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +106,101 @@ def test_superlu_resource_errors_reported(small_system, monkeypatch, exc):
     monkeypatch.setattr("genstokes.solver.spla.splu", failing_splu)
     with pytest.raises(FactorizationFailure):
         solve(small_system)
+
+
+@pytest.mark.parametrize("solver", [uzawa_solve, minres_solve])
+def test_zero_gauge_row_reported(small_system, solver):
+    # without the check uzawa returned NaN pressures with residual nan
+    broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
+    with pytest.raises(FactorizationFailure):
+        solver(broken)
+
+
+# ---------------------------------------------------------------------------
+# block-preconditioned MINRES
+
+
+def _case_system(name, dims, box=(1.0, 1.0, 1.0)):
+    case = SHIPPED_CASES[name]()
+    mesh = build_mesh(*dims, *box)
+    space = TaylorHoodSpace(mesh)
+    return assemble(mesh, space, case.mu, case.b_field, case.f_field)
+
+
+def _assert_agrees_with_direct(system):
+    d = solve(system)
+    m = minres_solve(system)
+    assert m.residual <= 1e-10
+    assert np.max(np.abs(d.velocity - m.velocity)) <= 1e-8
+    assert np.max(np.abs(d.pressure - m.pressure)) <= 1e-8
+    return m
+
+
+@pytest.mark.parametrize("name", ["classical", "anisotropic"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_minres_agrees_with_direct(name, n):
+    m = _assert_agrees_with_direct(_case_system(name, (n, n, n)))
+    stats = m.stats
+    assert stats["method"] == "minres"
+    assert stats["iterations"] == sum(stats["pass_iterations"]) > 0
+    assert len(stats["pass_residuals"]) == len(stats["pass_iterations"])
+    assert stats["pass_residuals"][-1] <= 1e-10
+
+
+def test_minres_non_cubic_box_unequal_divisions():
+    # per-axis lattice map and spacing: h = (1/4, 2/6, 0.5/8)
+    _assert_agrees_with_direct(
+        _case_system("anisotropic", (2, 3, 4), box=(1.0, 2.0, 0.5)))
+
+
+def test_lattice_preconditioner_inverts_fine_p1_stiffness():
+    # the velocity block is (c K1)^{-1} per component, K1 the P1 Laplacian
+    # stiffness of Kuhn mesh 2n, whose vertices are the P2 nodes of mesh n
+    system = _case_system("anisotropic", (2, 3, 4), box=(1.0, 2.0, 0.5))
+    fine = build_mesh(4, 6, 8, 1.0, 2.0, 0.5)
+    edges = fine.vertices[fine.tets[:, 1:]] - fine.vertices[fine.tets[:, :1]]
+    g3 = np.swapaxes(np.linalg.inv(edges), 1, 2)  # rows: grad of lambda_1..3
+    g = np.concatenate([-g3.sum(axis=1, keepdims=True), g3], axis=1)
+    vol = np.abs(np.linalg.det(edges)) / 6.0
+    kel = vol[:, None, None] * np.einsum("eia,eja->eij", g, g)
+    rows = np.repeat(fine.tets, 4, axis=1).ravel()
+    cols = np.tile(fine.tets, (1, 4)).ravel()
+    k1 = sparse.coo_matrix((kel.ravel(), (rows, cols))).tocsr()
+    inner = np.flatnonzero(~fine.boundary_vertex_mask())
+    h = np.array([0.25, 1.0 / 3.0, 0.0625])
+    key = {tuple(k): i for i, k in
+           enumerate(np.rint(fine.vertices[inner] / h).astype(int).tolist())}
+    space = system.space
+    nodes = space.scalar_nodes[~space.dirichlet_scalar]
+    order = inner[[key[tuple(k)] for k in
+                   np.rint(nodes / h).astype(int).tolist()]]
+    k1 = k1[order][:, order]
+
+    velocity, pressure_weight = _lattice_preconditioner(system)
+    c = 0.5 * (system.alpha + system.anorm_inf)
+    r = np.random.default_rng(5).standard_normal((len(order), 3))
+    back = velocity((c * (k1 @ r)).ravel()).reshape(-1, 3)
+    assert np.max(np.abs(back - r)) <= 1e-10 * np.max(np.abs(r))
+    assert np.allclose(pressure_weight * system.m, c, rtol=1e-14)
+
+
+def test_minres_iterations_flat_under_refinement():
+    its = {n: minres_solve(_case_system("anisotropic", (n, n, n)))
+           .stats["iterations"] for n in (4, 8)}
+    assert its[8] <= 1.5 * its[4]
+
+
+def test_minres_zero_forcing_gives_zero_solution():
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
+    result = minres_solve(system)
+    assert np.all(result.velocity == 0.0)
+    assert np.all(result.pressure == 0.0)
+    assert result.residual == 0.0
+
+
+def test_minres_iteration_cap(small_system, monkeypatch):
+    monkeypatch.setattr("genstokes.solver._PASS_MAXITER", 3)
+    with pytest.raises(MaxIterations):
+        minres_solve(small_system)
