@@ -121,7 +121,7 @@ def assemble(
     Raises NotElliptic when the sampled positivity constant of A(B) at the
     quadrature points is not strictly positive (NaN included).
     """
-    geom = ElementGeometry(mesh, space, quad_n)
+    geom = space.geometry(quad_n)
     pts = geom.flat_points
     report = alpha_field(mu, b_field, pts)
     if not report.alpha > 0.0:
@@ -211,7 +211,7 @@ def korn_terms(space: TaylorHoodSpace, u_full: np.ndarray, quad_n: int = 3):
         raise BCViolation("coefficient vector has wrong length")
     if np.any(u_full[space.dirichlet_mask] != 0.0):
         raise BCViolation("coefficient vector nonzero on Dirichlet dofs")
-    geom = ElementGeometry(space.mesh, space, quad_n)
+    geom = space.geometry(quad_n)
     gv = discrete_gradients(geom, space, u_full)
     dv = 0.5 * (gv + np.swapaxes(gv, -1, -2))
     dd = float(np.einsum("eq,eqac,eqac->", geom.wdet, dv, dv))

@@ -48,10 +48,9 @@ from .errors import (
     NotSPD,
     ResidualTooLarge,
 )
-from .fem import ElementGeometry, TaylorHoodSpace, build_mesh
+from .fem import TaylorHoodSpace, build_mesh
 from .fields import TensorField, VectorField
 from .solver import minres_solve, solve, uzawa_solve
-from .tensors import eig_sym3_batch
 from .verification import (
     SHIPPED_CASES,
     audit_estimates,
@@ -256,13 +255,9 @@ def cmd_solve(args) -> int:
     report["scenario"] = scenario.value
     report["lambda_set"] = lam_set.as_dict()
 
-    geom = ElementGeometry(mesh, space, args.quad)
-    ne, nq = geom.wdet.shape
-    eigs = eig_sym3_batch(b.eval(geom.flat_points)).reshape(ne, nq, 3)
-    m1, m2, m3 = [fld.eval(geom.flat_points).reshape(ne, nq, 1)
-                  for fld in _mu_as_fields(mu)]
-    gvals = m1 + m2 * eigs + m3 / eigs
-    alpha_cells = gvals.reshape(ne, -1).min(axis=1)
+    # per-cell alpha: the minimum over the cell's assembly quadrature points
+    samples = system.alpha_report.alpha_samples
+    alpha_cells = samples.reshape(mesh.n_tets, -1).min(axis=1)
 
     write_vtk(args.vtk, space, result.velocity, result.pressure, alpha_cells)
     _write_report(args.report, report)
@@ -272,12 +267,6 @@ def cmd_solve(args) -> int:
     print(f"a-priori velocity bound satisfied: {apriori['satisfied']}")
     print(f"wrote {args.vtk} and {args.report}")
     return EXIT_OK
-
-
-def _mu_as_fields(mu):
-    from .constitutive import _mu_fields
-
-    return _mu_fields(mu)
 
 
 def cmd_mms(args) -> int:

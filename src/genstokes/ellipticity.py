@@ -16,7 +16,7 @@ sampled minimum of g over the eigenvalues of B(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -109,6 +109,9 @@ class EllipticityReport:
     minimizer_point: Optional[tuple] = None
     minimizer_eigenvalue: Optional[float] = None
     margin: Optional[float] = None
+    # per-sample min_i g(lambda_i), in sample order; not part of the report
+    alpha_samples: Optional[np.ndarray] = field(default=None, repr=False,
+                                                compare=False)
 
     def as_dict(self) -> dict:
         d = {"alpha": self.alpha, "positive": bool(self.positive)}
@@ -211,8 +214,9 @@ def classify(mu: MuTriple):
 def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
     """Sampled uniform-positivity constant of A(B) over ``pts``.
 
-    alpha = min over samples and i of g_x(lambda_i(B(x))).  Raises NotSPD
-    when some sample of B has a non-positive eigenvalue.
+    alpha = min over samples and i of g_x(lambda_i(B(x))); the report keeps
+    the per-sample minima as ``alpha_samples``.  Raises NotSPD when some
+    sample of B has a non-positive eigenvalue.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     eigs = eig_sym3_batch(b.eval(pts))  # (N, 3) ascending
@@ -240,9 +244,8 @@ def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
         scenario, lam_set = classify(mu)
         endpoints = lam_set.finite_endpoints()
         if endpoints:
-            margin = float(
-                min(abs(e - lam) for e in endpoints for lam in eigs.ravel())
-            )
+            gaps = np.subtract.outer(endpoints, eigs.ravel())
+            margin = float(np.min(np.abs(gaps)))
         else:
             margin = math.inf
     return EllipticityReport(
@@ -253,6 +256,7 @@ def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
         minimizer_point=tuple(pts[n_idx]),
         minimizer_eigenvalue=float(eigs[n_idx, e_idx]),
         margin=margin,
+        alpha_samples=g.min(axis=1),
     )
 
 

@@ -153,6 +153,8 @@ class TaylorHoodSpace:
     tet_nodes: np.ndarray = field(init=False)      # (nt, 10) scalar node ids
     dirichlet_scalar: np.ndarray = field(init=False)
     dirichlet_mask: np.ndarray = field(init=False)  # (n_vel,) bool
+    _geometries: dict = field(init=False, default_factory=dict,
+                              repr=False, compare=False)
 
     def __post_init__(self):
         mesh = self.mesh
@@ -188,6 +190,12 @@ class TaylorHoodSpace:
     @property
     def interior_idx(self) -> np.ndarray:
         return np.flatnonzero(~self.dirichlet_mask)
+
+    def geometry(self, quad_n: int = 3) -> "ElementGeometry":
+        """The element tables of this space for ``quad_n``, built once."""
+        if quad_n not in self._geometries:
+            self._geometries[quad_n] = ElementGeometry(self.mesh, self, quad_n)
+        return self._geometries[quad_n]
 
 
 @lru_cache(maxsize=8)
@@ -249,11 +257,14 @@ def p1_basis(pts: np.ndarray):
 
 
 class ElementGeometry:
-    """Per-element geometric tables shared by assembly and error integration."""
+    """Per-element geometric tables shared by assembly and error integration.
+
+    The tables are read-only: ``TaylorHoodSpace.geometry`` hands one instance
+    to every caller.  Neither the mesh nor the space is kept, so a space that
+    caches its geometries forms no reference cycle.
+    """
 
     def __init__(self, mesh: BoxMesh, space: TaylorHoodSpace, quad_n: int = 3):
-        self.mesh = mesh
-        self.space = space
         self.quad_n = quad_n
         ref_pts, ref_wts = quad_tet(quad_n)
         self.ref_pts = ref_pts
@@ -273,6 +284,9 @@ class ElementGeometry:
         # physical quadrature points and weights
         self.points = v[:, None, 0, :] + np.einsum("qd,ecd->eqc", ref_pts, jac)
         self.wdet = ref_wts[None, :] * np.abs(self.detj)[:, None]
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     @property
     def flat_points(self) -> np.ndarray:

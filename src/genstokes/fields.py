@@ -4,15 +4,15 @@ Three representations share one evaluation interface:
 
 * ``constant`` -- a single value everywhere,
 * ``expression`` -- a closed-form expression in x, y, z built from
-  arithmetic, sin/cos/exp and numeric constants (sympy-backed).  ``grad``
-  and ``hess`` evaluate lambdified closed-form derivatives;
-  ``derivative_stack`` runs truncated Taylor arithmetic (Taylor-mode
-  automatic differentiation) over the expression DAG.  Both are exact up
-  to rounding.  The Taylor pass supports x, y, z, numbers and numeric
-  constants such as pi, sums, products, powers (integral exponents as
-  repeated products, others as a binomial series, symbolic exponents as
-  exp(b log a)) and sin/cos/exp; any other node raises
-  NonDifferentiableField,
+  arithmetic, sin/cos/exp and numeric constants (sympy-backed).  Values
+  come from a lambdified closed form; ``grad``, ``hess`` and
+  ``derivative_stack`` all run one pass of truncated Taylor arithmetic
+  (Taylor-mode automatic differentiation) over the expression DAG, exact
+  up to rounding, and never differentiate symbolically.  The Taylor pass
+  supports x, y, z, numbers and numeric constants such as pi, sums,
+  products, powers (integral exponents as repeated products, others as a
+  binomial series, symbolic exponents as exp(b log a)) and sin/cos/exp;
+  any other node raises NonDifferentiableField,
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
   evaluated by trilinear interpolation, with second-order finite-difference
   derivatives (one-sided at the faces).
@@ -57,6 +57,8 @@ _COMP_INDEX = {
     "a11": (0, 0), "a22": (1, 1), "a33": (2, 2),
     "a12": (0, 1), "a13": (0, 2), "a23": (1, 2),
 }
+# Column of d_i d_j in an order-2 derivative stack (xx, xy, xz, yy, yz, zz).
+_HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def parse_expression(text: str) -> sp.Expr:
@@ -245,8 +247,6 @@ class ScalarField:
         self.box = box  # (Lx, Ly, Lz) for grid fields
         if kind == "expression":
             self._fn = _lambdify(payload)
-            self._grad_fns = None
-            self._hess_fns = None
         elif kind == "grid":
             self._build_grid_interpolants()
 
@@ -334,11 +334,7 @@ class ScalarField:
         if self.kind == "constant":
             return np.zeros((pts.shape[0], 3))
         if self.kind == "expression":
-            if self._grad_fns is None:
-                self._grad_fns = [
-                    _lambdify(sp.diff(self._payload, s)) for s in (_X, _Y, _Z)
-                ]
-            return np.stack([f(pts) for f in self._grad_fns], axis=-1)
+            return self.derivative_stack(pts, 1)
         c = self._clip(pts)
         return np.stack([g(c) for g in self._grad_interp], axis=-1)
 
@@ -348,18 +344,7 @@ class ScalarField:
         if self.kind == "constant":
             return np.zeros((pts.shape[0], 3, 3))
         if self.kind == "expression":
-            if self._hess_fns is None:
-                self._hess_fns = [
-                    [
-                        _lambdify(sp.diff(self._payload, s, t))
-                        for t in (_X, _Y, _Z)
-                    ]
-                    for s in (_X, _Y, _Z)
-                ]
-            return np.stack(
-                [np.stack([f(pts) for f in row], axis=-1) for row in self._hess_fns],
-                axis=-2,
-            )
+            return self.derivative_stack(pts, 2)[:, _HESS_INDEX]
         c = self._clip(pts)
         return np.stack(
             [np.stack([h(c) for h in row], axis=-1) for row in self._hess_interp],

@@ -56,6 +56,16 @@ def _check_gauge(m: np.ndarray) -> None:
             "pressure gauge row m is not finite and positive")
 
 
+def _check_load(F: np.ndarray) -> None:
+    # a NaN or inf load cannot give a finite solution; iterating on it only
+    # spends the iteration cap before failing
+    bad = np.flatnonzero(~np.isfinite(F))
+    if bad.size:
+        raise ResidualTooLarge(
+            f"load vector F has {bad.size} non-finite entries "
+            f"(first: F[{bad[0]}] = {F[bad[0]]})")
+
+
 def _finish(system: SaddleSystem, u_int, p, xi, tol, stats) -> SolveResult:
     _check_gauge(system.m)
     # pin the gauge exactly (a constant shift stays in the solution set)
@@ -161,11 +171,13 @@ def minres_solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     MINRES measures convergence in the preconditioner's norm and its true
     residual stalls far above its own tolerance, so it is restarted on the
     true residual (``x += minres(A, b - A x)``) while that keeps falling.
-    Raises MaxIterations when a pass does not converge within
+    Raises ResidualTooLarge before iterating when the load vector has a
+    non-finite entry, and MaxIterations when a pass does not converge within
     ``_PASS_MAXITER`` iterations; the final full residual is checked against
     ``tol``.
     """
     ni, npr = system.n_interior, system.n_pressure
+    _check_load(system.F)
     if np.linalg.norm(system.F) == 0.0:
         return SolveResult(
             velocity=np.zeros(system.space.n_velocity),
@@ -249,11 +261,13 @@ def uzawa_solve(
     """Pressure Schur-complement iteration with lattice-preconditioned CG
     inner solves.
 
-    Raises MaxIterations when the outer iteration cannot reach
-    ``outer_tol`` within ``max_outer`` steps.  The final full residual is
-    checked against ``tol``.
+    Raises ResidualTooLarge before iterating when the load vector has a
+    non-finite entry, and MaxIterations when the outer iteration cannot
+    reach ``outer_tol`` within ``max_outer`` steps.  The final full residual
+    is checked against ``tol``.
     """
     K, G, F = system.K, system.G, system.F
+    _check_load(F)
     if np.linalg.norm(F) == 0.0:
         return SolveResult(
             velocity=np.zeros(system.space.n_velocity),

@@ -3,7 +3,10 @@
 Manufactured velocities are built divergence-free with zero wall trace; the
 forcing is derived symbolically from the strong form
 
-    f = -div(D(v) A + A D(v)) + grad p,      A = mu1 I + mu2 B + mu3 B^{-1}.
+    f = -div(D(v) A + A D(v)) + grad p,      A = mu1 I + mu2 B + mu3 B^{-1},
+
+on first use of ``MMSCase.f_exprs`` or ``MMSCase.f_field``, so a case built
+only for its coefficient field never pays for the symbolic derivation.
 
 Error norms against exact solutions are integrated with quadrature one
 degree above the assembly rule.  Estimates carrying unspecified shape
@@ -15,6 +18,7 @@ the dual norm of f by its Poincare surrogate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,7 +29,7 @@ import sympy as sp
 from .assembly import SaddleSystem, assemble, discrete_gradients
 from .constitutive import BoundAudit, MuTriple, _mu_fields
 from .errors import MissingNormInput, NonDifferentiableExpression
-from .fem import ElementGeometry, TaylorHoodSpace, build_mesh, _DL
+from .fem import TaylorHoodSpace, build_mesh, _DL
 from .fields import ScalarField, TensorField, VectorField
 from .solver import SolveResult, minres_solve, solve, uzawa_solve
 from .tensors import d_inverse_batch
@@ -69,8 +73,6 @@ class MMSCase:
     mu: MuTriple
     b_exprs: Optional[sp.Matrix]  # None means B = I
     b_field: TensorField = field(init=False)
-    f_exprs: tuple = field(init=False)
-    f_field: VectorField = field(init=False)
     v_field: VectorField = field(init=False)
     p_field: ScalarField = field(init=False)
 
@@ -84,10 +86,17 @@ class MMSCase:
             for (i, j), nm in names.items():
                 comps[nm] = ScalarField.expression(self.b_exprs[i, j])
             self.b_field = TensorField("expression", comps)
-        self.f_exprs = mms_forcing(self.v_exprs, self.p_expr, self.mu, self.b_exprs)
-        self.f_field = VectorField.expression(self.f_exprs)
         self.v_field = VectorField.expression(self.v_exprs)
         self.p_field = ScalarField.expression(self.p_expr)
+
+    @functools.cached_property
+    def f_exprs(self) -> tuple:
+        """Forcing of the strong form, derived on first use."""
+        return mms_forcing(self.v_exprs, self.p_expr, self.mu, self.b_exprs)
+
+    @functools.cached_property
+    def f_field(self) -> VectorField:
+        return VectorField.expression(self.f_exprs)
 
     @property
     def a_exprs(self) -> sp.Matrix:
@@ -179,7 +188,7 @@ def errors_against_exact(system: SaddleSystem, result: SolveResult,
     Integrated with quadrature one degree above assembly unless overridden.
     """
     space = system.space
-    geom = ElementGeometry(system.mesh, space, quad_n or system.quad_n + 1)
+    geom = space.geometry(quad_n or system.quad_n + 1)
     pts = geom.flat_points
     ne, nq = geom.wdet.shape
 
@@ -266,6 +275,8 @@ def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
                 audit_estimates(system, result, case.mu, case.b_field,
                                 case_norms=case_norms)
             )
+        # free this level's geometry tables before the next level builds its own
+        del mesh, space, system, result
     return table
 
 
@@ -524,7 +535,7 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
     lam1 = lambda1_box(*mesh.box)
     alpha = system.alpha
     anorm = system.anorm_inf
-    geom = ElementGeometry(mesh, system.space, system.quad_n)
+    geom = system.space.geometry(system.quad_n)
     gv = discrete_gradients(geom, system.space, result.velocity)
     grad_v = math.sqrt(float(np.einsum("eq,eqac,eqac->", geom.wdet, gv, gv)))
 

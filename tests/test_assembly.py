@@ -251,3 +251,29 @@ def test_coercivity_sandwich_three_coefficients():
             energy = float(ui @ (system.K @ ui))
             assert energy >= system.alpha * gg * (1 - 1e-12)
             assert energy <= 2.0 * system.anorm_inf * gg * (1 + 1e-12)
+
+
+def test_korn_terms_builds_geometry_once(monkeypatch):
+    # 200 calls on one space share one geometry table
+    import genstokes.fem as fem
+
+    built = []
+
+    class Counting(fem.ElementGeometry):
+        def __init__(self, mesh, space, quad_n=3):
+            built.append(quad_n)
+            super().__init__(mesh, space, quad_n)
+
+    monkeypatch.setattr(fem, "ElementGeometry", Counting)
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    rng = np.random.default_rng(11)
+    idx = space.interior_idx
+    for _ in range(200):
+        u = np.zeros(space.n_velocity)
+        u[idx] = rng.standard_normal(idx.size)
+        korn_terms(space, u)
+    assert built == [3]
+    # assembly at the same rule reuses it
+    assemble(mesh, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
+    assert built == [3]

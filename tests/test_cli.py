@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from genstokes.cli import main
-from genstokes.fields import write_grid_file
+from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh
+from genstokes.fields import TensorField, write_grid_file
 from genstokes.solver import uzawa_solve
+from genstokes.tensors import eig_sym3_batch
 
 
 def make_identity_grid(path, n=3, spd=True):
@@ -96,6 +98,27 @@ def test_solve_writes_artifacts(tmp_path):
     assert vtk[3] == "DATASET UNSTRUCTURED_GRID"
     assert any(line.startswith("CELL_TYPES") for line in vtk)
     assert "24" in vtk
+
+
+def test_solve_cell_alpha_is_min_over_cell_quadrature(tmp_path):
+    # per-cell alpha comes from the assembly samples; it must equal the
+    # minimum of g over each cell's quadrature points, recomputed here
+    s = "0.4*sin(pi*x)*sin(pi*y)*sin(pi*z)"
+    b_expr = f"a11=1 + ({s})**2; a12={s}; a22=1; a33=1"
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,1,0.5",
+                 "--mesh", "2", "--b-expr", b_expr, "--f-expr", "1; 0; 0"])
+    assert code == 0
+    lines = (tmp_path / "solution.vtk").read_text().splitlines()
+    start = lines.index("SCALARS alpha double 1") + 2
+    space = TaylorHoodSpace(build_mesh(2, 2, 2, 1.0, 1.0, 1.0))
+    geom = ElementGeometry(space.mesh, space, 3)
+    b = TensorField.expression(dict(item.strip().split("=", 1)
+                                    for item in b_expr.split(";")))
+    eigs = eig_sym3_batch(b.eval(geom.flat_points))
+    g = 1.0 + 1.0 * eigs + 0.5 / eigs
+    want = g.reshape(space.mesh.n_tets, -1).min(axis=1)
+    got = lines[start:start + space.mesh.n_tets]
+    assert got == [f"{a:.12g}" for a in want]
 
 
 def test_solve_zero_forcing_zero_fields(tmp_path):

@@ -14,7 +14,7 @@ from genstokes.constitutive import (
     shipped_smooth_fields,
 )
 from genstokes.errors import DomainError, NonDifferentiableField, SingularTensor
-from genstokes.fields import TensorField
+from genstokes.fields import ScalarField, TensorField
 from genstokes.tensors import SymTensor3, eig_sym3
 
 from test_tensors import random_spd
@@ -141,6 +141,25 @@ def test_audit_shipped_fields_16cubed():
             assert by_id[key].ratio is not None and math.isfinite(by_id[key].ratio)
 
 
+def test_audit_bounds_needs_no_symbolic_differentiation(monkeypatch):
+    # field derivatives come from the Taylor pass; once the fields exist the
+    # audits neither differentiate nor lambdify anything
+    import sympy
+
+    fields = shipped_smooth_fields()
+    mu = (ScalarField.constant(1.0), ScalarField.expression("1 + 0.1*x*y"),
+          ScalarField.constant(1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work inside audit_bounds")
+
+    monkeypatch.setattr(sympy, "diff", refuse)
+    monkeypatch.setattr(sympy, "lambdify", refuse)
+    for fld in fields.values():
+        ids = {a.id for a in audit_bounds(mu, fld, grid_points(4))}
+        assert {"d_acal_linf", "d2_acal_l3"} <= ids
+
+
 def test_audit_requires_derivatives_on_constant_data():
     b = TensorField.constant(SymTensor3.diag(1.0, 1.0, 1.0))
     with pytest.raises(NonDifferentiableField):
@@ -155,8 +174,6 @@ def test_audit_skip_derivatives():
 
 
 def test_audit_mu_fields_variable():
-    from genstokes.fields import ScalarField
-
     mu = (ScalarField.expression("1 + 0.5*sin(pi*x)"),
           ScalarField.constant(1.0),
           ScalarField.expression("0.5 + 0.25*cos(pi*z)"))

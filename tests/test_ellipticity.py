@@ -16,7 +16,7 @@ from genstokes.ellipticity import (
 )
 from genstokes.errors import DegenerateQuadratic, NotAdmissible, NotSPD
 from genstokes.fields import TensorField
-from genstokes.tensors import SymTensor3
+from genstokes.tensors import SymTensor3, eig_sym3_batch
 
 from test_tensors import random_spd
 
@@ -192,6 +192,26 @@ def test_alpha_on_admissibility_boundary():
     assert not rep.positive
     assert rep.minimizer_eigenvalue == pytest.approx(0.5)
     assert rep.margin == pytest.approx(0.0, abs=1e-12)
+
+
+def test_alpha_margin_and_samples_on_scenario_ii_grid():
+    # a stretch whose eigenvalues sweep across both endpoints 1/8 and 1/2
+    mu = MuTriple(-2.5, 4.0, 0.25)
+    a = "0.9*sin(pi*x)*cos(pi*y) + 0.5*z"
+    b = TensorField.expression({"a11": f"exp({a})", "a22": f"exp(-({a}))",
+                                "a33": "0.2 + x*y"})
+    axes = [np.linspace(0.0, 1.0, 17)[:-1] + 1.0 / 32] * 3
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+    rep = alpha_field(mu, b, pts)
+    eigs = eig_sym3_batch(b.eval(pts))
+    endpoints = rep.interval_set.finite_endpoints()
+    assert endpoints == [0.125, 0.5]
+    # the generator formula the vectorized margin replaced, float for float
+    assert rep.margin == min(abs(e - lam) for e in endpoints for lam in eigs.ravel())
+    g = mu.mu1 + mu.mu2 * eigs + mu.mu3 / eigs
+    np.testing.assert_array_equal(rep.alpha_samples, g.min(axis=1))
+    assert rep.alpha == rep.alpha_samples.min()
+    assert "alpha_samples" not in rep.as_dict()
 
 
 def test_alpha_rejects_non_spd():

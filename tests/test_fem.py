@@ -1,5 +1,7 @@
 """Mesh construction, quadrature rules, and basis tables."""
 
+import gc
+import weakref
 from math import factorial
 
 import numpy as np
@@ -131,3 +133,46 @@ def test_dirichlet_mask_larger_mesh():
     for axis, length in enumerate((2.0, 1.0, 1.0)):
         on_wall |= np.isclose(pts[:, axis], 0.0) | np.isclose(pts[:, axis], length)
     assert np.array_equal(space.dirichlet_scalar, on_wall)
+
+
+# ---------------------------------------------------------------------------
+# geometry cache
+
+
+def test_geometry_built_once_per_quadrature():
+    space = TaylorHoodSpace(build_mesh(2, 2, 2, 1.0, 1.0, 1.0))
+    g3 = space.geometry(3)
+    assert space.geometry(3) is g3
+    assert space.geometry() is g3  # the default rule is quad_n = 3
+    g4 = space.geometry(4)
+    assert g4 is not g3
+    assert g3.wdet.shape == (space.mesh.n_tets, 27)
+    assert g4.wdet.shape == (space.mesh.n_tets, 64)
+    assert g3.wdet.sum() == pytest.approx(1.0, rel=1e-12)
+    assert g4.wdet.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cached_geometry_tables_are_read_only():
+    space = TaylorHoodSpace(build_mesh(1, 1, 1, 1.0, 1.0, 1.0))
+    geom = space.geometry(3)
+    for table in (geom.grads, geom.wdet, geom.points, geom.n2_vals,
+                  geom.p1_vals, geom.p1_grads, geom.detj):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    with pytest.raises(ValueError):
+        geom.flat_points[0, 0] = 1.0  # views share the flag
+
+
+def test_geometry_cache_forms_no_reference_cycle():
+    # with the cyclic collector off, only reference counting can free the
+    # space; a geometry that pointed back to it would keep it alive
+    space = TaylorHoodSpace(build_mesh(2, 2, 2, 1.0, 1.0, 1.0))
+    space.geometry(3)
+    space.geometry(4)
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del space
+        assert ref() is None
+    finally:
+        gc.enable()

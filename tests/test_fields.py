@@ -243,3 +243,55 @@ def test_tensor_unimodular_check():
     fld = TensorField.expression({"a11": "2", "a22": "1", "a33": "1"})
     with pytest.raises(ConfigError):
         fld.check_unimodular(np.array([[0.5, 0.5, 0.5]]))
+
+
+def _lambdified(expr, pts):
+    fn = sp.lambdify(_SYMS, expr, modules="numpy")
+    return np.broadcast_to(
+        np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float),
+        pts.shape[:1])
+
+
+def _assert_close(got, want, rel=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * scale)
+
+
+@pytest.mark.parametrize("text", [
+    "sin(pi*x)*cos(pi*y) + exp(z)",
+    "1 + (0.4*sin(pi*x)*sin(pi*y)*sin(pi*z))**2",
+    "exp(-(0.2*sin(pi*x)*sin(pi*z))-(0.2*cos(pi*y)*sin(pi*x)))",
+    "x*y**2*z**3/(2 + cos(x*z))",
+    "7",
+])
+def test_expression_grad_hess_match_symbolic_oracle(text):
+    fld = ScalarField.expression(text)
+    g = fld.grad(_STACK_PTS)
+    h = fld.hess(_STACK_PTS)
+    assert g.shape == (len(_STACK_PTS), 3)
+    assert h.shape == (len(_STACK_PTS), 3, 3)
+    for k in range(3):
+        _assert_close(g[:, k], _lambdified(sp.diff(fld.expr, _SYMS[k]), _STACK_PTS))
+        for m in range(3):
+            want = _lambdified(sp.diff(fld.expr, _SYMS[k], _SYMS[m]), _STACK_PTS)
+            _assert_close(h[:, k, m], want)
+
+
+def test_tensor_field_hess_layout_matches_symbolic_oracle():
+    # hess -> [n, k, l, i, j] = d_k d_l B_ij, symmetric in (k, l) and (i, j)
+    u = "0.3*sin(pi*x)*sin(pi*y)*sin(pi*z)"
+    w = "0.2*sin(2*pi*x)*sin(pi*y)*sin(pi*z)"
+    comps = {"a11": f"1 + ({u})**2", "a12": u, "a13": "x*z",
+             "a22": f"1 + ({w})**2", "a23": w, "a33": "exp(y)"}
+    fld = TensorField.expression(comps)
+    got = fld.hess(_STACK_PTS)
+    names = {(0, 0): "a11", (1, 1): "a22", (2, 2): "a33",
+             (0, 1): "a12", (0, 2): "a13", (1, 2): "a23"}
+    for i in range(3):
+        for j in range(3):
+            expr = parse_expression(comps[names[min(i, j), max(i, j)]])
+            for k in range(3):
+                for m in range(3):
+                    want = _lambdified(sp.diff(expr, _SYMS[k], _SYMS[m]),
+                                       _STACK_PTS)
+                    _assert_close(got[:, k, m, i, j], want)

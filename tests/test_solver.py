@@ -8,7 +8,7 @@ import scipy.sparse as sparse
 
 from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple
-from genstokes.errors import FactorizationFailure, MaxIterations
+from genstokes.errors import FactorizationFailure, MaxIterations, ResidualTooLarge
 from genstokes.fem import TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, VectorField
 from genstokes.solver import (_lattice_preconditioner, minres_solve, solve,
@@ -114,6 +114,26 @@ def test_zero_gauge_row_reported(small_system, solver):
     broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
     with pytest.raises(FactorizationFailure):
         solver(broken)
+
+
+@pytest.mark.parametrize("solver", [uzawa_solve, minres_solve])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_load_rejected_before_iterating(small_system, solver, bad,
+                                                   monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("iterated on a non-finite load")
+
+    monkeypatch.setattr("genstokes.solver.spla.minres", spy)
+    monkeypatch.setattr("genstokes.solver._cg", spy)
+    F = small_system.F.copy()
+    F[5] = bad
+    broken = dataclasses.replace(small_system, F=F)
+    with pytest.raises(ResidualTooLarge, match=r"load vector F .*F\[5\]"):
+        solver(broken)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

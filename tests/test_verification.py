@@ -135,6 +135,28 @@ def test_anisotropic_forcing_matches_unexpanded_form():
     assert np.max(np.abs(got - want)) / scale < 1e-6
 
 
+def test_forcing_derived_on_first_use(monkeypatch):
+    import genstokes.verification as verification
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mms_forcing(*args)
+
+    monkeypatch.setattr(verification, "mms_forcing", counting)
+    case = make_anisotropic_case()
+    assert calls == []  # building the case derives no forcing
+    case.b_field.eval(np.array([[0.3, 0.4, 0.5]]))
+    assert calls == []
+    f = case.f_field
+    assert len(calls) == 1
+    assert case.f_field is f
+    assert case.f_exprs == mms_forcing(case.v_exprs, case.p_expr, case.mu,
+                                       case.b_exprs)
+    assert len(calls) == 1
+
+
 def test_forcing_rejects_bad_expressions():
     from genstokes.constitutive import MuTriple
 
