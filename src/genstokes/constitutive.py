@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NonDifferentiableField
 from .fields import ScalarField, TensorField
-from .tensors import SymTensor3, ch_inverse_batch, d_inverse_batch
+from .tensors import SymTensor3, ch_inverse_batch, d2_inverse_batch, d_inverse_batch
 
 __all__ = [
     "MuTriple",
@@ -249,7 +249,8 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
         db_l3 = _lp_norm(dbvals, 3.0, volume)
         d2b = b.hess(pts)  # (N, k, l, 3, 3)
         d2b_l3 = _lp_norm(d2b, 3.0, volume)
-        d2binv = _second_derivative_binv(bvals, dbvals, d2b)
+        d2binv = d2_inverse_batch(bvals[:, None, None], dbvals[:, :, None],
+                                  dbvals[:, None, :], d2b)
         audits.append(_ratio_audit("binv_l3", _lp_norm(binv, 3.0, volume), b_l6**2))
         audits.append(_ratio_audit(
             "d_binv_l3", _lp_norm(dbinv, 3.0, volume), b_l6 * db_l6
@@ -278,26 +279,6 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
 def _ratio_audit(name: str, lhs: float, rhs: float) -> BoundAudit:
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else float("inf"))
     return BoundAudit(name, lhs, rhs, ratio=ratio)
-
-
-def _second_derivative_binv(bvals, dbvals, d2b) -> np.ndarray:
-    """d2(B^{-1}) over samples, (N, k, l, 3, 3), for unimodular fields."""
-    b = bvals[:, None, None, :, :]
-    di = dbvals[:, :, None, :, :]
-    dj = dbvals[:, None, :, :, :]
-    d2 = d2b
-    tr = lambda m: np.trace(m, axis1=-2, axis2=-1)[..., None, None]
-    ddot = lambda a, c: np.sum(a * c, axis=(-2, -1))[..., None, None]
-    eye = np.eye(3)
-    return (
-        dj @ di + di @ dj
-        + b @ d2 + d2 @ b
-        - tr(d2) * b
-        - tr(di) * dj
-        - tr(dj) * di
-        - tr(b) * d2
-        + (tr(dj) * tr(di) + tr(b) * tr(d2) - ddot(dj, di) - ddot(b, d2)) * eye
-    )
 
 
 def _second_derivative_acal(mu_f, pts, bvals, binv, dbvals, dbinv, d2b, d2binv):

@@ -32,6 +32,8 @@ __all__ = [
     "p1_basis",
     "ElementGeometry",
     "LOCAL_EDGES",
+    "lattice_points",
+    "cell_centres",
 ]
 
 # Local edge order of a tetrahedron (a, b, c, d).
@@ -80,19 +82,28 @@ class BoxMesh:
     def box(self):
         return (self.lx, self.ly, self.lz)
 
-    def volumes(self) -> np.ndarray:
+    def jacobians(self) -> np.ndarray:
+        """(nt, 3, 3) affine maps of the reference tetrahedron; the columns
+        are the edge vectors from each tet's first vertex."""
         v = self.vertices[self.tets]
-        j = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-        return np.abs(np.linalg.det(j)) / 6.0
+        return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+
+    def volumes(self) -> np.ndarray:
+        return np.abs(np.linalg.det(self.jacobians())) / 6.0
+
+    def p1_gradients(self) -> np.ndarray:
+        """(nt, 4, 3) physical gradients of the barycentric coordinates."""
+        # grad_x phi = Jinv^T grad_ref phi
+        return np.einsum("id,edc->eic", _DL, np.linalg.inv(self.jacobians()))
+
+    def on_walls(self, pts) -> np.ndarray:
+        """Mask of the points ``pts`` (m, 3) that lie on a face of the box."""
+        tol = 1e-12 * max(self.box)
+        box = np.array(self.box)
+        return np.any((np.abs(pts) <= tol) | (np.abs(pts - box) <= tol), axis=1)
 
     def boundary_vertex_mask(self) -> np.ndarray:
-        tol = 1e-12 * max(self.lx, self.ly, self.lz)
-        v = self.vertices
-        on = np.zeros(v.shape[0], dtype=bool)
-        for axis, length in enumerate((self.lx, self.ly, self.lz)):
-            on |= np.abs(v[:, axis]) <= tol
-            on |= np.abs(v[:, axis] - length) <= tol
-        return on
+        return self.on_walls(self.vertices)
 
     def face_counts(self):
         """(n_interior, n_boundary, max_share) over triangular faces."""
@@ -110,6 +121,20 @@ class BoxMesh:
         )
 
 
+def lattice_points(axes) -> np.ndarray:
+    """(n0*n1*n2, 3) points of the tensor lattice of three axis arrays, C order."""
+    return np.stack(
+        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
+    )
+
+
+def cell_centres(box, n: int) -> np.ndarray:
+    """Centres of the n x n x n cells of the box, in lattice order."""
+    return lattice_points(
+        [np.linspace(0.0, b, n + 1)[:-1] + b / (2 * n) for b in box]
+    )
+
+
 def build_mesh(nx: int, ny: int, nz: int, lx: float, ly: float, lz: float) -> BoxMesh:
     """Structured Kuhn-subdivided tetrahedral mesh of the box."""
     if min(nx, ny, nz) < 1:
@@ -117,19 +142,13 @@ def build_mesh(nx: int, ny: int, nz: int, lx: float, ly: float, lz: float) -> Bo
     if min(lx, ly, lz) <= 0:
         raise InvalidDimensions("edge lengths must be positive")
 
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    zs = np.linspace(0.0, lz, nz + 1)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    vertices = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    vertices = lattice_points([np.linspace(0.0, length, n + 1)
+                               for n, length in zip((nx, ny, nz), (lx, ly, lz))])
 
     def vid(i, j, k):
         return (i * (ny + 1) + j) * (nz + 1) + k
 
-    ii, jj, kk = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    base = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)  # (ncell, 3)
+    base = lattice_points([np.arange(nx), np.arange(ny), np.arange(nz)])  # (ncell, 3)
     # corners[c, t, v] = vertex id of vertex v of Kuhn tet t in cell c
     corner_idx = base[:, None, None, :] + _KUHN_CORNERS[None, :, :, :]
     tets = vid(corner_idx[..., 0], corner_idx[..., 1], corner_idx[..., 2])
@@ -166,14 +185,8 @@ class TaylorHoodSpace:
             [mesh.tets, mesh.n_vertices + mesh.tet_edges]
         ).astype(np.int64)
 
-        tol = 1e-12 * max(mesh.lx, mesh.ly, mesh.lz)
-        pts = self.scalar_nodes
-        on = np.zeros(pts.shape[0], dtype=bool)
-        for axis, length in enumerate(mesh.box):
-            on |= np.abs(pts[:, axis]) <= tol
-            on |= np.abs(pts[:, axis] - length) <= tol
-        self.dirichlet_scalar = on
-        self.dirichlet_mask = np.repeat(on, 3)
+        self.dirichlet_scalar = mesh.on_walls(self.scalar_nodes)
+        self.dirichlet_mask = np.repeat(self.dirichlet_scalar, 3)
 
     @property
     def n_scalar(self) -> int:
@@ -272,17 +285,15 @@ class ElementGeometry:
         self.n2_vals, n2_grads = p2_basis(ref_pts)
         self.p1_vals = p1_basis(ref_pts)
 
-        v = mesh.vertices[mesh.tets]  # (nt, 4, 3)
-        jac = np.stack(
-            [v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1
-        )  # (nt, 3, 3) columns are edge vectors
+        jac = mesh.jacobians()
         self.detj = np.linalg.det(jac)
-        jinv = np.linalg.inv(jac)
-        # physical gradients: grad_x phi = Jinv^T grad_ref phi
-        self.grads = np.einsum("qid,edc->eqic", n2_grads, jinv)
-        self.p1_grads = np.einsum("id,edc->eic", _DL, jinv)
+        self.p1_grads = mesh.p1_gradients()
+        # physical gradients grad_x phi = Jinv^T grad_ref phi, where the rows
+        # of Jinv are the gradients of barycentric coordinates 1-3
+        self.grads = np.einsum("qid,edc->eqic", n2_grads, self.p1_grads[:, 1:])
         # physical quadrature points and weights
-        self.points = v[:, None, 0, :] + np.einsum("qd,ecd->eqc", ref_pts, jac)
+        origin = mesh.vertices[mesh.tets[:, 0]]
+        self.points = origin[:, None, :] + np.einsum("qd,ecd->eqc", ref_pts, jac)
         self.wdet = ref_wts[None, :] * np.abs(self.detj)[:, None]
         for table in vars(self).values():
             if isinstance(table, np.ndarray):

@@ -429,47 +429,28 @@ class TensorField:
         }
         return cls("grid", fields, box=box)
 
-    def eval(self, pts) -> np.ndarray:
+    def _symmetric(self, pts, derivative: str, shape: tuple) -> np.ndarray:
+        """(N, *shape, 3, 3) stack of each component's ``derivative``
+        (eval, grad or hess), written to both triangles; zero if constant."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        if self.kind == "constant":
-            return np.broadcast_to(self.components.to_matrix(), (n, 3, 3)).copy()
-        out = np.zeros((n, 3, 3))
-        for name, fld in self.components.items():
-            i, j = _COMP_INDEX[name]
-            vals = fld.eval(pts)
-            out[:, i, j] = vals
-            if i != j:
-                out[:, j, i] = vals
+        out = np.zeros((pts.shape[0],) + shape + (3, 3))
+        if self.kind != "constant":
+            for name, fld in self.components.items():
+                i, j = _COMP_INDEX[name]
+                out[..., i, j] = out[..., j, i] = getattr(fld, derivative)(pts)
         return out
+
+    def eval(self, pts) -> np.ndarray:
+        if self.kind == "constant":
+            n = np.atleast_2d(np.asarray(pts, dtype=float)).shape[0]
+            return np.broadcast_to(self.components.to_matrix(), (n, 3, 3)).copy()
+        return self._symmetric(pts, "eval", ())
 
     def grad(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        if self.kind == "constant":
-            return np.zeros((n, 3, 3, 3))
-        out = np.zeros((n, 3, 3, 3))
-        for name, fld in self.components.items():
-            i, j = _COMP_INDEX[name]
-            g = fld.grad(pts)  # (n, 3)
-            out[:, :, i, j] = g
-            if i != j:
-                out[:, :, j, i] = g
-        return out
+        return self._symmetric(pts, "grad", (3,))
 
     def hess(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        if self.kind == "constant":
-            return np.zeros((n, 3, 3, 3, 3))
-        out = np.zeros((n, 3, 3, 3, 3))
-        for name, fld in self.components.items():
-            i, j = _COMP_INDEX[name]
-            h = fld.hess(pts)  # (n, 3, 3)
-            out[:, :, :, i, j] = h
-            if i != j:
-                out[:, :, :, j, i] = h
-        return out
+        return self._symmetric(pts, "hess", (3, 3))
 
     def check_unimodular(self, pts, tol: float = 1e-8) -> None:
         """Require |det B - 1| <= tol at every sample point."""

@@ -66,6 +66,16 @@ def _check_load(F: np.ndarray) -> None:
             f"(first: F[{bad[0]}] = {F[bad[0]]})")
 
 
+def _zero_solution(system: SaddleSystem, stats: dict) -> SolveResult:
+    """The exact solution of a zero load: zero velocity and pressure."""
+    return SolveResult(
+        velocity=np.zeros(system.space.n_velocity),
+        pressure=np.zeros(system.n_pressure),
+        residual=0.0,
+        stats=dict(stats, trivial=True),
+    )
+
+
 def _finish(system: SaddleSystem, u_int, p, xi, tol, stats) -> SolveResult:
     _check_gauge(system.m)
     # pin the gauge exactly (a constant shift stays in the solution set)
@@ -93,12 +103,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     b = system.rhs()
     ni, npr = system.n_interior, system.n_pressure
     if np.linalg.norm(b) == 0.0:
-        return SolveResult(
-            velocity=np.zeros(system.space.n_velocity),
-            pressure=np.zeros(npr),
-            residual=0.0,
-            stats={"method": "direct", "trivial": True},
-        )
+        return _zero_solution(system, {"method": "direct"})
     a = system.kkt()
     try:
         lu = spla.splu(a)
@@ -179,12 +184,7 @@ def minres_solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     ni, npr = system.n_interior, system.n_pressure
     _check_load(system.F)
     if np.linalg.norm(system.F) == 0.0:
-        return SolveResult(
-            velocity=np.zeros(system.space.n_velocity),
-            pressure=np.zeros(npr),
-            residual=0.0,
-            stats={"method": "minres", "iterations": 0, "trivial": True},
-        )
+        return _zero_solution(system, {"method": "minres", "iterations": 0})
     velocity, pressure_weight = _lattice_preconditioner(system)
     a = sparse.bmat([[system.K, system.G], [system.G.T, None]], format="csr")
     n = a.shape[0]
@@ -269,12 +269,7 @@ def uzawa_solve(
     K, G, F = system.K, system.G, system.F
     _check_load(F)
     if np.linalg.norm(F) == 0.0:
-        return SolveResult(
-            velocity=np.zeros(system.space.n_velocity),
-            pressure=np.zeros(system.n_pressure),
-            residual=0.0,
-            stats={"method": "uzawa", "outer_iterations": 0, "trivial": True},
-        )
+        return _zero_solution(system, {"method": "uzawa", "outer_iterations": 0})
     velocity, _ = _lattice_preconditioner(system)
     inner_count = [0]
 

@@ -5,6 +5,11 @@ principal invariants, eigenvalues, the Cayley-Hamilton inverse, the
 symmetrization operator S(M), the product operator S(M)A + A S(M), and the
 analytic first and second derivatives of the inverse of a unimodular tensor.
 
+Each stacked formula has one vectorized kernel over (..., 3, 3) arrays
+(``eig_sym3_batch``, ``ch_inverse_batch``, ``d_inverse_batch``,
+``d2_inverse_batch``); the scalar entry points on :class:`SymTensor3` values
+are wrappers around them.
+
 All functions are pure; values are frozen dataclasses, so concurrent use is
 safe.
 """
@@ -32,10 +37,11 @@ __all__ = [
     "eig_sym3_batch",
     "ch_inverse_batch",
     "d_inverse_batch",
+    "d2_inverse_batch",
 ]
 
-# Tolerance below which the closed-form eigenvalue solve hands over to the
-# Jacobi fallback (spectrum nearly degenerate).
+# Tolerance below which the closed-form eigenvalue solve counts a spectrum
+# as a triple point, or hands a nearly degenerate one over to eigvalsh.
 _DEGENERATE_TOL = 1e-12
 
 
@@ -163,69 +169,19 @@ def invariants(b: SymTensor3) -> Invariants3:
     return Invariants3(i1, i2, i3)
 
 
-def _jacobi_eigvals(m: np.ndarray, sweeps: int = 30) -> np.ndarray:
-    """Cyclic Jacobi rotations; returns ascending eigenvalues."""
-    a = np.array(m, dtype=float)
-    for _ in range(sweeps):
-        off = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-        if off < 1e-300 or off <= 1e-32 * max(1.0, np.sum(np.diag(a) ** 2)):
-            break
-        for p in range(2):
-            for q in range(p + 1, 3):
-                if a[p, q] == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(3)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
-
-
 def eig_sym3(b: SymTensor3) -> EigenTriple:
-    """Eigenvalues of a symmetric 3x3 tensor, ascending.
-
-    Closed-form trigonometric solve of the characteristic cubic.  When the
-    spectrum is (nearly) degenerate the acos argument saturates and the
-    closed form loses accuracy, so a Jacobi-rotation fallback takes over.
-    """
-    off2 = b.a12 * b.a12 + b.a13 * b.a13 + b.a23 * b.a23
-    if off2 == 0.0:
-        lams = sorted((b.a11, b.a22, b.a33))
-        return EigenTriple(*lams)
-
-    q = b.trace() / 3.0
-    p2 = (
-        (b.a11 - q) ** 2 + (b.a22 - q) ** 2 + (b.a33 - q) ** 2 + 2.0 * off2
-    )
-    p = math.sqrt(p2 / 6.0)
-    scale = max(1.0, b.max_abs())
-    if p <= _DEGENERATE_TOL * scale:
-        # Spectrum is a triple point to machine precision.
-        return EigenTriple(q, q, q)
-
-    m = (b.to_matrix() - q * np.eye(3)) / p
-    r = np.linalg.det(m) / 2.0
-    if abs(r) >= 1.0 - _DEGENERATE_TOL:
-        lams = _jacobi_eigvals(b.to_matrix())
-        return EigenTriple(*lams)
-
-    phi = math.acos(r) / 3.0
-    l3 = q + 2.0 * p * math.cos(phi)
-    l1 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    l2 = 3.0 * q - l1 - l3
-    return EigenTriple(l1, l2, l3)
+    """Eigenvalues of a symmetric 3x3 tensor, ascending; see :func:`eig_sym3_batch`."""
+    return EigenTriple(*(float(v) for v in eig_sym3_batch(b.to_matrix())))
 
 
 def eig_sym3_batch(mats: np.ndarray) -> np.ndarray:
     """Vectorized ascending eigenvalues for an (..., 3, 3) symmetric stack.
 
-    Same closed form as :func:`eig_sym3`; rows flagged as nearly degenerate
-    are redone through the scalar fallback path.
+    Closed-form trigonometric solve of the characteristic cubic.  Exactly
+    diagonal rows are sorted as they are, and a spectrum that is a triple
+    point to machine precision returns its mean.  When the spectrum is
+    nearly degenerate the acos argument saturates and the closed form loses
+    accuracy, so those rows are redone by one ``np.linalg.eigvalsh`` call.
     """
     mats = np.asarray(mats, dtype=float)
     flat = mats.reshape(-1, 3, 3)
@@ -258,38 +214,25 @@ def eig_sym3_batch(mats: np.ndarray) -> np.ndarray:
         l1 = q[rest] + 2.0 * p[rest] * np.cos(phi + 2.0 * math.pi / 3.0)
         l2 = 3.0 * q[rest] - l1 - l3
         vals = np.stack([l1, l2, l3], axis=1)
-        rest_idx = np.flatnonzero(rest)
-        for pos in np.flatnonzero(sat):
-            vals[pos] = eig_sym3(SymTensor3.from_matrix(flat[rest_idx[pos]])).as_array()
+        if np.any(sat):
+            vals[sat] = np.linalg.eigvalsh(flat[rest][sat])
         out[rest] = vals
     return out.reshape(mats.shape[:-2] + (3,))
 
 
 def ch_inverse(b: SymTensor3) -> SymTensor3:
-    """Inverse via the Cayley-Hamilton representation.
-
-    B^{-1} = (B^2 - (Tr B) B + II_B I) / det B, followed by one
-    multiplicative refinement step X <- X (2I - B X); the quadratic term of
-    the representation cancels strongly for ill-conditioned inputs and the
-    polish restores the product accuracy.  Raises :class:`SingularTensor`
-    when |det B| <= 1e-14 * ||B||_F^3.
-    """
-    inv = invariants(b)
-    scale = b.frobenius()
-    if abs(inv.i3) <= 1e-14 * max(scale**3, 1e-300):
-        raise SingularTensor(f"determinant {inv.i3:.3e} below tolerance for inversion")
-    m = b.to_matrix()
-    eye = np.eye(3)
-    binv = (m @ m - inv.i1 * m + inv.i2 * eye) / inv.i3
-    binv = binv @ (2.0 * eye - m @ binv)
-    return SymTensor3.from_matrix(0.5 * (binv + binv.T))
+    """Inverse via the Cayley-Hamilton representation; see :func:`ch_inverse_batch`."""
+    return SymTensor3.from_matrix(ch_inverse_batch(b.to_matrix()))
 
 
 def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
     """Cayley-Hamilton inverse for an (..., 3, 3) symmetric stack.
 
-    Same representation (and refinement step) as :func:`ch_inverse`,
-    vectorized for field evaluation at many sample points.
+    B^{-1} = (B^2 - (Tr B) B + II_B I) / det B, followed by one
+    multiplicative refinement step X <- X (2I - B X); the quadratic term of
+    the representation cancels strongly for ill-conditioned inputs and the
+    polish restores the product accuracy.  Raises :class:`SingularTensor`,
+    naming the first offending sample, when |det B| <= 1e-14 * ||B||_F^3.
     """
     mats = np.asarray(mats, dtype=float)
     i1 = np.trace(mats, axis1=-2, axis2=-1)
@@ -297,10 +240,12 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
     i2 = 0.5 * (i1 * i1 - tr_b2)
     det = np.linalg.det(mats)
     scale = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
-    bad = np.abs(det) <= 1e-14 * np.maximum(scale**3, 1e-300)
-    if np.any(bad):
+    bad = np.flatnonzero(np.abs(det) <= 1e-14 * np.maximum(scale**3, 1e-300))
+    if bad.size:
         raise SingularTensor(
-            f"{int(np.count_nonzero(bad))} sample(s) with determinant below tolerance"
+            f"{bad.size} sample(s) with determinant below tolerance for "
+            f"inversion (first: flat index {bad[0]}, "
+            f"det = {np.ravel(det)[bad[0]]:.3e})"
         )
     b2 = mats @ mats
     eye = np.eye(3)
@@ -312,10 +257,18 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def d_inverse_batch(b: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Vectorized derivative of B^{-1} for unimodular stacks.
+    """Directional derivative of B^{-1} along ``db`` for unimodular stacks.
 
-    ``b``: (..., 3, 3) symmetric with det 1; ``db``: matching directional
-    derivative stack.  No unimodularity check here; callers validate.
+    ``b``: (..., 3, 3) symmetric with det 1; ``db``: a broadcast-compatible
+    stack of directions.  Differentiating the Cayley-Hamilton representation
+    with det B = 1 gives
+
+        d(B^{-1}) = dB B + B dB - Tr(dB) B - Tr(B) dB
+                    + (Tr(B) Tr(dB) - Tr(B dB)) I.
+
+    ``db`` is expected to be tangent to the det = 1 manifold
+    (Tr(B^{-1} dB) = 0) for the result to equal the true path derivative.
+    No unimodularity check here; callers validate.
     """
     tr_db = np.trace(db, axis1=-2, axis2=-1)[..., None, None]
     tr_b = np.trace(b, axis1=-2, axis2=-1)[..., None, None]
@@ -323,6 +276,37 @@ def d_inverse_batch(b: np.ndarray, db: np.ndarray) -> np.ndarray:
     eye = np.eye(3)
     return (
         db @ b + b @ db - tr_db * b - tr_b * db + (tr_b * tr_db - tr_bdb) * eye
+    )
+
+
+def d2_inverse_batch(b: np.ndarray, dbi: np.ndarray, dbj: np.ndarray,
+                     d2b: np.ndarray) -> np.ndarray:
+    """Second derivative of B^{-1} along a path on the det = 1 manifold.
+
+    All four arguments are broadcast-compatible (..., 3, 3) stacks.
+    Differentiating the formula of :func:`d_inverse_batch` once more:
+
+        d2(B^{-1}) = dBj dBi + dBi dBj + B d2B + d2B B
+                     - Tr(d2B) B - Tr(dBi) dBj - Tr(dBj) dBi - Tr(B) d2B
+                     + (Tr(dBj) Tr(dBi) + Tr(B) Tr(d2B)
+                        - Tr(dBj dBi) - Tr(B d2B)) I.
+
+    Symmetric under swapping (dbi, dbj); first- and second-order path data
+    must be consistent with det B(t) = 1.  No unimodularity check here;
+    callers validate.
+    """
+    tr = lambda m: np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    ddot = lambda a, c: np.sum(a * c, axis=(-2, -1))[..., None, None]
+    eye = np.eye(3)
+    return (
+        dbj @ dbi + dbi @ dbj
+        + b @ d2b + d2b @ b
+        - tr(d2b) * b
+        - tr(dbi) * dbj
+        - tr(dbj) * dbi
+        - tr(b) * d2b
+        + (tr(dbj) * tr(dbi) + tr(b) * tr(d2b) - ddot(dbj, dbi) - ddot(b, d2b))
+        * eye
     )
 
 
@@ -353,27 +337,11 @@ def _check_unimodular(b: SymTensor3, tol: float = 1e-8) -> None:
 def d_inverse(b: SymTensor3, db: SymTensor3) -> SymTensor3:
     """Directional derivative of B^{-1} along ``db`` for unimodular B.
 
-    Differentiating the Cayley-Hamilton representation with det B = 1 gives
-
-        d(B^{-1}) = dB B + B dB - Tr(dB) B - Tr(B) dB
-                    + (Tr(B) Tr(dB) - Tr(B dB)) I.
-
-    ``db`` is expected to be tangent to the det = 1 manifold
-    (Tr(B^{-1} dB) = 0) for the result to equal the true path derivative.
+    See :func:`d_inverse_batch`; raises :class:`NotUnimodular` unless
+    det B = 1 within 1e-8.
     """
     _check_unimodular(b)
-    bm = b.to_matrix()
-    dm = db.to_matrix()
-    tr_db = db.trace()
-    tr_b = b.trace()
-    tr_bdb = float(np.tensordot(bm, dm))
-    res = (
-        dm @ bm + bm @ dm
-        - tr_db * bm
-        - tr_b * dm
-        + (tr_b * tr_db - tr_bdb) * np.eye(3)
-    )
-    return SymTensor3.from_matrix(res)
+    return SymTensor3.from_matrix(d_inverse_batch(b.to_matrix(), db.to_matrix()))
 
 
 def d2_inverse(
@@ -381,34 +349,9 @@ def d2_inverse(
 ) -> SymTensor3:
     """Second derivative of B^{-1} along a path on the det = 1 manifold.
 
-    Differentiating the formula in :func:`d_inverse` once more:
-
-        d2(B^{-1}) = dBj dBi + dBi dBj + B d2B + d2B B
-                     - Tr(d2B) B - Tr(dBi) dBj - Tr(dBj) dBi - Tr(B) d2B
-                     + (Tr(dBj) Tr(dBi) + Tr(B) Tr(d2B)
-                        - Tr(dBj dBi) - Tr(B d2B)) I.
-
-    Symmetric under swapping (dbi, dbj); first- and second-order path data
-    must be consistent with det B(t) = 1.
+    See :func:`d2_inverse_batch`; raises :class:`NotUnimodular` unless
+    det B = 1 within 1e-8.
     """
     _check_unimodular(b)
-    bm = b.to_matrix()
-    di = dbi.to_matrix()
-    dj = dbj.to_matrix()
-    d2 = d2b.to_matrix()
-    res = (
-        dj @ di + di @ dj
-        + bm @ d2 + d2 @ bm
-        - d2b.trace() * bm
-        - dbi.trace() * dj
-        - dbj.trace() * di
-        - b.trace() * d2
-        + (
-            dbj.trace() * dbi.trace()
-            + b.trace() * d2b.trace()
-            - float(np.tensordot(dj, di))
-            - float(np.tensordot(bm, d2))
-        )
-        * np.eye(3)
-    )
-    return SymTensor3.from_matrix(res)
+    return SymTensor3.from_matrix(d2_inverse_batch(
+        b.to_matrix(), dbi.to_matrix(), dbj.to_matrix(), d2b.to_matrix()))

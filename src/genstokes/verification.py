@@ -25,14 +25,15 @@ from typing import Optional
 
 import numpy as np
 import sympy as sp
+from scipy.special import roots_legendre
 
 from .assembly import SaddleSystem, assemble, discrete_gradients
-from .constitutive import BoundAudit, MuTriple, _mu_fields
+from .constitutive import BoundAudit, MuTriple, _d_acal, _mu_fields, _ratio_audit
 from .errors import MissingNormInput, NonDifferentiableExpression
-from .fem import TaylorHoodSpace, build_mesh, _DL
+from .fem import LOCAL_EDGES, TaylorHoodSpace, build_mesh, lattice_points
 from .fields import ScalarField, TensorField, VectorField
 from .solver import SolveResult, minres_solve, solve, uzawa_solve
-from .tensors import d_inverse_batch
+from .tensors import ch_inverse_batch, d_inverse_batch
 
 __all__ = [
     "MMSCase",
@@ -135,15 +136,13 @@ def divergence_expr(v_exprs) -> sp.Expr:
 
 def boundary_trace_max(v_field: VectorField, box, n: int = 13) -> float:
     """Max |v| over a dense sampling of the six box faces."""
-    lx, ly, lz = box
     lin = [np.linspace(0, L, n) for L in box]
     worst = 0.0
     for axis, L in enumerate(box):
         for val in (0.0, L):
-            axes = [lin[a] for a in range(3)]
+            axes = list(lin)
             axes[axis] = np.array([val])
-            g = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([gi.ravel() for gi in g], axis=-1)
+            pts = lattice_points(axes)
             worst = max(worst, float(np.max(np.abs(v_field.eval(pts)))))
     return worst
 
@@ -288,17 +287,10 @@ def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray) -> float:
     """Elementwise ||D^2 v_h||_{L^2}; second derivatives of quadratics are
     constant per element."""
     mesh = space.mesh
-    v = mesh.vertices[mesh.tets]
-    jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-    jinv = np.linalg.inv(jac)
-    vols = np.abs(np.linalg.det(jac)) / 6.0
-    dl = np.einsum("id,edc->eic", _DL, jinv)  # (ne, 4, 3) physical grad L
-    ne = mesh.n_tets
-    hess = np.zeros((ne, 10, 3, 3))
+    dl = mesh.p1_gradients()  # (ne, 4, 3) physical grad L
+    hess = np.zeros((mesh.n_tets, 10, 3, 3))
     for i in range(4):
         hess[:, i] = 4.0 * np.einsum("ec,ed->ecd", dl[:, i], dl[:, i])
-    from .fem import LOCAL_EDGES
-
     for k, (a, b) in enumerate(LOCAL_EDGES):
         hess[:, 4 + k] = 4.0 * (
             np.einsum("ec,ed->ecd", dl[:, a], dl[:, b])
@@ -309,18 +301,13 @@ def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray) -> float:
     # multi-index convention: each distinct second derivative counted once
     w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
     per_elem = np.einsum("eacd,cd->e", hv * hv, w)
-    return math.sqrt(float(np.sum(vols * per_elem)))
+    return math.sqrt(float(np.sum(mesh.volumes() * per_elem)))
 
 
 def broken_h1_pressure(mesh, p_coeffs: np.ndarray) -> float:
     """Elementwise ||grad p_h||_{L^2} for the piecewise-linear pressure."""
-    v = mesh.vertices[mesh.tets]
-    jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-    jinv = np.linalg.inv(jac)
-    vols = np.abs(np.linalg.det(jac)) / 6.0
-    dl = np.einsum("id,edc->eic", _DL, jinv)
-    g = np.einsum("ei,eic->ec", p_coeffs[mesh.tets], dl)
-    return math.sqrt(float(np.sum(vols * np.sum(g * g, axis=1))))
+    g = np.einsum("ei,eic->ec", p_coeffs[mesh.tets], mesh.p1_gradients())
+    return math.sqrt(float(np.sum(mesh.volumes() * np.sum(g * g, axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +325,9 @@ class DimNorm:
 
 
 def _gauss_box(box, n_axis: int):
-    from scipy.special import roots_legendre
-
     x, w = roots_legendre(n_axis)
-    pts1 = [(0.5 * (x + 1.0) * L) for L in box]
+    pts = lattice_points([0.5 * (x + 1.0) * L for L in box])
     wts1 = [0.5 * L * w for L in box]
-    g = np.meshgrid(*pts1, indexing="ij")
-    pts = np.stack([gi.ravel() for gi in g], axis=-1)
     wts = (
         wts1[0][:, None, None] * wts1[1][None, :, None] * wts1[2][None, None, :]
     ).ravel()
@@ -473,8 +456,6 @@ def _sup_da(mu, b_field: TensorField, pts) -> Optional[float]:
     """Sampled sup-norm of the coefficient derivative, when computable."""
     mu_f = _mu_fields(mu)
     bvals = b_field.eval(pts)
-    from .tensors import ch_inverse_batch
-
     binv = ch_inverse_batch(bvals)
     if b_field.kind == "constant":
         dbvals = np.zeros((pts.shape[0], 3, 3, 3))
@@ -485,8 +466,6 @@ def _sup_da(mu, b_field: TensorField, pts) -> Optional[float]:
             return None
         dbvals = b_field.grad(pts)
         dbinv = d_inverse_batch(bvals[:, None], dbvals)
-    from .constitutive import _d_acal
-
     da = _d_acal(mu_f, pts, bvals, binv, dbvals, dbinv)
     return float(np.max(np.abs(da)))
 
@@ -553,16 +532,16 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
         "velocity_gradient_apriori", grad_v, rhs,
         satisfied=grad_v <= rhs * (1 + 1e-12),
     ))
-    bounds.append(_ratio("pressure_l2", p_l2, (anorm / alpha) * f_dual))
+    bounds.append(_ratio_audit("pressure_l2", p_l2, (anorm / alpha) * f_dual))
 
     sup_da = _sup_da(mu, b_field, geom.flat_points)
     if sup_da is not None:
         a_w1inf = math.sqrt(lam1) * anorm + sup_da
         d2v = broken_h2_velocity(system.space, result.velocity)
         rhs_d2v = (1.0 / alpha) * (f_l2 + (1.0 / alpha) * a_w1inf * f_dual)
-        bounds.append(_ratio("d2v_broken", d2v, rhs_d2v))
+        bounds.append(_ratio_audit("d2v_broken", d2v, rhs_d2v))
         gp = broken_h1_pressure(mesh, result.pressure)
-        bounds.append(_ratio("grad_p_broken", gp, anorm * rhs_d2v))
+        bounds.append(_ratio_audit("grad_p_broken", gp, anorm * rhs_d2v))
 
     norms = {
         "grad_v_l2": grad_v,
@@ -574,10 +553,10 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
         a_n = dict(case_norms["a"])
         f_n = dict(case_norms["f"])
         bracket = rk_bracket(alpha, a_n, f_n)
-        bounds.append(_ratio(
+        bounds.append(_ratio_audit(
             "d3v_exact", case_norms["exact"]["d3v_l2"], bracket / alpha
         ))
-        bounds.append(_ratio(
+        bounds.append(_ratio_audit(
             "d2p_exact", case_norms["exact"]["d2p_l2"], anorm * bracket / alpha
         ))
         norms["rk_k2"] = rk_evaluate(alpha, lam1, a_n, f_n, 2)
@@ -590,11 +569,6 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
         "bounds": [b.as_dict() for b in bounds],
         "solver": dict(result.stats, residual=result.residual),
     }
-
-
-def _ratio(name, lhs, rhs_no_c) -> BoundAudit:
-    ratio = lhs / rhs_no_c if rhs_no_c > 0 else (0.0 if lhs == 0.0 else math.inf)
-    return BoundAudit(name, lhs, rhs_no_c, ratio=ratio)
 
 
 def ratio_blowup_guard(audit_seq, factor: float = 10.0):

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .assembly import assemble, korn_terms
-from .constitutive import MuTriple, audit_bounds, g_eval
+from .constitutive import MuTriple, audit_bounds, g_eval, shipped_smooth_fields
 from .ellipticity import alpha_field, classify
-from .fem import TaylorHoodSpace, build_mesh
+from .fem import TaylorHoodSpace, build_mesh, cell_centres
 from .fields import TensorField
 from .tensors import (
     SymTensor3,
@@ -79,12 +79,6 @@ def unimodular_path(rng, scale=0.5):
 
 def _prop(name, ok, detail) -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
-
-
-def _sample_grid(n, box=(1.0, 1.0, 1.0)):
-    axes = [np.linspace(0.0, b, n + 1)[:-1] + b / (2 * n) for b in box]
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gi.ravel() for gi in g], axis=-1)
 
 
 def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
@@ -204,7 +198,7 @@ def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
 
     # alpha on constant fields equals brute force over eigenvalues
     worst = 0.0
-    pts = _sample_grid(2)
+    pts = cell_centres((1.0, 1.0, 1.0), 2)
     for _ in range(trials):
         b = random_spd(rng, cond_max=100.0)
         mu = MuTriple(*rng.uniform(0.1, 2.0, size=3))
@@ -252,9 +246,7 @@ def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
                        f"worst violation {worst_hi:.2e}"))
 
     # explicit constitutive bounds on random constant fields + shipped fields
-    from .constitutive import shipped_smooth_fields
-
-    pts = _sample_grid(field_samples)
+    pts = cell_centres((1.0, 1.0, 1.0), field_samples)
     n_fail = 0
     for _ in range(trials):
         b = TensorField.constant(random_spd(rng, unimodular=True))

@@ -1,0 +1,66 @@
+"""Static checks on the package source, read with ``ast``.
+
+No linter is part of the toolchain, so two of its checks live here: every
+import is used, and every module-level private function or class is
+referenced somewhere in the package.  Deleting a duplicate tends to leave
+one of these behind.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "genstokes"
+
+
+def _modules() -> dict:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _referenced(tree) -> set:
+    """Names read in a module, attribute names included, plus ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        used = _referenced(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _referenced(tree)
+    orphans = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert orphans == []

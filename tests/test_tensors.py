@@ -3,22 +3,30 @@
 Oracles implemented here (not shared with the library): characteristic
 polynomial coefficients by cofactor expansion, cyclic Jacobi rotations for
 eigenvalues, adjugate-formula inversion, and central finite differences of
-the inverse along unimodular tensor paths.
+the inverse along unimodular tensor paths.  Adversarial spectra are checked
+against ``numpy.linalg.eigvalsh``; the library hands nearly degenerate rows
+to that same routine, so those rows also meet known spectra below.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
+from genstokes import tensors
 from genstokes.errors import NotUnimodular, SingularTensor
 from genstokes.tensors import (
     SymTensor3,
     ch_inverse,
     ch_inverse_batch,
     d2_inverse,
+    d2_inverse_batch,
     d_inverse,
+    d_inverse_batch,
     eig_sym3,
     eig_sym3_batch,
     invariants,
@@ -209,6 +217,97 @@ def test_eig_batch_matches_scalar():
         assert np.max(np.abs(batch[k] - single)) < 1e-12
 
 
+def _eig_tol(want):
+    return 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+@st.composite
+def _rotated_spectra(draw):
+    """Symmetric matrices Q diag(l) Q^T with adversarial spectra.
+
+    Largest magnitude 1e-6 .. 1e6, condition number 1 .. 1e12, and double,
+    triple, nearly double (relative gap 1e-15 .. 1) or nearly triple roots.
+    """
+    top = 10.0 ** draw(st.floats(-6.0, 6.0))
+    low = top / 10.0 ** draw(st.floats(0.0, 12.0))
+    gap = 10.0 ** draw(st.floats(-15.0, 0.0))
+    kind = draw(st.sampled_from(
+        ["generic", "double_low", "double_high", "triple", "near_double",
+         "near_triple"]))
+    mid = low * (top / low) ** draw(st.floats(0.0, 1.0))
+    lams = {
+        "generic": [low, mid, top],
+        "double_low": [low, low, top],
+        "double_high": [low, top, top],
+        "triple": [top, top, top],
+        "near_double": [low, mid, mid * (1.0 + gap)],
+        "near_triple": [top, top * (1.0 + gap), top * (1.0 + 2.0 * gap)],
+    }[kind]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    angles = draw(st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3))
+    q = Rotation.from_euler("zyz", angles).as_matrix()
+    m = (q * (sign * np.array(lams))) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_rotated_spectra())
+def test_eig_batch_matches_eigvalsh_on_adversarial_spectra(m):
+    want = np.linalg.eigvalsh(m)
+    got = eig_sym3_batch(m[None])[0]
+    assert np.max(np.abs(got - want)) <= _eig_tol(want)
+
+
+def _rotated_uniaxial(n, seed=41):
+    rng = np.random.default_rng(seed)
+    q = Rotation.random(n, random_state=rng).as_matrix()
+    stretch = rng.uniform(1.1, 1.7, size=n)
+    lams = np.stack([stretch**2, 1.0 / stretch, 1.0 / stretch], axis=1)
+    return np.einsum("nij,nj,nkj->nik", q, lams, q)
+
+
+def test_eig_batch_degenerate_rows_stay_vectorized(monkeypatch):
+    # a double eigenvalue saturates the closed form; those rows must not
+    # fall back to per-row scalar work
+    def refuse(_b):
+        raise AssertionError("eig_sym3_batch called the scalar eig_sym3")
+
+    monkeypatch.setattr(tensors, "eig_sym3", refuse)
+    mats = _rotated_uniaxial(20_000)
+    got = eig_sym3_batch(mats)
+    want = np.linalg.eigvalsh(mats)
+    assert np.max(np.abs(got - want)) <= _eig_tol(want)
+
+
+def _stored(row):
+    """The six components a SymTensor3 keeps of a batch row (its upper triangle)."""
+    return SymTensor3.from_matrix(row).to_matrix()
+
+
+def test_scalar_api_equals_batch_rows_bit_for_bit():
+    rng = np.random.default_rng(43)
+    n = 60
+    sym = np.stack([random_sym(rng, scale=2.0).to_matrix() for _ in range(n)])
+    spd = np.stack([random_spd(rng, unit_det=True).to_matrix() for _ in range(n)])
+    dbi, dbj, d2b = (
+        np.stack([random_sym(rng).to_matrix() for _ in range(n)])
+        for _ in range(3)
+    )
+    eigs = eig_sym3_batch(sym)
+    invs = ch_inverse_batch(spd)
+    d1 = d_inverse_batch(spd, dbi)
+    d2 = d2_inverse_batch(spd, dbi, dbj, d2b)
+    t = SymTensor3.from_matrix
+    for k in range(n):
+        assert np.array_equal(eig_sym3(t(sym[k])).as_array(), eigs[k])
+        assert np.array_equal(ch_inverse(t(spd[k])).to_matrix(), _stored(invs[k]))
+        assert np.array_equal(d_inverse(t(spd[k]), t(dbi[k])).to_matrix(),
+                              _stored(d1[k]))
+        assert np.array_equal(
+            d2_inverse(t(spd[k]), t(dbi[k]), t(dbj[k]), t(d2b[k])).to_matrix(),
+            _stored(d2[k]))
+
+
 # ---------------------------------------------------------------------------
 # Cayley-Hamilton inverse
 
@@ -255,6 +354,15 @@ def test_ch_inverse_product_property():
 def test_ch_inverse_singular_raises():
     with pytest.raises(SingularTensor):
         ch_inverse(SymTensor3.diag(1.0, 1.0, 0.0))
+
+
+def test_ch_inverse_batch_names_first_singular_sample():
+    mats = np.broadcast_to(np.eye(3), (2, 3, 3, 3)).copy()
+    mats[1, 0] = np.diag([1.0, 1.0, 0.0])  # flat index 3
+    mats[1, 2] = np.diag([2.0, 0.0, 1.0])
+    with pytest.raises(SingularTensor,
+                       match=r"^2 sample\(s\) .*flat index 3, det = 0\.000e\+00"):
+        ch_inverse_batch(mats)
 
 
 def test_ch_inverse_batch_consistency():
