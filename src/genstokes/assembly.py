@@ -9,13 +9,22 @@ F[(i,a)] = int f_a phi_i, and the pressure gauge row m_j = int q_j.  The
 coefficient A = mu1 I + mu2 B + mu3 B^{-1} is evaluated at quadrature points
 (no interpolation of B onto finite element spaces).
 
-Element contributions may be computed in parallel chunks; the reduction
-into the global sparse matrix concatenates chunk results in element order,
-so assembled entries are identical for any thread count.
+The element matrix is linear in the six entries of the symmetric A at the
+quadrature points, and on a Kuhn mesh every element has one of six shapes,
+so each element matrix is one row of a GEMM against its shape's table
+(``ElementGeometry.kuhn_tables``).  Assembly is one pass over fixed-size
+chunks of elements: each chunk evaluates B once, takes its eigenvalues
+(which give alpha and ||A||_inf), forms A, runs the six GEMMs for the 465
+upper-triangle entries of its element matrices, mirrors them, and adds them
+into the fixed CSR pattern of the space (``TaylorHoodSpace.pattern``) in
+element order.  K is exactly symmetric, memory is linear in the mesh, and
+``threads`` only computes chunks concurrently: the entries are bitwise
+independent of the thread count.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -23,14 +32,19 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sparse
 
-from .constitutive import acal_values
-from .ellipticity import EllipticityReport, alpha_field
-from .errors import BCViolation, NotElliptic
-from .fem import BoxMesh, ElementGeometry, TaylorHoodSpace
+from .constitutive import acal_samples, acal_values, mu_values
+from .ellipticity import (EllipticityReport, PositivitySamples, lambda_endpoints,
+                          positivity_report, positivity_samples)
+from .errors import BCViolation, NotElliptic, SingularTensor
+from .fem import MIRROR, SYM_PAIRS, BoxMesh, ElementGeometry, TaylorHoodSpace
 from .fields import VectorField
 from .tensors import eig_sym3_batch
 
-__all__ = ["SaddleSystem", "assemble", "korn_terms"]
+__all__ = ["SaddleSystem", "assemble", "full_velocity_block", "korn_terms"]
+
+# Bytes of mirrored element matrices (900 doubles per element) in one chunk.
+_CHUNK_BYTES = 4 << 20
+_SYM_ROWS, _SYM_COLS = (np.array(ix) for ix in zip(*SYM_PAIRS))
 
 
 @dataclass
@@ -54,8 +68,6 @@ class SaddleSystem:
     space: TaylorHoodSpace
     quad_n: int
     f_l2: float
-    K_full: sparse.csr_matrix = None
-    F_full: np.ndarray = None
 
     @property
     def n_interior(self) -> int:
@@ -88,23 +100,104 @@ class SaddleSystem:
         return full
 
 
-def _element_blocks(geom: ElementGeometry, avals: np.ndarray, sl: slice):
-    """Element velocity matrices for a contiguous element slice."""
-    g = geom.grads[sl]            # (e, q, 10, 3)
-    wdet = geom.wdet[sl]          # (e, q)
-    a = avals[sl]                 # (e, q, 3, 3)
-    wa = wdet[..., None, None] * a
-    s1 = np.einsum("eqjm,eqml,eqil->eij", g, wa, g, optimize=True)
-    dot = np.einsum("eqjl,eqil->eqij", g, g, optimize=True)
-    m3 = np.einsum("eqij,eqab->eijab", dot, wa, optimize=True)
-    p = np.einsum("eqbl,eqil->eqib", a, g, optimize=True)
-    t2 = np.einsum("eq,eqja,eqib->eijab", wdet, g, p, optimize=True)
-    t4 = np.einsum("eq,eqja,eqib->eijab", wdet, p, g, optimize=True)
-    eye = np.eye(3)
-    kel = 0.5 * (s1[:, :, :, None, None] * eye + m3 + t2 + t4)
-    # (e, i, j, a, b) -> (e, (i,a), (j,b))
-    ne = kel.shape[0]
-    return kel.transpose(0, 1, 3, 2, 4).reshape(ne, 30, 30)
+def _chunks(nt: int) -> list:
+    """Element slices of at most ``_CHUNK_BYTES`` of element matrices, each
+    a whole number of Kuhn cells."""
+    size = max(6, _CHUNK_BYTES // (900 * 8) // 6 * 6)
+    return [slice(lo, min(lo + size, nt)) for lo in range(0, nt, size)]
+
+
+def _in_order(fn, items, threads: int):
+    """Yield fn(item) in item order, computing at most ``threads`` at once."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+@dataclass
+class _Chunk:
+    samples: PositivitySamples
+    k_slots: np.ndarray
+    k_vals: Optional[np.ndarray]  # None unless A was formed
+    f_slots: np.ndarray
+    f_vals: np.ndarray
+    f_sq: float  # int |f|^2 over the chunk
+    singular: bool
+
+
+def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
+                   f: Optional[VectorField], full: bool, threads: int):
+    """Stream the elements once: (K, F, report, ||A||_inf, ||f||_L2).
+
+    ``full`` scatters into all velocity dofs instead of the interior ones.
+    Raises NotSPD, then NotElliptic, then SingularTensor, each judged over
+    all quadrature points.
+    """
+    tables = geom.kuhn_tables.velocity
+    k_pat = space.pattern("K_full" if full else "K")
+    f_pat = space.pattern("F_full" if full else "F")
+    if f is None:
+        f = VectorField.zero()
+    nq = geom.wdet.shape[1]
+    endpoints = lambda_endpoints(mu)
+
+    def chunk(sl: slice) -> _Chunk:
+        pts = geom.points[sl].reshape(-1, 3)
+        bvals = b_field.eval(pts)
+        mvals = mu_values(mu, pts)
+        samples = positivity_samples(mvals, eig_sym3_batch(bvals), pts, endpoints)
+        k_vals, singular = None, False
+        if samples.g_min.min() > 0.0:
+            try:
+                a6 = acal_samples(mvals, bvals)[:, _SYM_ROWS, _SYM_COLS]
+            except SingularTensor:
+                singular = True
+            else:
+                # (shape, cell, q*6) @ (shape, q*6, 465), back to element order
+                upper = np.matmul(a6.reshape(-1, 6, nq * 6).transpose(1, 0, 2), tables)
+                k_vals = upper.transpose(1, 0, 2).reshape(-1, tables.shape[2])[:, MIRROR]
+        wdet = geom.wdet[sl]
+        fv = f.eval(pts).reshape(-1, nq, 3)
+        f_vals = np.einsum("eq,eqa,qi->eia", wdet, fv, geom.n2_vals, optimize=True)
+        return _Chunk(samples, k_pat.slots(sl), k_vals, f_pat.slots(sl),
+                      f_vals.reshape(len(wdet), -1),
+                      float(np.einsum("eq,eqa,eqa->", wdet, fv, fv)), singular)
+
+    k_data, f_data = k_pat.new_data(), f_pat.new_data()
+    blocks, f_sq, singular = [], 0.0, False
+    for part in _in_order(chunk, _chunks(geom.wdet.shape[0]), threads):
+        blocks.append(part.samples)
+        if part.k_vals is not None:
+            np.add.at(k_data, part.k_slots.ravel(), part.k_vals.ravel())
+        np.add.at(f_data, part.f_slots.ravel(), part.f_vals.ravel())
+        f_sq += part.f_sq
+        singular |= part.singular
+        del part  # let the next chunk reuse its memory
+
+    pts = geom.flat_points
+    report = positivity_report(mu, pts, blocks)
+    if not report.alpha > 0.0:
+        raise NotElliptic(
+            f"coefficient not uniformly positive: alpha = {report.alpha:.6g} "
+            f"at {report.minimizer_point}",
+            point=report.minimizer_point,
+            alpha=report.alpha,
+        )
+    if singular:
+        # name the first singular sample over all points, as one call would
+        acal_values(mu, b_field, pts)
+        raise SingularTensor("coefficient B is singular at a quadrature point")
+    anorm = max(b.g_max for b in blocks)
+    return (k_pat.matrix(k_data), f_data[:f_pat.nnz], report, anorm,
+            float(np.sqrt(f_sq)))
 
 
 def assemble(
@@ -119,78 +212,34 @@ def assemble(
     """Assemble the discrete saddle-point system.
 
     Raises NotElliptic when the sampled positivity constant of A(B) at the
-    quadrature points is not strictly positive (NaN included).
+    quadrature points is not strictly positive (NaN included), and
+    InvalidDimensions when the mesh is not a Kuhn box mesh.
     """
     geom = space.geometry(quad_n)
-    pts = geom.flat_points
-    report = alpha_field(mu, b_field, pts)
-    if not report.alpha > 0.0:
-        raise NotElliptic(
-            f"coefficient not uniformly positive: alpha = {report.alpha:.6g} "
-            f"at {report.minimizer_point}",
-            point=report.minimizer_point,
-            alpha=report.alpha,
-        )
-    nt, nq = geom.wdet.shape
-    avals = acal_values(mu, b_field, pts).reshape(nt, nq, 3, 3)
-    anorm = float(eig_sym3_batch(avals)[..., 2].max())
-
-    if threads <= 1 or nt < 2:
-        kel = _element_blocks(geom, avals, slice(0, nt))
-    else:
-        nchunk = min(threads * 4, nt)
-        bounds = np.linspace(0, nt, nchunk + 1, dtype=int)
-        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: _element_blocks(geom, avals, s), slices))
-        kel = np.concatenate(parts, axis=0)
-
-    # divergence, load, gauge
-    bel = -np.einsum("eq,qj,eqia->eiaj", geom.wdet, geom.p1_vals, geom.grads,
-                     optimize=True)
-    if f is None:
-        f = VectorField.zero()
-    fv = f.eval(pts).reshape(nt, nq, 3)
-    fel = np.einsum("eq,eqa,qi->eia", geom.wdet, fv, geom.n2_vals, optimize=True)
-    f_l2 = float(np.sqrt(np.einsum("eq,eqa,eqa->", geom.wdet, fv, fv)))
+    K, F, report, anorm, f_l2 = _velocity_pass(space, geom, mu, b_field, f,
+                                               False, threads)
+    g_pat = space.pattern("G")
+    g_data = g_pat.new_data()
+    divergence = geom.kuhn_tables.divergence
+    for sl in _chunks(mesh.n_tets):
+        vals = np.tile(divergence, ((sl.stop - sl.start) // 6, 1))
+        np.add.at(g_data, g_pat.slots(sl).ravel(), vals.ravel())
     mel = np.einsum("eq,qj->ej", geom.wdet, geom.p1_vals)
-
-    # scatter
-    vel_dofs = (3 * space.tet_nodes[:, :, None] + np.arange(3)).reshape(nt, 30)
-    rows = np.repeat(vel_dofs, 30, axis=1).ravel()
-    cols = np.tile(vel_dofs, (1, 30)).ravel()
-    n_vel = space.n_velocity
-    K_full = sparse.coo_matrix(
-        (kel.ravel(), (rows, cols)), shape=(n_vel, n_vel)
-    ).tocsr()
-    # the element formula is symmetric; (K + K^t)/2 removes the remaining
-    # floating-point asymmetry of the two transposed summation orders
-    K_full = ((K_full + K_full.T) * 0.5).tocsr()
-
-    p_dofs = mesh.tets  # (nt, 4)
-    rows_g = np.repeat(vel_dofs, 4, axis=1).ravel()
-    cols_g = np.tile(p_dofs, (1, 30)).ravel()
-    G_full = sparse.coo_matrix(
-        (bel.reshape(nt, 30, 4).ravel(), (rows_g, cols_g)),
-        shape=(n_vel, space.n_pressure),
-    ).tocsr()
-
-    F_full = np.zeros(n_vel)
-    np.add.at(F_full, vel_dofs.ravel(), fel.reshape(nt, 30).ravel())
-    m_vec = np.zeros(space.n_pressure)
-    np.add.at(m_vec, p_dofs.ravel(), mel.ravel())
-
-    interior = space.interior_idx
-    K = K_full[interior][:, interior].tocsr()
-    G = G_full[interior].tocsr()
-    F = F_full[interior]
-
+    m_vec = np.bincount(mesh.tets.ravel(), mel.ravel(), minlength=space.n_pressure)
     return SaddleSystem(
-        K=K, G=G, F=F, m=m_vec,
+        K=K, G=g_pat.matrix(g_data), F=F, m=m_vec,
         alpha=report.alpha, anorm_inf=anorm, alpha_report=report,
         mesh=mesh, space=space, quad_n=quad_n, f_l2=f_l2,
-        K_full=K_full, F_full=F_full,
     )
+
+
+def full_velocity_block(space: TaylorHoodSpace, mu, b_field,
+                        f: Optional[VectorField] = None, quad_n: int = 3):
+    """(K_full, F_full): the velocity block and load over all velocity dofs,
+    walls included, by the same pass as :func:`assemble`."""
+    K, F, *_ = _velocity_pass(space, space.geometry(quad_n), mu, b_field, f,
+                              True, 1)
+    return K, F
 
 
 def discrete_gradients(geom: ElementGeometry, space: TaylorHoodSpace,

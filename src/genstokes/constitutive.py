@@ -23,7 +23,9 @@ __all__ = [
     "BoundAudit",
     "g_eval",
     "acal",
+    "acal_samples",
     "acal_values",
+    "mu_values",
     "audit_bounds",
     "shipped_smooth_fields",
 ]
@@ -96,18 +98,27 @@ def _mu_fields(mu) -> tuple:
     return tuple(fields)
 
 
+def mu_values(mu, pts) -> tuple:
+    """(mu1, mu2, mu3) sampled at the points ``pts`` (N, 3), three (N,) arrays."""
+    return tuple(f.eval(pts) for f in _mu_fields(mu))
+
+
+def acal_samples(mu_vals, bvals: np.ndarray) -> np.ndarray:
+    """A = mu1 I + mu2 B + mu3 B^{-1} from sampled ``mu_values`` and B (N, 3, 3)."""
+    m1, m2, m3 = mu_vals
+    binv = ch_inverse_batch(bvals)
+    return (
+        m1[:, None, None] * np.eye(3)
+        + m2[:, None, None] * bvals
+        + m3[:, None, None] * binv
+    )
+
+
 def acal_values(mu, b: TensorField, pts) -> np.ndarray:
     """A(B) = mu1 I + mu2 B + mu3 B^{-1} at each sample point, (N, 3, 3)."""
-    m1, m2, m3 = _mu_fields(mu)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     bvals = b.eval(pts)
-    binv = ch_inverse_batch(bvals)
-    eye = np.eye(3)
-    return (
-        m1.eval(pts)[:, None, None] * eye
-        + m2.eval(pts)[:, None, None] * bvals
-        + m3.eval(pts)[:, None, None] * binv
-    )
+    return acal_samples(mu_values(mu, pts), bvals)
 
 
 def acal(mu, b: TensorField, x) -> SymTensor3:

@@ -10,7 +10,9 @@ analysis is unambiguous, so interval endpoints always come from it and the
 scenario label is attached afterwards.
 
 For spatially varying data, the uniform positivity constant alpha is the
-sampled minimum of g over the eigenvalues of B(x).
+sampled minimum of g over the eigenvalues of B(x).  Assembly streams its
+quadrature points through ``positivity_samples`` block by block and joins
+the blocks with ``positivity_report``; ``alpha_field`` is the one-block case.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constitutive import MuTriple, g_eval, _mu_fields
+from .constitutive import MuTriple, g_eval, mu_values
 from .errors import DegenerateQuadratic, NotAdmissible, NotSPD
 from .fields import TensorField
 from .tensors import eig_sym3_batch
@@ -34,6 +36,10 @@ __all__ = [
     "roots",
     "classify",
     "alpha_field",
+    "PositivitySamples",
+    "lambda_endpoints",
+    "positivity_samples",
+    "positivity_report",
     "max_identity_perturbation",
 ]
 
@@ -211,6 +217,86 @@ def classify(mu: MuTriple):
     return _scenario_label(mu), _lambda_set(mu)
 
 
+@dataclass
+class PositivitySamples:
+    """Positivity data of one block of sample points (see :func:`positivity_samples`)."""
+
+    g_min: np.ndarray   # (n,) min_i g(lambda_i) per sample
+    lam_min: np.ndarray  # (n,) the eigenvalue of B attaining it
+    g_max: float        # the block's largest g: its largest eigenvalue of A
+    margin: Optional[float]  # least |eigenvalue - endpoint of Lambda|
+
+
+def lambda_endpoints(mu) -> Optional[list]:
+    """Finite endpoints of the admissible set for a constant triple, else None."""
+    if isinstance(mu, MuTriple):
+        return classify(mu)[1].finite_endpoints()
+    return None
+
+
+def positivity_samples(mu_vals, eigs: np.ndarray, pts: np.ndarray,
+                       endpoints: Optional[list]) -> PositivitySamples:
+    """g_x(lambda_i(B(x))) = mu1 + mu2 lambda_i + mu3 / lambda_i at samples.
+
+    ``mu_vals`` are the sampled (mu1, mu2, mu3), ``eigs`` (n, 3) the
+    ascending eigenvalues of B at the points ``pts``.  The eigenvalues of A
+    are the g(lambda_i), since A is a function of B.  Raises NotSPD naming
+    the first sample with a non-positive eigenvalue.
+    """
+    bad = eigs[:, 0] <= 0.0
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NotSPD(
+            f"B has eigenvalue {eigs[k, 0]:.6g} <= 0 at sample {pts[k]}",
+            point=tuple(pts[k]),
+        )
+    m1, m2, m3 = mu_vals
+    g = m1[:, None] + m2[:, None] * eigs + m3[:, None] / eigs
+    rows = np.arange(g.shape[0])
+    col = np.argmin(g, axis=1)
+    margin = None
+    if endpoints is not None:
+        margin = (float(np.min(np.abs(np.subtract.outer(endpoints, eigs.ravel()))))
+                  if endpoints else math.inf)
+    return PositivitySamples(g[rows, col], eigs[rows, col], float(g.max()), margin)
+
+
+# A sample whose g lies within this relative distance of the minimum ties
+# with it; the first tied sample is reported, so rounding-level changes in
+# the eigenvalues do not move the reported point.
+_TIE_RTOL = 1e-12
+
+
+def positivity_report(mu, pts: np.ndarray, blocks) -> EllipticityReport:
+    """The report over consecutive blocks of :class:`PositivitySamples`.
+
+    alpha is the least g; the minimizer is the first sample whose g lies
+    within a relative 1e-12 of it.
+    """
+    g_min = np.concatenate([b.g_min for b in blocks])
+    lam_min = np.concatenate([b.lam_min for b in blocks])
+    alpha = float(g_min.min())
+    if math.isfinite(alpha):
+        n_idx = int(np.argmax(g_min <= alpha + _TIE_RTOL * abs(alpha)))
+    else:  # NaN or -inf: the first sample attaining it
+        n_idx = int(np.argmin(g_min))
+
+    scenario = lam_set = margin = None
+    if isinstance(mu, MuTriple):
+        scenario, lam_set = classify(mu)
+        margin = min(b.margin for b in blocks)
+    return EllipticityReport(
+        alpha=alpha,
+        positive=alpha > 0.0,
+        scenario=scenario,
+        interval_set=lam_set,
+        minimizer_point=tuple(pts[n_idx]),
+        minimizer_eigenvalue=float(lam_min[n_idx]),
+        margin=margin,
+        alpha_samples=g_min,
+    )
+
+
 def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
     """Sampled uniform-positivity constant of A(B) over ``pts``.
 
@@ -220,44 +306,8 @@ def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     eigs = eig_sym3_batch(b.eval(pts))  # (N, 3) ascending
-    bad = eigs[:, 0] <= 0.0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NotSPD(
-            f"B has eigenvalue {eigs[k, 0]:.6g} <= 0 at sample {pts[k]}",
-            point=tuple(pts[k]),
-        )
-    m1, m2, m3 = _mu_fields(mu)
-    g = (
-        m1.eval(pts)[:, None]
-        + m2.eval(pts)[:, None] * eigs
-        + m3.eval(pts)[:, None] / eigs
-    )
-    flat_idx = int(np.argmin(g))
-    n_idx, e_idx = divmod(flat_idx, 3)
-    alpha = float(g[n_idx, e_idx])
-
-    scenario = None
-    lam_set = None
-    margin = None
-    if isinstance(mu, MuTriple):
-        scenario, lam_set = classify(mu)
-        endpoints = lam_set.finite_endpoints()
-        if endpoints:
-            gaps = np.subtract.outer(endpoints, eigs.ravel())
-            margin = float(np.min(np.abs(gaps)))
-        else:
-            margin = math.inf
-    return EllipticityReport(
-        alpha=alpha,
-        positive=alpha > 0.0,
-        scenario=scenario,
-        interval_set=lam_set,
-        minimizer_point=tuple(pts[n_idx]),
-        minimizer_eigenvalue=float(eigs[n_idx, e_idx]),
-        margin=margin,
-        alpha_samples=g.min(axis=1),
-    )
+    samples = positivity_samples(mu_values(mu, pts), eigs, pts, lambda_endpoints(mu))
+    return positivity_report(mu, pts, [samples])
 
 
 def _inf_g(mu: MuTriple, lo: float, hi: float) -> float:

@@ -10,15 +10,24 @@ component), pressure linear elements on vertices; the pair is inf-sup
 stable.  Tetrahedral quadrature comes from a conical-product construction
 (Gauss-Jacobi x Gauss-Jacobi x Gauss-Legendre on the collapsed cube), exact
 for total degree <= 2n - 1 with n points per direction.
+
+Every element of a Kuhn mesh is a translate of one of the six tetrahedra of
+its first cell (element ``e`` of shape ``e % 6``), so the element matrices
+of the assembled blocks are fixed linear maps of the coefficient samples,
+one per shape (``ElementGeometry.kuhn_tables``).  Each space keeps the fixed
+CSR pattern of its assembled blocks and the slot of every element entry in
+it (``BlockPattern``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import InvalidDimensions
@@ -31,7 +40,11 @@ __all__ = [
     "p2_basis",
     "p1_basis",
     "ElementGeometry",
+    "KuhnTables",
+    "BlockPattern",
     "LOCAL_EDGES",
+    "SYM_PAIRS",
+    "MIRROR",
     "lattice_points",
     "cell_centres",
 ]
@@ -49,6 +62,19 @@ for _perm in itertools.permutations((0, 1, 2)):
         c[step + 1, axis] += 1
     _KUHN_CORNERS.append(c)
 _KUHN_CORNERS = np.array(_KUHN_CORNERS)  # (6, 4, 3)
+
+# The six independent entries (row, column) of a symmetric 3x3 tensor, in the
+# row order of the per-shape element tables.
+SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# The 465 upper-triangle entries of a 30x30 element matrix, row-major, and
+# for each of its 900 entries the upper-triangle column that holds it.
+_UPPER = np.triu_indices(30)
+MIRROR = np.zeros((30, 30), dtype=np.intp)
+MIRROR[_UPPER] = np.arange(_UPPER[0].size)
+MIRROR = np.maximum(MIRROR, MIRROR.T).ravel()
+# Relative tolerance of the check that every element is a translate of its
+# Kuhn shape's representative.
+_SHAPE_RTOL = 1e-12
 
 
 @dataclass
@@ -174,6 +200,8 @@ class TaylorHoodSpace:
     dirichlet_mask: np.ndarray = field(init=False)  # (n_vel,) bool
     _geometries: dict = field(init=False, default_factory=dict,
                               repr=False, compare=False)
+    _patterns: dict = field(init=False, default_factory=dict,
+                            repr=False, compare=False)
 
     def __post_init__(self):
         mesh = self.mesh
@@ -209,6 +237,29 @@ class TaylorHoodSpace:
         if quad_n not in self._geometries:
             self._geometries[quad_n] = ElementGeometry(self.mesh, self, quad_n)
         return self._geometries[quad_n]
+
+    def pattern(self, block: str) -> "BlockPattern":
+        """The CSR pattern of one assembled block, built once.
+
+        ``"K"``: interior velocity x interior velocity; ``"G"``: interior
+        velocity x pressure; ``"F"``: the interior load vector (one column);
+        ``"K_full"``, ``"F_full"``: the same over all velocity dofs.
+        """
+        if block not in self._patterns:
+            interior = not block.endswith("_full")
+            keep = ~self.dirichlet_scalar if interior else np.ones(self.n_scalar, bool)
+            number = np.where(keep, np.cumsum(keep) - 1, -1)
+            rows = number[self.tet_nodes]
+            n_rows = int(np.count_nonzero(keep))
+            nt = self.mesh.n_tets
+            if block.startswith("K"):
+                pat = BlockPattern(rows, rows, n_rows, n_rows, 3, 3)
+            elif block == "G":
+                pat = BlockPattern(rows, self.mesh.tets, n_rows, self.n_pressure, 3, 1)
+            else:
+                pat = BlockPattern(rows, np.zeros((nt, 1), np.int64), n_rows, 1, 3, 1)
+            self._patterns[block] = pat
+        return self._patterns[block]
 
 
 @lru_cache(maxsize=8)
@@ -299,6 +350,56 @@ class ElementGeometry:
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
 
+    @cached_property
+    def kuhn_tables(self) -> "KuhnTables":
+        """The per-shape element maps, built on first use.
+
+        Raises InvalidDimensions unless every element's inverse Jacobian and
+        determinant equal those of its shape's representative ``e % 6``
+        (to a relative 1e-12), as on a mesh from :func:`build_mesh`.
+        """
+        nt = self.detj.shape[0]
+        if nt % 6:
+            raise InvalidDimensions(f"{nt} elements is not a whole number of Kuhn cells")
+        for name, table in (("inverse Jacobian", self.p1_grads), ("determinant", self.detj)):
+            cells = table.reshape(nt // 6, 6, -1)
+            rep = cells[0]
+            scale = np.abs(rep).max(axis=1, keepdims=True)
+            off = np.abs(cells - rep) > _SHAPE_RTOL * scale
+            if np.any(off):
+                e = int(np.flatnonzero(off.any(axis=2).ravel())[0])
+                raise InvalidDimensions(
+                    f"element {e} is not a translate of Kuhn shape {e % 6}: "
+                    f"its {name} differs from element {e % 6}'s"
+                )
+
+        g = self.grads[:6]   # (shape, q, i, 3)
+        w = self.wdet[:6]    # (shape, q)
+        basis = np.zeros((6, 3, 3))
+        for t, (r, c) in enumerate(SYM_PAIRS):
+            basis[t, r, c] = basis[t, c, r] = 1.0
+        # the element matrix entry ((i,a),(j,b)) at one point for A = basis[t]:
+        # (D(phi_j e_b) A + A D(phi_j e_b)) : grad(phi_i e_a)
+        gag = np.einsum("sqjm,tml,sqil->sqtij", g, basis, g)
+        gg = np.einsum("sqjl,sqil->sqij", g, g)
+        ag = np.einsum("tbl,sqil->sqtib", basis, g)        # (A g_i)_b
+        # axes (shape, q, t, i, a, j, b)
+        kel = 0.5 * w[:, :, None, None, None, None, None] * (
+            gag[:, :, :, :, None, :, None] * np.eye(3)[:, None, :]
+            + gg[:, :, None, :, None, :, None] * basis[:, None, :, None, :]
+            + g.transpose(0, 1, 3, 2)[:, :, None, None, :, :, None]
+            * ag[:, :, :, :, None, None, :]
+            + ag.transpose(0, 1, 2, 4, 3)[:, :, :, None, :, :, None]
+            * g[:, :, None, :, None, None, :]
+        )
+        nq = w.shape[1]
+        velocity = kel.reshape(6, nq * 6, 30, 30)[:, :, _UPPER[0], _UPPER[1]]
+        divergence = -np.einsum("sq,qj,sqia->siaj", w, self.p1_vals, g)
+        tables = KuhnTables(np.ascontiguousarray(velocity), divergence.reshape(6, 120))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
     @property
     def flat_points(self) -> np.ndarray:
         return self.points.reshape(-1, 3)
@@ -306,3 +407,79 @@ class ElementGeometry:
     def integrate(self, values: np.ndarray) -> float:
         """Integrate per-quadrature-point sample values (ne, nq)."""
         return float(np.sum(self.wdet * values))
+
+
+class KuhnTables(NamedTuple):
+    """Element maps of the six Kuhn shapes (see ``ElementGeometry.kuhn_tables``).
+
+    ``velocity[s]`` (nq*6, 465) maps the six ``SYM_PAIRS`` entries of A at
+    each quadrature point (point-major) to the upper triangle of the 30x30
+    velocity element matrix, whose rows and columns are (node, component)
+    pairs; ``MIRROR`` expands a row of it to all 900 entries.
+    ``divergence[s]`` (120,) is the (30, 4) divergence element block
+    -int q_j d_a phi_i.
+    """
+
+    velocity: np.ndarray
+    divergence: np.ndarray
+
+
+class BlockPattern:
+    """Fixed CSR pattern of a block assembled from element blocks.
+
+    ``rows`` (nt, nr) and ``cols`` (nt, nc) are each element's row and column
+    nodes in the block's node numbering, -1 for a dropped (wall) node.  A
+    node carries ``br`` rows (``bc`` columns), numbered ``br*node + a``.  The
+    entry of element ``e`` at local row ``(i, a)`` and column ``(j, b)``
+    belongs in ``data[base[e, i, j] + a*stride[e, i, j] + b]``; dropped
+    entries go to the slots from ``nnz`` on, which :meth:`matrix` leaves out.
+    Rows are sorted and free of duplicates.
+    """
+
+    def __init__(self, rows, cols, n_rows: int, n_cols: int, br: int, bc: int):
+        nt, nr = rows.shape
+        nc = cols.shape[1]
+        self.br, self.bc = br, bc
+        self.shape = (br * n_rows, bc * n_cols)
+        dropped = n_rows * n_cols
+        keys = rows[:, :, None] * n_cols + cols[:, None, :]
+        keys[(rows[:, :, None] < 0) | (cols[:, None, :] < 0)] = dropped
+        pairs, inverse = np.unique(keys.ravel(), return_inverse=True)
+        del keys
+        if pairs[-1] == dropped:
+            pairs = pairs[:-1]
+        node_row, node_col = np.divmod(pairs, n_cols)
+        degree = np.bincount(node_row, minlength=n_rows)
+        start = np.concatenate([[0], np.cumsum(degree)])
+        self.nnz = br * bc * pairs.size
+        # slot of component (0, 0) of each node pair, and the step per row component
+        row_start = start[node_row]
+        base = br * bc * row_start + bc * (np.arange(pairs.size) - row_start)
+        stride = bc * degree[node_row]
+        self.indptr = np.append(
+            (br * bc * start[:-1, None] + np.arange(br) * bc * degree[:, None]).ravel(),
+            self.nnz).astype(np.int32)
+        self.indices = np.empty(self.nnz, dtype=np.int32)
+        for a in range(br):
+            self.indices[(base + a * stride)[:, None] + np.arange(bc)] = (
+                bc * node_col[:, None] + np.arange(bc))
+        self.base = np.append(base, self.nnz)[inverse].reshape(nt, nr, nc).astype(np.int32)
+        self.stride = np.append(stride, 0)[inverse].reshape(nt, nr, nc).astype(np.int32)
+        for table in (self.indptr, self.indices, self.base, self.stride):
+            table.setflags(write=False)
+
+    def slots(self, sl: slice) -> np.ndarray:
+        """(e, nr*br*nc*bc) data slots of the elements in ``sl``, local order."""
+        base = self.base[sl].astype(np.intp)[:, :, None, :, None]
+        stride = self.stride[sl].astype(np.intp)[:, :, None, :, None]
+        a = np.arange(self.br)[:, None, None]
+        slots = base + a * stride + np.arange(self.bc)
+        return slots.reshape(slots.shape[0], -1)
+
+    def new_data(self) -> np.ndarray:
+        """Zeroed data array, with room for the dropped slots."""
+        return np.zeros(self.nnz + self.bc)
+
+    def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((data[:self.nnz], self.indices, self.indptr),
+                                 shape=self.shape)

@@ -179,7 +179,8 @@ def eig_sym3_batch(mats: np.ndarray) -> np.ndarray:
 
     Closed-form trigonometric solve of the characteristic cubic.  Exactly
     diagonal rows are sorted as they are, and a spectrum that is a triple
-    point to machine precision returns its mean.  When the spectrum is
+    point to machine precision (deviation from its mean at most 1e-12 of
+    the largest entry, at any scale) returns its mean.  When the spectrum is
     nearly degenerate the acos argument saturates and the closed form loses
     accuracy, so those rows are redone by one ``np.linalg.eigvalsh`` call.
     """
@@ -200,7 +201,7 @@ def eig_sym3_batch(mats: np.ndarray) -> np.ndarray:
             flat[diag_rows][:, (0, 1, 2), (0, 1, 2)], axis=1
         )
 
-    tiny = (p <= _DEGENERATE_TOL * np.maximum(1.0, np.abs(flat).max(axis=(1, 2))))
+    tiny = p <= _DEGENERATE_TOL * np.abs(flat).max(axis=(1, 2))
     tiny &= ~diag_rows
     out[tiny] = q[tiny, None]
 

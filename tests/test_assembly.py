@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from genstokes.assembly import assemble, korn_terms
+from genstokes.assembly import assemble, full_velocity_block, korn_terms
 from genstokes.constitutive import MuTriple
-from genstokes.errors import BCViolation, NotElliptic
-from genstokes.fem import LOCAL_EDGES, TaylorHoodSpace, build_mesh
+from genstokes.errors import (BCViolation, InvalidDimensions, NotElliptic,
+                              SingularTensor)
+from genstokes.fem import LOCAL_EDGES, BoxMesh, TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, VectorField
 from genstokes.tensors import SymTensor3
 
@@ -49,38 +50,32 @@ def p2_eval(lam, dlam):
     return vals, grads
 
 
-def dense_velocity_block(mesh, space, a_mat):
-    """Brute-force K for a constant coefficient tensor."""
+def dense_velocity_block(mesh, space, a_of_x):
+    """Brute-force K for the coefficient tensor ``a_of_x(x)`` (3, 3)."""
     n = space.n_velocity
     K = np.zeros((n, n))
     ref_pts, ref_wts = duffy_rule()
+    eye = np.eye(3)
     for e in range(mesh.n_tets):
         verts = mesh.vertices[mesh.tets[e]]
         coef = barycentric_system(verts)
         const, grad_l = coef[:, 0], coef[:, 1:]
-        jac = np.abs(np.linalg.det(np.vstack([np.ones(4), verts.T]))) / 1.0
-        # physical volume of the tet = |det|/6 of the edge matrix; recompute
+        # physical volume of the tet = |det|/6 of the edge matrix
         edge = (verts[1:] - verts[0]).T
         vol = abs(np.linalg.det(edge)) / 6.0
-        nodes = space.tet_nodes[e]
+        dofs = (3 * space.tet_nodes[e][:, None] + np.arange(3)).ravel()
         # quadrature points in physical coordinates
         phys = verts[0] + ref_pts @ edge.T
-        for q, (xq, wq) in enumerate(zip(phys, ref_wts)):
+        for xq, wq in zip(phys, ref_wts):
             lam = const + grad_l @ xq
-            vals, grads = p2_eval(lam, grad_l)
+            _, grads = p2_eval(lam, grad_l)
             weight = wq * 6.0 * vol  # duffy weights sum to 1/6 on the ref tet
-            for i in range(10):
-                for a in range(3):
-                    gw = np.zeros((3, 3))
-                    gw[a, :] = grads[i]
-                    row = 3 * nodes[i] + a
-                    for j in range(10):
-                        for b in range(3):
-                            gv = np.zeros((3, 3))
-                            gv[b, :] = grads[j]
-                            d = 0.5 * (gv + gv.T)
-                            val = np.tensordot(d @ a_mat + a_mat @ d, gw)
-                            K[row, 3 * nodes[j] + b] += weight * val
+            a_mat = a_of_x(xq)
+            # grad(phi_i e_a) = e_a (x) grad phi_i, for the 30 pairs (i, a)
+            gw = np.einsum("ab,il->iabl", eye, grads).reshape(30, 3, 3)
+            d = 0.5 * (gw + gw.transpose(0, 2, 1))
+            flux = d @ a_mat + a_mat @ d
+            K[np.ix_(dofs, dofs)] += weight * np.einsum("imn,jmn->ij", gw, flux)
     return K
 
 
@@ -90,17 +85,102 @@ def test_single_cell_dense_oracle_constant_diagonal():
     a_mat = np.diag([2.0, 0.5, 1.25])
     b = TensorField.constant(SymTensor3.from_matrix(a_mat - np.eye(3) * 0.0))
     # build A = B by choosing mu = (0, 1, 0)
+    K_full, _ = full_velocity_block(space, MuTriple(0.0, 1.0, 0.0), b)
+    K_dense = dense_velocity_block(mesh, space, lambda x: a_mat)
+    assert np.max(np.abs(K_full.toarray() - K_dense)) < 1e-12
+
+
+# a linear, full SPD tensor on [0,1]x[0,2]x[0,0.5] (diagonally dominant):
+# the integrand has degree 5, so both quadratures are exact
+VARYING_B = {"a11": "2 + x", "a22": "1.5 + 0.5*z", "a33": "1 + 0.25*y",
+             "a12": "0.3*y", "a13": "0.2*z", "a23": "0.1*x"}
+
+
+def varying_b_matrix(x):
+    return np.array([[2 + x[0], 0.3 * x[1], 0.2 * x[2]],
+                     [0.3 * x[1], 1.5 + 0.5 * x[2], 0.1 * x[0]],
+                     [0.2 * x[2], 0.1 * x[0], 1 + 0.25 * x[1]]])
+
+
+def test_dense_oracle_varying_full_tensor_all_shapes():
+    # 2x3x2 cells with unequal spacings: all six Kuhn shapes, off-diagonal A
+    mesh = build_mesh(2, 3, 2, 1.0, 2.0, 0.5)
+    space = TaylorHoodSpace(mesh)
+    b = TensorField.expression(VARYING_B)
+    K_full, _ = full_velocity_block(space, MuTriple(0.0, 1.0, 0.0), b)
+    K_dense = dense_velocity_block(mesh, space, varying_b_matrix)
+    assert np.max(np.abs(K_full.toarray() - K_dense)) < 1e-12
     system = assemble(mesh, space, MuTriple(0.0, 1.0, 0.0), b)
-    K_dense = dense_velocity_block(mesh, space, a_mat)
-    got = system.K_full.toarray()
-    assert np.max(np.abs(got - K_dense)) < 1e-12
+    idx = space.interior_idx
+    assert np.max(np.abs(system.K.toarray() - K_dense[np.ix_(idx, idx)])) < 1e-12
+    assert (system.K - system.K.T).count_nonzero() == 0
+    assert (K_full - K_full.T).count_nonzero() == 0
+
+
+def test_threads_bitwise_equal_over_several_chunks(monkeypatch):
+    import genstokes.assembly as assembly
+
+    # 36-element chunks: the 162 elements of a 3x3x3 mesh make five
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 36 * 900 * 8)
+    assert len(assembly._chunks(162)) == 5
+    mesh = build_mesh(3, 3, 3, 1.0, 2.0, 0.5)
+    space = TaylorHoodSpace(mesh)
+    b = TensorField.expression(VARYING_B)
+    f = VectorField.expression(["sin(x)*y", "z**2", "x*y*z"])
+    mu = MuTriple(1.0, 1.0, 0.5)
+    s1 = assemble(mesh, space, mu, b, f, threads=1)
+    s3 = assemble(mesh, space, mu, b, f, threads=3)
+    for a, c in ((s1.K, s3.K), (s1.G, s3.G)):
+        assert np.array_equal(a.indptr, c.indptr)
+        assert np.array_equal(a.indices, c.indices)
+        assert a.data.tobytes() == c.data.tobytes()
+    assert s1.F.tobytes() == s3.F.tobytes()
+    assert (s1.alpha, s1.anorm_inf, s1.f_l2) == (s3.alpha, s3.anorm_inf, s3.f_l2)
+    assert s1.alpha_report.alpha_samples.tobytes() == s3.alpha_report.alpha_samples.tobytes()
+
+
+def test_perturbed_vertices_rejected_where_tables_are_built():
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    vertices = mesh.vertices.copy()
+    vertices[13] += (0.01, -0.02, 0.015)  # the centre vertex
+    bent = BoxMesh(mesh.nx, mesh.ny, mesh.nz, mesh.lx, mesh.ly, mesh.lz,
+                   vertices, mesh.tets, mesh.edges, mesh.tet_edges)
+    space = TaylorHoodSpace(bent)
+    geom = space.geometry(3)  # the geometry itself is valid on any mesh
+    with pytest.raises(InvalidDimensions, match="not a translate of Kuhn shape"):
+        geom.kuhn_tables
+    with pytest.raises(InvalidDimensions):
+        assemble(bent, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
+
+
+def test_first_assemble_memory_budget():
+    # tracemalloc peak of the first assembly on a fresh mesh-8 space:
+    # geometry, per-shape tables and CSR patterns included
+    import tracemalloc
+
+    from genstokes.verification import make_anisotropic_case
+
+    case = make_anisotropic_case()
+    tiny = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
+    # build the lazily differentiated forcing first; it is not assembly memory
+    assemble(tiny, TaylorHoodSpace(tiny), case.mu, case.b_field, case.f_field)
+    mesh = build_mesh(8, 8, 8, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    tracemalloc.start()
+    try:
+        assemble(mesh, space, case.mu, case.b_field, case.f_field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20, f"assembly peak {peak / 2**20:.1f} MB > 80 MB"
 
 
 def test_newtonian_reduction_matches_double_strain_form():
     # with A = I the block equals the assembled form of 2 int D(phi_i):D(phi_j)
     mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
-    system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
+    K_full, _ = full_velocity_block(space, MuTriple(1.0, 0.0, 0.0),
+                                    TensorField.identity())
     n = space.n_velocity
     K_dense = np.zeros((n, n))
     ref_pts, ref_wts = duffy_rule()
@@ -129,7 +209,7 @@ def test_newtonian_reduction_matches_double_strain_form():
                             K_dense[3 * nodes[i] + a, 3 * nodes[j] + b] += (
                                 weight * 2.0 * np.tensordot(dv, dw)
                             )
-    assert np.max(np.abs(system.K_full.toarray() - K_dense)) < 1e-12
+    assert np.max(np.abs(K_full.toarray() - K_dense)) < 1e-12
 
 
 def test_energy_equals_korn_combination():
@@ -190,13 +270,13 @@ def test_load_vector_partition_of_unity():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
     f = VectorField.expression(["x**2*y", "z**3", "x*y*z"])
-    system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0),
-                      TensorField.identity(), f)
+    _, F_full = full_velocity_block(space, MuTriple(1.0, 0.0, 0.0),
+                                    TensorField.identity(), f)
     exact = np.array([1.0 / 6.0, 1.0 / 4.0, 1.0 / 8.0])  # integrals over unit cube
     for a in range(3):
         ones = np.zeros(space.n_velocity)
         ones[a::3] = 1.0
-        assert float(ones @ system.F_full) == pytest.approx(exact[a], rel=1e-13)
+        assert float(ones @ F_full) == pytest.approx(exact[a], rel=1e-13)
 
 
 def test_zero_forcing_zero_load():
@@ -214,6 +294,25 @@ def test_assemble_rejects_non_elliptic():
     with pytest.raises(NotElliptic) as err:
         assemble(mesh, space, MuTriple(-2.5, 4.0, 0.25), b)
     assert err.value.alpha is not None and err.value.alpha <= 0.0
+
+
+def test_assemble_singular_coefficient_names_first_sample(monkeypatch):
+    # positive but numerically singular B: g > 0, the inverse is refused;
+    # the error names the first sample over all points, not within a chunk
+    import genstokes.assembly as assembly
+
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 6 * 900 * 8)
+    mesh = build_mesh(2, 1, 1, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    class Split:
+        def eval(self, pts):
+            mats = np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
+            mats[pts[:, 0] > 0.5, 2, 2] = 1e-15
+            return mats
+
+    b = Split()
+    with pytest.raises(SingularTensor, match=r"first: flat index 162,"):
+        assemble(mesh, space, MuTriple(1.0, 1.0, 0.0), b)
 
 
 def test_thread_count_does_not_change_entries():

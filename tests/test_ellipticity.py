@@ -248,6 +248,33 @@ def test_alpha_varying_field_minimizer():
     assert rep.alpha == pytest.approx(brute, rel=1e-12)
 
 
+class _Samples:
+    """A tensor field that returns fixed matrices, one per sample point."""
+
+    def __init__(self, mats):
+        self.mats = mats
+
+    def eval(self, pts):
+        return self.mats.copy()
+
+
+def test_alpha_minimizer_stays_put_under_rounding_level_ties():
+    # ten samples tie at lambda_min = 1/2; nudging the later ones down by
+    # 1e-16 (half an ulp of 1/2) must not move the reported minimizer
+    pts = np.column_stack([np.linspace(0.05, 0.95, 10), np.full(10, 0.5),
+                           np.full(10, 0.5)])
+    lams = np.tile([0.5, 1.0, 2.0], (10, 1))
+    mu = MuTriple(0.0, 1.0, 0.0)  # g(lambda) = lambda
+    flat = alpha_field(mu, _Samples(lams[:, None, :] * np.eye(3)), pts)
+    lams[3:, 0] -= 1e-16
+    assert lams[3, 0] < 0.5
+    nudged = alpha_field(mu, _Samples(lams[:, None, :] * np.eye(3)), pts)
+    assert nudged.alpha == lams[3, 0] < flat.alpha == 0.5
+    assert nudged.minimizer_point == flat.minimizer_point == tuple(pts[0])
+    assert nudged.minimizer_eigenvalue == flat.minimizer_eigenvalue == 0.5
+    assert nudged.as_dict()["minimizer_point"] == flat.as_dict()["minimizer_point"]
+
+
 # ---------------------------------------------------------------------------
 # perturbation radius
 

@@ -258,6 +258,18 @@ def test_eig_batch_matches_eigvalsh_on_adversarial_spectra(m):
     assert np.max(np.abs(got - want)) <= _eig_tol(want)
 
 
+def test_eig_batch_near_triple_root_below_unit_scale():
+    # 1e-6 diag(1, 1, 1 + 1e-6) rotated: a near-triple spectrum whose spread
+    # (3e-13) is below an absolute 1e-12 but far above rounding at its scale
+    q = Rotation.from_euler("zyz", (0.3, 1.1, -0.7)).as_matrix()
+    lams = 1e-6 * np.array([1.0, 1.0, 1.0 + 1e-6])
+    m = (q * lams) @ q.T
+    m = 0.5 * (m + m.T)
+    want = np.linalg.eigvalsh(m)
+    got = eig_sym3_batch(m[None])[0]
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def _rotated_uniaxial(n, seed=41):
     rng = np.random.default_rng(seed)
     q = Rotation.random(n, random_state=rng).as_matrix()
