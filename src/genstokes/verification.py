@@ -456,16 +456,17 @@ def _sup_da(mu, b_field: TensorField, pts) -> Optional[float]:
     """Sampled sup-norm of the coefficient derivative, when computable."""
     mu_f = _mu_fields(mu)
     bvals = b_field.eval(pts)
-    binv = ch_inverse_batch(bvals)
     if b_field.kind == "constant":
         dbvals = np.zeros((pts.shape[0], 3, 3, 3))
         dbinv = np.zeros_like(dbvals)
     else:
+        # checked before inverting: a refused field needs no inverse
         dets = np.linalg.det(bvals)
         if np.max(np.abs(dets - 1.0)) > 1e-8:
             return None
         dbvals = b_field.grad(pts)
         dbinv = d_inverse_batch(bvals[:, None], dbvals)
+    binv = ch_inverse_batch(bvals)
     da = _d_acal(mu_f, pts, bvals, binv, dbvals, dbinv)
     return float(np.max(np.abs(da)))
 

@@ -1,6 +1,7 @@
 """Direct and Schur-complement solvers of the saddle system."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from genstokes.constitutive import MuTriple
 from genstokes.errors import FactorizationFailure, MaxIterations, ResidualTooLarge
 from genstokes.fem import TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, VectorField
-from genstokes.solver import (_lattice_preconditioner, minres_solve, solve,
+from genstokes.solver import (_CHECK_EVERY, _MAXITER, _STOP_DIVISOR,
+                              _lattice_preconditioner, minres_solve, solve,
                               uzawa_solve)
 from genstokes.verification import SHIPPED_CASES, make_classical_case
 
@@ -126,7 +128,7 @@ def test_non_finite_load_rejected_before_iterating(small_system, solver, bad,
         calls.append(args)
         raise AssertionError("iterated on a non-finite load")
 
-    monkeypatch.setattr("genstokes.solver.spla.minres", spy)
+    monkeypatch.setattr("genstokes.solver._minres", spy)
     monkeypatch.setattr("genstokes.solver._cg", spy)
     F = small_system.F.copy()
     F[5] = bad
@@ -162,9 +164,12 @@ def test_minres_agrees_with_direct(name, n):
     m = _assert_agrees_with_direct(_case_system(name, (n, n, n)))
     stats = m.stats
     assert stats["method"] == "minres"
-    assert stats["iterations"] == sum(stats["pass_iterations"]) > 0
-    assert len(stats["pass_residuals"]) == len(stats["pass_iterations"])
-    assert stats["pass_residuals"][-1] <= 1e-10
+    assert stats["iterations"] > 0
+    # one true residual per check, the last one at the stop target
+    assert len(stats["residual_history"]) == -(-stats["iterations"]
+                                               // _CHECK_EVERY)
+    assert stats["stop_rtol"] == 1e-10 / _STOP_DIVISOR
+    assert stats["residual_history"][-1] <= stats["stop_rtol"]
 
 
 def test_minres_non_cubic_box_unequal_divisions():
@@ -204,10 +209,51 @@ def test_lattice_preconditioner_inverts_fine_p1_stiffness():
     assert np.allclose(pressure_weight * system.m, c, rtol=1e-14)
 
 
-def test_minres_iterations_flat_under_refinement():
-    its = {n: minres_solve(_case_system("anisotropic", (n, n, n)))
-           .stats["iterations"] for n in (4, 8)}
+@pytest.fixture(scope="module")
+def aniso8():
+    return _case_system("anisotropic", (8, 8, 8))
+
+
+def test_minres_iterations_flat_under_refinement(aniso8):
+    its = {4: minres_solve(_case_system("anisotropic", (4, 4, 4)))
+           .stats["iterations"],
+           8: minres_solve(aniso8).stats["iterations"]}
     assert its[8] <= 1.5 * its[4]
+
+
+def test_minres_stops_where_asked(aniso8):
+    result = minres_solve(aniso8)
+    stop = result.stats["stop_rtol"]
+    # the true residual of the returned solution, from the assembled KKT
+    a, b = aniso8.kkt(), aniso8.rhs()
+    x = np.concatenate([result.velocity[aniso8.space.interior_idx],
+                        result.pressure, [0.0]])
+    assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= stop
+    # and no further than needed: a looser gate takes fewer iterations
+    loose = minres_solve(aniso8, tol=1e-6)
+    assert loose.stats["iterations"] < result.stats["iterations"]
+    assert loose.residual <= 1e-6
+
+
+def test_minres_stops_at_the_rounding_level(small_system):
+    # the stop target tol / 100 = 1e-16 is below the rounding level of the
+    # residual; MINRES stops when its residual levels off, within the cap
+    result = minres_solve(small_system, tol=1e-14)
+    assert result.residual <= 1e-14
+    assert result.stats["iterations"] < _MAXITER
+
+
+def test_minres_memory_budget(aniso8):
+    # MINRES applies the blocks and holds a few vectors (87 kB each here);
+    # a copy of the KKT matrix (K alone is 8.6 MB) does not fit the budget
+    minres_solve(aniso8)
+    tracemalloc.start()
+    try:
+        minres_solve(aniso8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_minres_zero_forcing_gives_zero_solution():
@@ -221,6 +267,6 @@ def test_minres_zero_forcing_gives_zero_solution():
 
 
 def test_minres_iteration_cap(small_system, monkeypatch):
-    monkeypatch.setattr("genstokes.solver._PASS_MAXITER", 3)
+    monkeypatch.setattr("genstokes.solver._MAXITER", 3)
     with pytest.raises(MaxIterations):
         minres_solve(small_system)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from genstokes import verification
+from genstokes.constitutive import MuTriple
 from genstokes.errors import MissingNormInput, NonDifferentiableExpression
 from genstokes.fem import TaylorHoodSpace, build_mesh
-from genstokes.fields import ScalarField
+from genstokes.fields import ScalarField, TensorField
 from genstokes.verification import (
     boundary_trace_max,
     broken_h1_pressure,
@@ -358,3 +360,24 @@ def test_csv_emission(tmp_path):
     assert lines[0].startswith("n,h,err_h1_v")
     assert len(lines) == 3
     assert lines[2].count(",") == 7
+
+
+def test_sup_da_checks_unimodularity_before_inverting(monkeypatch):
+    calls = []
+    real = verification.ch_inverse_batch
+
+    def spy(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(verification, "ch_inverse_batch", spy)
+    mu = MuTriple(1.0, 1.0, 0.5)
+    pts = np.random.default_rng(0).uniform(size=(50, 3))
+    scaled = TensorField.expression({"a11": "2 + x", "a22": "1", "a33": "1"})
+    assert verification._sup_da(mu, scaled, pts) is None
+    assert calls == []
+    # det = (1 + x^2) - x^2 = 1: unimodular, so it is inverted once
+    shear = TensorField.expression(
+        {"a11": "1 + x*x", "a12": "x", "a22": "1", "a33": "1"})
+    assert verification._sup_da(mu, shear, pts) > 0.0
+    assert calls == [50]
