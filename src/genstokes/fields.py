@@ -14,13 +14,16 @@ Three representations share one evaluation interface:
   binomial series, symbolic exponents as exp(b log a)) and sin/cos/exp;
   any other node raises NonDifferentiableField,
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
-  evaluated by trilinear interpolation, with second-order finite-difference
-  derivatives (one-sided at the faces).
+  with second-order finite-difference derivatives (one-sided at the faces)
+  tabulated per node at construction; values and derivatives are
+  interpolated trilinearly at points clipped to the box.
 
 Grid file format (plain text): a header line ``nx ny nz Lx Ly Lz`` with the
 node counts per axis, then ``nx*ny*nz`` whitespace-separated records in
 C order over (ix, iy, iz) -- z index fastest.  One number per record for a
 scalar field, six (``a11 a22 a33 a12 a13 a23``) for a symmetric tensor.
+A file that does not parse, or whose box is not finite and positive,
+raises ConfigError.
 
 Fields are read-only after construction; concurrent evaluation is safe.
 """
@@ -34,7 +37,6 @@ import math
 
 import numpy as np
 import sympy as sp
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, NonDifferentiableField
 from .tensors import SymTensor3
@@ -248,7 +250,7 @@ class ScalarField:
         if kind == "expression":
             self._fn = _lambdify(payload)
         elif kind == "grid":
-            self._build_grid_interpolants()
+            self._build_grid_tables()
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -262,10 +264,13 @@ class ScalarField:
 
     @classmethod
     def grid(cls, values: np.ndarray, box) -> "ScalarField":
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 3 or min(values.shape) < 2:
             raise ConfigError("grid fields need a 3-d array with >= 2 nodes per axis")
-        return cls("grid", values, box=tuple(float(b) for b in box))
+        box = tuple(float(b) for b in box)
+        if len(box) != 3 or not all(math.isfinite(b) and b > 0 for b in box):
+            raise ConfigError(f"grid box edges must be finite and positive, got {box}")
+        return cls("grid", values, box=box)
 
     @classmethod
     def from_file(cls, path) -> "ScalarField":
@@ -281,43 +286,44 @@ class ScalarField:
             return sp.Float(self._payload)
         raise NonDifferentiableField("grid fields have no closed form")
 
-    def _axes(self):
-        nx, ny, nz = self._payload.shape
-        lx, ly, lz = self.box
-        return (
-            np.linspace(0.0, lx, nx),
-            np.linspace(0.0, ly, ny),
-            np.linspace(0.0, lz, nz),
-        )
-
-    def _build_grid_interpolants(self):
-        axes = self._axes()
+    def _build_grid_tables(self):
+        axes = [np.linspace(0.0, b, n) for b, n in zip(self.box, self._payload.shape)]
 
         def grad_arrays(data):
             # second-order central differences, one-sided at the faces;
             # two-node axes can only support first-order edges.
-            out = []
-            for k in range(3):
-                order = 2 if data.shape[k] >= 3 else 1
-                out.append(np.gradient(data, axes[k], axis=k, edge_order=order))
-            return out
+            return np.stack([np.gradient(data, axes[k], axis=k,
+                                         edge_order=2 if data.shape[k] >= 3 else 1)
+                             for k in range(3)], axis=-1)
 
-        self._interp = RegularGridInterpolator(axes, self._payload, method="linear")
         grads = grad_arrays(self._payload)
-        self._grad_interp = [
-            RegularGridInterpolator(axes, g, method="linear") for g in grads
-        ]
-        self._hess_interp = []
-        for g in grads:
-            self._hess_interp.append(
-                [RegularGridInterpolator(axes, h, method="linear")
-                 for h in grad_arrays(g)]
-            )
+        hess = np.stack([grad_arrays(grads[..., k]) for k in range(3)], axis=-2)
+        # one row per node: values, d_k f, and [k, l] = d_l (d_k f)
+        self._tables = tuple(t.reshape(self._payload.size, *t.shape[3:])
+                             for t in (self._payload, grads, hess))
+        for table in self._tables:
+            table.flags.writeable = False
+        self._grid_axes = axes
 
-    def _clip(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        lx, ly, lz = self.box
-        return np.clip(pts, [0.0, 0.0, 0.0], [lx, ly, lz])
+    def _trilinear(self, order: int, pts: np.ndarray) -> np.ndarray:
+        """Table ``order`` (values, gradients, Hessians) interpolated at the
+        (N, 3) ``pts`` clipped to the box.  The cell search, weights and
+        summation order are ``scipy.interpolate.RegularGridInterpolator``'s
+        linear method, so the results are its results bit for bit."""
+        table, shape = self._tables[order], self._payload.shape
+        base, fracs, (ny, nz) = 0, [], shape[1:]
+        for k, axis in enumerate(self._grid_axes):
+            p = np.clip(pts[:, k], 0.0, self.box[k])
+            i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, shape[k] - 2)
+            fracs.append((p - axis[i]) / (axis[i + 1] - axis[i]))
+            base = base * shape[k] + i
+        out = np.zeros((pts.shape[0],) + table.shape[1:])
+        for corner in itertools.product((0, 1), repeat=3):
+            wx, wy, wz = (f if c else 1 - f for c, f in zip(corner, fracs))
+            rows = table[base + (corner[0] * ny + corner[1]) * nz + corner[2]]
+            rows *= (wx * wy * wz).reshape((-1,) + (1,) * (table.ndim - 1))
+            out += rows
+        return out
 
     # -- evaluation ---------------------------------------------------------
     def eval(self, pts) -> np.ndarray:
@@ -326,7 +332,7 @@ class ScalarField:
             return np.full(pts.shape[0], self._payload)
         if self.kind == "expression":
             return self._fn(pts)
-        return self._interp(self._clip(pts))
+        return self._trilinear(0, pts)
 
     def grad(self, pts) -> np.ndarray:
         """First derivatives, shape (N, 3)."""
@@ -335,8 +341,7 @@ class ScalarField:
             return np.zeros((pts.shape[0], 3))
         if self.kind == "expression":
             return self.derivative_stack(pts, 1)
-        c = self._clip(pts)
-        return np.stack([g(c) for g in self._grad_interp], axis=-1)
+        return self._trilinear(1, pts)
 
     def hess(self, pts) -> np.ndarray:
         """Second derivatives, shape (N, 3, 3)."""
@@ -345,11 +350,7 @@ class ScalarField:
             return np.zeros((pts.shape[0], 3, 3))
         if self.kind == "expression":
             return self.derivative_stack(pts, 2)[:, _HESS_INDEX]
-        c = self._clip(pts)
-        return np.stack(
-            [np.stack([h(c) for h in row], axis=-1) for row in self._hess_interp],
-            axis=-2,
-        )
+        return self._trilinear(2, pts)
 
     def derivative_stack(self, pts, order: int) -> np.ndarray:
         """All distinct derivatives of the given order, shape (N, n_multi).
@@ -366,14 +367,12 @@ class ScalarField:
         if self.kind == "constant":
             return np.zeros((pts.shape[0], len(combos)))
         if self.kind == "grid":
-            if order == 1:
-                return self.grad(pts)
-            if order == 2:
-                h = self.hess(pts)
-                return np.stack([h[:, i, j] for i, j in combos], axis=-1)
-            raise NonDifferentiableField(
-                f"grid fields provide derivatives up to order 2, not {order}"
-            )
+            if order > 2:
+                raise NonDifferentiableField(
+                    f"grid fields provide derivatives up to order 2, not {order}"
+                )
+            table = self._trilinear(order, pts)
+            return np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
         jet, row = _taylor_jet(self._payload, pts, order)
         if isinstance(jet, float):
             return np.zeros((pts.shape[0], len(combos)))
@@ -498,26 +497,24 @@ class VectorField:
 
 
 def _read_grid_file(path, ncomp: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 6:
-            raise ConfigError(f"{path}: header must be 'nx ny nz Lx Ly Lz'")
-        nx, ny, nz = (int(v) for v in header[:3])
-        box = tuple(float(v) for v in header[3:])
-        data = np.loadtxt(fh, dtype=float)
-    data = np.atleast_2d(data)
-    if ncomp == 1 and data.shape[1] != 1:
-        data = data.reshape(-1, 1)
-    if data.shape != (nx * ny * nz, ncomp):
-        raise ConfigError(
-            f"{path}: expected {nx * ny * nz} records of {ncomp} values, "
-            f"got shape {data.shape}"
-        )
-    if min(nx, ny, nz) < 2:
-        raise ConfigError(f"{path}: need >= 2 nodes per axis")
-    if min(box) <= 0:
-        raise ConfigError(f"{path}: box edge lengths must be positive")
-    return data.reshape(nx, ny, nz, ncomp), box
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 6:
+                raise ConfigError(f"{path}: header must be 'nx ny nz Lx Ly Lz'")
+            shape = tuple(int(v) for v in header[:3])
+            box = tuple(float(v) for v in header[3:])
+            data = np.loadtxt(fh, dtype=float, ndmin=2)
+        if ncomp == 1 and data.shape[1] != 1:
+            data = data.reshape(-1, 1)
+        if data.shape != (math.prod(shape), ncomp):
+            raise ConfigError(
+                f"{path}: expected {math.prod(shape)} records of {ncomp} values, "
+                f"got shape {data.shape}"
+            )
+        return data.reshape(shape + (ncomp,)), box
+    except (OSError, ValueError) as exc:  # unreadable text, numbers or node counts
+        raise ConfigError(f"{path}: cannot read grid file: {exc}") from exc
 
 
 def write_grid_file(path, values: np.ndarray, box) -> None:

@@ -43,6 +43,10 @@ __all__ = [
 # Tolerance below which the closed-form eigenvalue solve counts a spectrum
 # as a triple point, or hands a nearly degenerate one over to eigvalsh.
 _DEGENERATE_TOL = 1e-12
+# Largest max|B X - I| that ch_inverse_batch returns.  Beyond it the
+# cancellation in the Cayley-Hamilton form has outrun the polish (condition
+# numbers of about 1e5 and up), and the inverse is refused, not returned.
+_INVERSE_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,9 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
     multiplicative refinement step X <- X (2I - B X); the quadratic term of
     the representation cancels strongly for ill-conditioned inputs and the
     polish restores the product accuracy.  Raises :class:`SingularTensor`,
-    naming the first offending sample, when |det B| <= 1e-14 * ||B||_F^3.
+    naming the first offending sample, when |det B| <= 1e-14 * ||B||_F^3,
+    or when the polished inverse X still has max|B X - I| above
+    ``_INVERSE_RESIDUAL_TOL``.
     """
     mats = np.asarray(mats, dtype=float)
     i1 = np.trace(mats, axis1=-2, axis2=-1)
@@ -254,7 +260,16 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
         b2 - i1[..., None, None] * mats + i2[..., None, None] * eye
     ) / det[..., None, None]
     binv = binv @ (2.0 * eye - mats @ binv)
-    return 0.5 * (binv + np.swapaxes(binv, -1, -2))
+    binv = 0.5 * (binv + np.swapaxes(binv, -1, -2))
+    resid = np.max(np.abs(mats @ binv - eye), axis=(-2, -1))
+    bad = np.flatnonzero(resid > _INVERSE_RESIDUAL_TOL)
+    if bad.size:
+        raise SingularTensor(
+            f"{bad.size} sample(s) too ill-conditioned for the Cayley-Hamilton "
+            f"inverse (first: flat index {bad[0]}, "
+            f"max|BX - I| = {np.ravel(resid)[bad[0]]:.3e})"
+        )
+    return binv
 
 
 def d_inverse_batch(b: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -162,6 +162,30 @@ def test_solve_nan_grid_exits_4(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+_RECORDS = "1 1 1 0 0 0\n" * 8
+
+
+@pytest.mark.parametrize("command", ["solve", "ellipticity"])
+@pytest.mark.parametrize("text", [
+    "2 2 2 1 1 1\n" + "1 1 1 0 0 0\n" * 7 + "1 1 1 0 x 0\n",  # non-numeric record
+    "2.5 2 2 1 1 1\n" + _RECORDS,  # non-integer node count
+    "-2 -2 2 1 1 1\n" + _RECORDS,  # negative node counts
+    "2 2 2 nan 1 1\n" + _RECORDS,
+    "2 2 2 1 inf 1\n" + _RECORDS,
+    "2 2 2 1 1 0\n" + _RECORDS,
+], ids=["record", "count", "negative-count", "nan-box", "inf-box", "zero-box"])
+def test_malformed_grid_file_exits_2(tmp_path, capsys, command, text):
+    grid = tmp_path / "bad.txt"
+    grid.write_text(text)
+    mesh = ["--mesh", "2"] if command == "solve" else []
+    code = main(["--out", str(tmp_path), command, "--mu", "1,1,1", *mesh,
+                 "--b-grid", str(grid)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_solve_uzawa_method(tmp_path):
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
                  "--mesh", "2", "--method", "uzawa", "--tol", "1e-9",

@@ -88,6 +88,65 @@ def test_grid_requires_two_nodes_per_axis():
         ScalarField.grid(np.zeros((1, 4, 4)), (1, 1, 1))
 
 
+@pytest.mark.parametrize("box", [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0),
+                                 (1.0, 1.0, np.nan), (np.inf, 1.0, 1.0)])
+def test_grid_rejects_bad_box(box):
+    with pytest.raises(ConfigError, match="box edges"):
+        ScalarField.grid(np.zeros((3, 3, 3)), box)
+
+
+def _rgi_oracle(values, box, pts):
+    """eval, grad and hess through scipy's RegularGridInterpolator: one per
+    FD array, built from the same np.gradient calls, at clipped points."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    axes = [np.linspace(0.0, b, n) for b, n in zip(box, values.shape)]
+
+    def fd(data):
+        return [np.gradient(data, axes[k], axis=k,
+                            edge_order=2 if data.shape[k] >= 3 else 1)
+                for k in range(3)]
+
+    def interp(data):
+        return RegularGridInterpolator(axes, data, method="linear")(
+            np.clip(pts, 0.0, box))
+
+    grads = fd(values)
+    return (interp(values),
+            np.stack([interp(g) for g in grads], axis=-1),
+            np.stack([np.stack([interp(h) for h in fd(g)], axis=-1)
+                      for g in grads], axis=-2))
+
+
+@pytest.mark.parametrize("shape, box, nan_node", [
+    ((2, 2, 2), (1.0, 1.0, 1.0), False),
+    ((2, 5, 3), (0.3, 2.0, 1.7), False),
+    ((6, 4, 2), (2.5, 0.4, 1.0), True),
+    ((9, 9, 9), (1.0, 1.0, 1.0), True),
+    ((17, 17, 17), (1.0, 1.0, 1.0), False),
+])
+def test_grid_evaluator_bitwise_equals_regular_grid_interpolator(shape, box,
+                                                                   nan_node):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape)
+    if nan_node:
+        values[1, shape[1] // 2, -1] = np.nan
+    axes = [np.linspace(0.0, b, n) for b, n in zip(box, shape)]
+    inside = rng.uniform(0.0, 1.0, size=(400, 3)) * box
+    nodes = np.stack([rng.choice(a, 100) for a in axes], axis=-1)
+    faces = inside[:150].copy()
+    for k in range(3):
+        faces[50 * k:50 * (k + 1), k] = rng.choice([0.0, box[k]], 50)
+    outside = rng.uniform(-0.5, 1.5, size=(200, 3)) * box
+    pts = np.concatenate([inside, nodes, faces, outside,
+                          [[np.inf, -np.inf, 0.5 * box[2]]]])
+    fld = ScalarField.grid(values, box)
+    for got, want in zip((fld.eval(pts), fld.grad(pts), fld.hess(pts)),
+                         _rgi_oracle(values, box, pts)):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(fld.eval(pts)).any() == nan_node
+
+
 def test_tensor_grid_file_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.uniform(0.5, 1.5, size=(3, 4, 5, 6))

@@ -1,13 +1,17 @@
-"""Static checks on the package source, read with ``ast``.
+"""Static checks on the package source, read with ``ast``, and its imports.
 
 No linter is part of the toolchain, so two of its checks live here: every
 import is used, and every module-level private function or class is
 referenced somewhere in the package.  Deleting a duplicate tends to leave
-one of these behind.
+one of these behind.  A third check keeps heavy scipy subpackages that no
+command needs off the import path of the CLI.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "genstokes"
 
@@ -64,3 +68,15 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert orphans == []
+
+
+def test_cli_import_leaves_out_interpolate_and_optimize():
+    # scipy.interpolate (and the scipy.optimize it pulls in) cost every
+    # command a third of a second of start-up; grid fields do without them
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, genstokes.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -377,6 +377,33 @@ def test_ch_inverse_batch_names_first_singular_sample():
         ch_inverse_batch(mats)
 
 
+def test_ch_inverse_batch_refuses_ill_conditioned_unimodular():
+    # rotated diag(l, l, 1/l^2): np.linalg.inv inverts these to 1e-7, but
+    # the Cayley-Hamilton form loses the small eigenvalue to cancellation
+    q = Rotation.from_euler("zyz", (0.3, 1.1, -0.7)).as_matrix()
+    mats = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    for k, lam in ((2, 1000.0), (3, 300.0)):
+        m = (q * np.array([lam, lam, lam**-2])) @ q.T
+        mats[k] = 0.5 * (m + m.T)
+        assert np.max(np.abs(mats[k] @ np.linalg.inv(mats[k]) - np.eye(3))) < 1e-6
+    with pytest.raises(SingularTensor,
+                       match=r"^2 sample\(s\) too ill-conditioned .*flat index 2,"):
+        ch_inverse_batch(mats)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_rotated_spectra())
+def test_ch_inverse_batch_right_or_refused(m):
+    # condition numbers up to 1e12: an inverse that is returned meets the
+    # product bound; anything worse raises
+    try:
+        x = ch_inverse_batch(m[None])
+    except SingularTensor:
+        return
+    resid = np.max(np.abs(m[None] @ x - np.eye(3)))
+    assert resid <= tensors._INVERSE_RESIDUAL_TOL
+
+
 def test_ch_inverse_batch_consistency():
     rng = np.random.default_rng(31)
     mats = np.stack([random_spd(rng).to_matrix() for _ in range(40)])
