@@ -242,13 +242,6 @@ def full_velocity_block(space: TaylorHoodSpace, mu, b_field,
     return K, F
 
 
-def discrete_gradients(geom: ElementGeometry, space: TaylorHoodSpace,
-                       u_full: np.ndarray) -> np.ndarray:
-    """Velocity gradient (ne, nq, a, c) = d_c v_a of a discrete field."""
-    uloc = u_full.reshape(-1, 3)[space.tet_nodes]  # (ne, 10, 3)
-    return np.einsum("eia,eqic->eqac", uloc, geom.grads, optimize=True)
-
-
 def korn_terms(space: TaylorHoodSpace, u_full: np.ndarray, quad_n: int = 3):
     """Quadrature-exact (||D(v)||^2, ||grad v||^2, ||div v||^2).
 
@@ -261,7 +254,7 @@ def korn_terms(space: TaylorHoodSpace, u_full: np.ndarray, quad_n: int = 3):
     if np.any(u_full[space.dirichlet_mask] != 0.0):
         raise BCViolation("coefficient vector nonzero on Dirichlet dofs")
     geom = space.geometry(quad_n)
-    gv = discrete_gradients(geom, space, u_full)
+    gv = geom.p2_grad(u_full.reshape(-1, 3)[space.tet_nodes])
     dv = 0.5 * (gv + np.swapaxes(gv, -1, -2))
     dd = float(np.einsum("eq,eqac,eqac->", geom.wdet, dv, dv))
     gg = float(np.einsum("eq,eqac,eqac->", geom.wdet, gv, gv))

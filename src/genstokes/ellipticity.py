@@ -83,14 +83,6 @@ class IntervalSet:
     def contains(self, lam: float) -> bool:
         return any(lo < lam < hi for lo, hi in self.intervals)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def is_positive_axis(self) -> bool:
-        return self.intervals == ((0.0, math.inf),)
-
     def finite_endpoints(self) -> list:
         out = []
         for lo, hi in self.intervals:

@@ -12,11 +12,12 @@ stable.  Tetrahedral quadrature comes from a conical-product construction
 for total degree <= 2n - 1 with n points per direction.
 
 Every element of a Kuhn mesh is a translate of one of the six tetrahedra of
-its first cell (element ``e`` of shape ``e % 6``), so the element matrices
-of the assembled blocks are fixed linear maps of the coefficient samples,
-one per shape (``ElementGeometry.kuhn_tables``).  Each space keeps the fixed
-CSR pattern of its assembled blocks and the slot of every element entry in
-it (``BlockPattern``).
+its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
+keeps its basis gradients, Jacobian determinants and element matrix maps
+(``ElementGeometry.kuhn_tables``) once per shape, and refuses a mesh whose
+elements are not such translates when it is built.  Each space keeps the
+fixed CSR pattern of its assembled blocks and the slot of every element
+entry in it (``BlockPattern``).
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ class BoxMesh:
 
     def volumes(self) -> np.ndarray:
         return np.abs(np.linalg.det(self.jacobians())) / 6.0
-
-    def p1_gradients(self) -> np.ndarray:
-        """(nt, 4, 3) physical gradients of the barycentric coordinates."""
-        # grad_x phi = Jinv^T grad_ref phi
-        return np.einsum("id,edc->eic", _DL, np.linalg.inv(self.jacobians()))
 
     def on_walls(self, pts) -> np.ndarray:
         """Mask of the points ``pts`` (m, 3) that lie on a face of the box."""
@@ -321,7 +317,14 @@ def p1_basis(pts: np.ndarray):
 
 
 class ElementGeometry:
-    """Per-element geometric tables shared by assembly and error integration.
+    """Geometric tables shared by assembly and error integration.
+
+    Element ``e`` is a translate of Kuhn shape ``e % 6`` (checked here, else
+    InvalidDimensions), so the Jacobian's tables are kept per shape: the
+    physical P2 basis gradients ``grads`` (6, nq, 10, 3), ``p1_grads``
+    (6, 4, 3) and ``detj`` (6,).  ``points`` (ne, nq, 3) and ``wdet``
+    (ne, nq) are per element.  The methods apply the shape tables to
+    per-element coefficients.
 
     The tables are read-only: ``TaylorHoodSpace.geometry`` hands one instance
     to every caller.  Neither the mesh nor the space is kept, so a space that
@@ -330,51 +333,38 @@ class ElementGeometry:
 
     def __init__(self, mesh: BoxMesh, space: TaylorHoodSpace, quad_n: int = 3):
         self.quad_n = quad_n
-        ref_pts, ref_wts = quad_tet(quad_n)
-        self.ref_pts = ref_pts
-        self.ref_wts = ref_wts
+        ref_pts, self.ref_wts = quad_tet(quad_n)
         self.n2_vals, n2_grads = p2_basis(ref_pts)
         self.p1_vals = p1_basis(ref_pts)
 
         jac = mesh.jacobians()
-        self.detj = np.linalg.det(jac)
-        self.p1_grads = mesh.p1_gradients()
-        # physical gradients grad_x phi = Jinv^T grad_ref phi, where the rows
-        # of Jinv are the gradients of barycentric coordinates 1-3
-        self.grads = np.einsum("qid,edc->eqic", n2_grads, self.p1_grads[:, 1:])
-        # physical quadrature points and weights
-        origin = mesh.vertices[mesh.tets[:, 0]]
-        self.points = origin[:, None, :] + np.einsum("qd,ecd->eqc", ref_pts, jac)
-        self.wdet = ref_wts[None, :] * np.abs(self.detj)[:, None]
+        nt = jac.shape[0]
+        if nt % 6:
+            raise InvalidDimensions(f"{nt} elements is not a whole number of Kuhn cells")
+        cells = jac.reshape(nt // 6, 6, 9)
+        scale = np.abs(cells[0]).max(axis=1)
+        off = np.abs(cells - cells[0]).max(axis=2) > _SHAPE_RTOL * scale
+        if np.any(off):
+            e = int(np.flatnonzero(off)[0])
+            raise InvalidDimensions(f"element {e} is not a translate of Kuhn shape {e % 6}: "
+                                    f"its Jacobian differs from element {e % 6}'s")
+        self.detj = np.linalg.det(jac[:6])
+        # grad_x phi = Jinv^T grad_ref phi; the rows of Jinv are the
+        # gradients of barycentric coordinates 1-3
+        self.p1_grads = np.einsum("id,sdc->sic", _DL, np.linalg.inv(jac[:6]))
+        self.grads = np.einsum("qid,sdc->sqic", n2_grads, self.p1_grads[:, 1:])
+        self.points = np.einsum("qd,ecd->eqc", ref_pts, jac)
+        self.points += mesh.vertices[mesh.tets[:, 0]][:, None, :]
+        self.wdet = np.tile(self.ref_wts * np.abs(self.detj)[:, None], (nt // 6, 1))
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
 
     @cached_property
     def kuhn_tables(self) -> "KuhnTables":
-        """The per-shape element maps, built on first use.
-
-        Raises InvalidDimensions unless every element's inverse Jacobian and
-        determinant equal those of its shape's representative ``e % 6``
-        (to a relative 1e-12), as on a mesh from :func:`build_mesh`.
-        """
-        nt = self.detj.shape[0]
-        if nt % 6:
-            raise InvalidDimensions(f"{nt} elements is not a whole number of Kuhn cells")
-        for name, table in (("inverse Jacobian", self.p1_grads), ("determinant", self.detj)):
-            cells = table.reshape(nt // 6, 6, -1)
-            rep = cells[0]
-            scale = np.abs(rep).max(axis=1, keepdims=True)
-            off = np.abs(cells - rep) > _SHAPE_RTOL * scale
-            if np.any(off):
-                e = int(np.flatnonzero(off.any(axis=2).ravel())[0])
-                raise InvalidDimensions(
-                    f"element {e} is not a translate of Kuhn shape {e % 6}: "
-                    f"its {name} differs from element {e % 6}'s"
-                )
-
-        g = self.grads[:6]   # (shape, q, i, 3)
-        w = self.wdet[:6]    # (shape, q)
+        """The per-shape element maps, built on first use."""
+        g = self.grads   # (shape, q, i, 3)
+        w = self.ref_wts * np.abs(self.detj)[:, None]    # (shape, q)
         basis = np.zeros((6, 3, 3))
         for t, (r, c) in enumerate(SYM_PAIRS):
             basis[t, r, c] = basis[t, c, r] = 1.0
@@ -404,9 +394,36 @@ class ElementGeometry:
     def flat_points(self) -> np.ndarray:
         return self.points.reshape(-1, 3)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate per-quadrature-point sample values (ne, nq)."""
-        return float(np.sum(self.wdet * values))
+    def integrate_constant(self, values: np.ndarray) -> float:
+        """Integrate a field that is constant on each element, given (ne,)."""
+        return float(np.sum(np.abs(self.detj) / 6.0 * values.reshape(-1, 6)))
+
+    def p2_grad(self, coeffs: np.ndarray) -> np.ndarray:
+        """(ne, nq, a, c) = d_c v_a at the quadrature points of the P2 fields
+        with element coefficients ``coeffs`` (ne, 10, a), stored in (e, q, c, a)
+        order; sums over it (the Korn terms, the audits) add in that order."""
+        return self._by_shape("xsia,sqic->xsqca", coeffs, self.grads).swapaxes(-1, -2)
+
+    def p2_hess(self, coeffs: np.ndarray) -> np.ndarray:
+        """(ne, a, c, d) = d_c d_d v_a, constant per element, of the P2 fields
+        with element coefficients ``coeffs`` (ne, 10, a)."""
+        # vertex i: 4 grad L_i grad L_i^T; edge (a, b): 4 (grad L_a grad L_b^T + transpose)
+        a, b = np.array([(0, 0), (1, 1), (2, 2), (3, 3), *LOCAL_EDGES]).T
+        outer = np.einsum("sic,sid->sicd", self.p1_grads[:, a], self.p1_grads[:, b])
+        hess = np.where(a == b, 2.0, 4.0)[:, None, None] * (outer + outer.swapaxes(-1, -2))
+        return self._by_shape("xsia,sicd->xsacd", coeffs, hess)
+
+    def p1_grad(self, coeffs: np.ndarray) -> np.ndarray:
+        """(ne, 3) gradient of the P1 field with vertex values ``coeffs`` (ne, 4)."""
+        return self._by_shape("xsi,sic->xsc", coeffs, self.p1_grads)
+
+    @staticmethod
+    def _by_shape(spec: str, coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """``np.einsum(spec, ...)`` of per-element ``coeffs`` (ne, ...) seen as
+        (ne / 6, 6, ...), and a per-shape ``table`` (6, ...), back per element."""
+        out = np.einsum(spec, coeffs.reshape(-1, 6, *coeffs.shape[1:]), table,
+                        optimize=True)
+        return out.reshape(-1, *out.shape[2:])
 
 
 class KuhnTables(NamedTuple):

@@ -274,8 +274,7 @@ class ScalarField:
 
     @classmethod
     def from_file(cls, path) -> "ScalarField":
-        values, box = _read_grid_file(path, ncomp=1)
-        return cls.grid(values[..., 0], box)
+        return _read_grid_file(path, ncomp=1)[0][0]
 
     # -- helpers ------------------------------------------------------------
     @property
@@ -305,19 +304,26 @@ class ScalarField:
             table.flags.writeable = False
         self._grid_axes = axes
 
-    def _trilinear(self, order: int, pts: np.ndarray) -> np.ndarray:
-        """Table ``order`` (values, gradients, Hessians) interpolated at the
-        (N, 3) ``pts`` clipped to the box.  The cell search, weights and
-        summation order are ``scipy.interpolate.RegularGridInterpolator``'s
-        linear method, so the results are its results bit for bit."""
-        table, shape = self._tables[order], self._payload.shape
-        base, fracs, (ny, nz) = 0, [], shape[1:]
+    def _locate(self, pts: np.ndarray):
+        """The cell of each of the (N, 3) ``pts`` clipped to the box: the flat
+        index of its lowest node, and the point's fractions along the axes."""
+        shape = self._payload.shape
+        base, fracs = 0, []
         for k, axis in enumerate(self._grid_axes):
             p = np.clip(pts[:, k], 0.0, self.box[k])
             i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, shape[k] - 2)
             fracs.append((p - axis[i]) / (axis[i + 1] - axis[i]))
             base = base * shape[k] + i
-        out = np.zeros((pts.shape[0],) + table.shape[1:])
+        return base, fracs
+
+    def _trilinear(self, order: int, cells) -> np.ndarray:
+        """Table ``order`` (values, gradients, Hessians) interpolated in the
+        ``cells = self._locate(pts)``.  The cell search, weights and
+        summation order are ``scipy.interpolate.RegularGridInterpolator``'s
+        linear method, so the results are its results bit for bit."""
+        (base, fracs), table = cells, self._tables[order]
+        ny, nz = self._payload.shape[1:]
+        out = np.zeros((base.shape[0],) + table.shape[1:])
         for corner in itertools.product((0, 1), repeat=3):
             wx, wy, wz = (f if c else 1 - f for c, f in zip(corner, fracs))
             rows = table[base + (corner[0] * ny + corner[1]) * nz + corner[2]]
@@ -332,7 +338,7 @@ class ScalarField:
             return np.full(pts.shape[0], self._payload)
         if self.kind == "expression":
             return self._fn(pts)
-        return self._trilinear(0, pts)
+        return self._trilinear(0, self._locate(pts))
 
     def grad(self, pts) -> np.ndarray:
         """First derivatives, shape (N, 3)."""
@@ -341,7 +347,7 @@ class ScalarField:
             return np.zeros((pts.shape[0], 3))
         if self.kind == "expression":
             return self.derivative_stack(pts, 1)
-        return self._trilinear(1, pts)
+        return self._trilinear(1, self._locate(pts))
 
     def hess(self, pts) -> np.ndarray:
         """Second derivatives, shape (N, 3, 3)."""
@@ -350,7 +356,7 @@ class ScalarField:
             return np.zeros((pts.shape[0], 3, 3))
         if self.kind == "expression":
             return self.derivative_stack(pts, 2)[:, _HESS_INDEX]
-        return self._trilinear(2, pts)
+        return self._trilinear(2, self._locate(pts))
 
     def derivative_stack(self, pts, order: int) -> np.ndarray:
         """All distinct derivatives of the given order, shape (N, n_multi).
@@ -371,7 +377,7 @@ class ScalarField:
                 raise NonDifferentiableField(
                     f"grid fields provide derivatives up to order 2, not {order}"
                 )
-            table = self._trilinear(order, pts)
+            table = self._trilinear(order, self._locate(pts))
             return np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
         jet, row = _taylor_jet(self._payload, pts, order)
         if isinstance(jet, float):
@@ -421,22 +427,22 @@ class TensorField:
 
     @classmethod
     def from_file(cls, path) -> "TensorField":
-        values, box = _read_grid_file(path, ncomp=6)
-        fields = {
-            name: ScalarField.grid(values[..., i], box)
-            for i, name in enumerate(COMPONENT_ORDER)
-        }
-        return cls("grid", fields, box=box)
+        fields, box = _read_grid_file(path, ncomp=6)
+        return cls("grid", dict(zip(COMPONENT_ORDER, fields)), box=box)
 
     def _symmetric(self, pts, derivative: str, shape: tuple) -> np.ndarray:
         """(N, *shape, 3, 3) stack of each component's ``derivative``
-        (eval, grad or hess), written to both triangles; zero if constant."""
+        (eval, grad or hess), written to both triangles; zero if constant.
+        A grid field's components share one lattice: cells are located once."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros((pts.shape[0],) + shape + (3, 3))
         if self.kind != "constant":
+            cells = self.components["a11"]._locate(pts) if self.kind == "grid" else None
             for name, fld in self.components.items():
                 i, j = _COMP_INDEX[name]
-                out[..., i, j] = out[..., j, i] = getattr(fld, derivative)(pts)
+                out[..., i, j] = out[..., j, i] = (
+                    getattr(fld, derivative)(pts) if cells is None
+                    else fld._trilinear(len(shape), cells))
         return out
 
     def eval(self, pts) -> np.ndarray:
@@ -491,17 +497,14 @@ class VectorField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.stack([c.grad(pts) for c in self.components], axis=-2)
 
-    @property
-    def exprs(self):
-        return tuple(c.expr for c in self.components)
-
 
 def _read_grid_file(path, ncomp: int):
+    """The ``ncomp`` component grid fields of a grid file, and its box."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 6:
-                raise ConfigError(f"{path}: header must be 'nx ny nz Lx Ly Lz'")
+                raise ConfigError("header must be 'nx ny nz Lx Ly Lz'")
             shape = tuple(int(v) for v in header[:3])
             box = tuple(float(v) for v in header[3:])
             data = np.loadtxt(fh, dtype=float, ndmin=2)
@@ -509,10 +512,13 @@ def _read_grid_file(path, ncomp: int):
             data = data.reshape(-1, 1)
         if data.shape != (math.prod(shape), ncomp):
             raise ConfigError(
-                f"{path}: expected {math.prod(shape)} records of {ncomp} values, "
+                f"expected {math.prod(shape)} records of {ncomp} values, "
                 f"got shape {data.shape}"
             )
-        return data.reshape(shape + (ncomp,)), box
+        values = data.reshape(shape + (ncomp,))
+        return [ScalarField.grid(values[..., i], box) for i in range(ncomp)], box
+    except ConfigError as exc:  # a malformed header or record count, or a refused box
+        raise ConfigError(f"{path}: {exc}") from None
     except (OSError, ValueError) as exc:  # unreadable text, numbers or node counts
         raise ConfigError(f"{path}: cannot read grid file: {exc}") from exc
 

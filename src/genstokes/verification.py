@@ -27,10 +27,10 @@ import numpy as np
 import sympy as sp
 from scipy.special import roots_legendre
 
-from .assembly import SaddleSystem, assemble, discrete_gradients
+from .assembly import SaddleSystem, assemble
 from .constitutive import BoundAudit, MuTriple, _d_acal, _mu_fields, _ratio_audit
 from .errors import MissingNormInput, NonDifferentiableExpression
-from .fem import LOCAL_EDGES, TaylorHoodSpace, build_mesh, lattice_points
+from .fem import TaylorHoodSpace, build_mesh, lattice_points
 from .fields import ScalarField, TensorField, VectorField
 from .solver import SolveResult, minres_solve, solve, uzawa_solve
 from .tensors import ch_inverse_batch, d_inverse_batch
@@ -195,7 +195,7 @@ def errors_against_exact(system: SaddleSystem, result: SolveResult,
     gv_exact = case.v_field.grad(pts).reshape(ne, nq, 3, 3)
     uloc = result.velocity.reshape(-1, 3)[space.tet_nodes]
     v_h = np.einsum("qi,eia->eqa", geom.n2_vals, uloc)
-    gv_h = discrete_gradients(geom, space, result.velocity)
+    gv_h = geom.p2_grad(uloc)
 
     dv = v_h - v_exact
     dg = gv_h - gv_exact
@@ -286,28 +286,18 @@ def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
 def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray) -> float:
     """Elementwise ||D^2 v_h||_{L^2}; second derivatives of quadratics are
     constant per element."""
-    mesh = space.mesh
-    dl = mesh.p1_gradients()  # (ne, 4, 3) physical grad L
-    hess = np.zeros((mesh.n_tets, 10, 3, 3))
-    for i in range(4):
-        hess[:, i] = 4.0 * np.einsum("ec,ed->ecd", dl[:, i], dl[:, i])
-    for k, (a, b) in enumerate(LOCAL_EDGES):
-        hess[:, 4 + k] = 4.0 * (
-            np.einsum("ec,ed->ecd", dl[:, a], dl[:, b])
-            + np.einsum("ec,ed->ecd", dl[:, b], dl[:, a])
-        )
-    uloc = u_full.reshape(-1, 3)[space.tet_nodes]  # (ne, 10, 3)
-    hv = np.einsum("eia,eicd->eacd", uloc, hess)  # (ne, 3, 3, 3)
+    geom = space.geometry()
+    hv = geom.p2_hess(u_full.reshape(-1, 3)[space.tet_nodes])  # (ne, 3, 3, 3)
     # multi-index convention: each distinct second derivative counted once
     w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
-    per_elem = np.einsum("eacd,cd->e", hv * hv, w)
-    return math.sqrt(float(np.sum(mesh.volumes() * per_elem)))
+    return math.sqrt(geom.integrate_constant(np.einsum("eacd,cd->e", hv * hv, w)))
 
 
-def broken_h1_pressure(mesh, p_coeffs: np.ndarray) -> float:
+def broken_h1_pressure(space: TaylorHoodSpace, p_coeffs: np.ndarray) -> float:
     """Elementwise ||grad p_h||_{L^2} for the piecewise-linear pressure."""
-    g = np.einsum("ei,eic->ec", p_coeffs[mesh.tets], mesh.p1_gradients())
-    return math.sqrt(float(np.sum(mesh.volumes() * np.sum(g * g, axis=1))))
+    geom = space.geometry()
+    g = geom.p1_grad(p_coeffs[space.mesh.tets])
+    return math.sqrt(geom.integrate_constant(np.sum(g * g, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +506,7 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
     alpha = system.alpha
     anorm = system.anorm_inf
     geom = system.space.geometry(system.quad_n)
-    gv = discrete_gradients(geom, system.space, result.velocity)
+    gv = geom.p2_grad(result.velocity.reshape(-1, 3)[system.space.tet_nodes])
     grad_v = math.sqrt(float(np.einsum("eq,eqac,eqac->", geom.wdet, gv, gv)))
 
     p_h = np.einsum("qj,ej->eq", geom.p1_vals, result.pressure[mesh.tets])
@@ -541,7 +531,7 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
         d2v = broken_h2_velocity(system.space, result.velocity)
         rhs_d2v = (1.0 / alpha) * (f_l2 + (1.0 / alpha) * a_w1inf * f_dual)
         bounds.append(_ratio_audit("d2v_broken", d2v, rhs_d2v))
-        gp = broken_h1_pressure(mesh, result.pressure)
+        gp = broken_h1_pressure(system.space, result.pressure)
         bounds.append(_ratio_audit("grad_p_broken", gp, anorm * rhs_d2v))
 
     norms = {

@@ -183,6 +183,7 @@ def test_malformed_grid_file_exits_2(tmp_path, capsys, command, text):
     captured = capsys.readouterr()
     assert code == 2
     assert "configuration error" in captured.err
+    assert str(grid) in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -10,6 +10,7 @@ import pytest
 from genstokes.errors import InvalidDimensions
 from genstokes.fem import (
     LOCAL_EDGES,
+    BoxMesh,
     TaylorHoodSpace,
     build_mesh,
     p1_basis,
@@ -176,3 +177,80 @@ def test_geometry_cache_forms_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_shape_tables_match_per_element_reference():
+    # on a non-dyadic anisotropic mesh the elements of one shape have
+    # Jacobians that differ in the last bits; the shape tables, built from
+    # the first cell, must agree with tables built from every element's own
+    # Jacobian
+    from genstokes.assembly import korn_terms
+    from genstokes.verification import broken_h1_pressure, broken_h2_velocity
+
+    mesh = build_mesh(3, 2, 5, 1.0, 2.0, 0.5)
+    space = TaylorHoodSpace(mesh)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(space.n_velocity)
+    u[space.dirichlet_mask] = 0.0
+    p = rng.standard_normal(space.n_pressure)
+    uloc = u.reshape(-1, 3)[space.tet_nodes]
+
+    jac = mesh.jacobians()
+    vol = np.abs(np.linalg.det(jac)) / 6.0
+    jinv = np.linalg.inv(jac)  # row k: gradient of barycentric coordinate k + 1
+    dl = np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1)
+
+    def rel(got, want):
+        return np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want))
+
+    for quad_n in (3, 4):
+        ref_pts, ref_wts = quad_tet(quad_n)
+        grads = np.einsum("qid,edc->eqic", p2_basis(ref_pts)[1], jinv)
+        gv = np.einsum("eia,eqic->eqac", uloc, grads)
+        wdet = 6.0 * vol[:, None] * ref_wts
+        dv = 0.5 * (gv + np.swapaxes(gv, -1, -2))
+        div = np.einsum("eqaa->eq", gv)
+        want = [np.sum(wdet[..., None, None] * dv * dv),
+                np.sum(wdet[..., None, None] * gv * gv), np.sum(wdet * div * div)]
+        assert rel(space.geometry(quad_n).p2_grad(uloc), gv) < 1e-13
+        assert rel(korn_terms(space, u, quad_n), want) < 1e-13
+
+    hess = np.zeros((mesh.n_tets, 10, 3, 3))
+    for i in range(4):
+        hess[:, i] = 4.0 * np.einsum("ec,ed->ecd", dl[:, i], dl[:, i])
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        outer = np.einsum("ec,ed->ecd", dl[:, a], dl[:, b])
+        hess[:, 4 + k] = 4.0 * (outer + np.swapaxes(outer, 1, 2))
+    hv = np.einsum("eia,eicd->eacd", uloc, hess)
+    w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    want_h2 = np.sqrt(np.sum(vol * np.einsum("eacd,cd->e", hv * hv, w)))
+    assert rel(broken_h2_velocity(space, u), want_h2) < 1e-13
+    gp = np.einsum("ei,eic->ec", p[mesh.tets], dl)
+    want_h1 = np.sqrt(np.sum(vol * np.sum(gp * gp, axis=1)))
+    assert rel(broken_h1_pressure(space, p), want_h1) < 1e-13
+
+
+def test_geometry_refuses_partial_kuhn_cell():
+    mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
+    cut = BoxMesh(1, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[:5],
+                  mesh.edges, mesh.tet_edges[:5])
+    with pytest.raises(InvalidDimensions, match="not a whole number of Kuhn cells"):
+        TaylorHoodSpace(cut).geometry(3)
+
+
+def test_geometry_memory_is_per_shape():
+    # tracemalloc peak of the quad_n = 4 geometry at mesh 8: 6.7 MB, almost
+    # all of it the per-element points and weights; a per-element gradient
+    # table would add 47 MB (the whole build peaked at 57 MB with one).
+    # The bound leaves a 50% margin.
+    import tracemalloc
+
+    space = TaylorHoodSpace(build_mesh(8, 8, 8, 1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        geom = space.geometry(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert geom.grads.shape == (6, 64, 10, 3)

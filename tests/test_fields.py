@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from genstokes.errors import ConfigError, NonDifferentiableField
 from genstokes.fields import (
+    COMPONENT_ORDER,
     ScalarField,
     TensorField,
     VectorField,
@@ -145,6 +146,25 @@ def test_grid_evaluator_bitwise_equals_regular_grid_interpolator(shape, box,
                          _rgi_oracle(values, box, pts)):
         assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(fld.eval(pts)).any() == nan_node
+
+
+def test_tensor_grid_locates_once_and_matches_components_bitwise(tmp_path):
+    # the tensor field locates each point's cell once for its six components;
+    # every entry must equal that component's own eval/grad/hess bit for bit
+    rng = np.random.default_rng(11)
+    box = (1.0, 2.0, 0.5)
+    path = tmp_path / "field.txt"
+    write_grid_file(path, rng.uniform(0.5, 1.5, size=(4, 3, 5, 6)), box)
+    fld = TensorField.from_file(path)
+    pts = np.concatenate([rng.uniform(-0.2, 1.2, size=(300, 3)) * box,
+                          [[0.0, 0.0, 0.0], box]])
+    slots = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    for derivative in ("eval", "grad", "hess"):
+        got = getattr(fld, derivative)(pts)
+        for name, (i, j) in zip(COMPONENT_ORDER, slots):
+            want = getattr(fld.components[name], derivative)(pts)
+            assert np.array_equal(got[..., i, j], want)
+            assert np.array_equal(got[..., j, i], want)
 
 
 def test_tensor_grid_file_roundtrip(tmp_path):

@@ -1,10 +1,11 @@
 """Static checks on the package source, read with ``ast``, and its imports.
 
 No linter is part of the toolchain, so two of its checks live here: every
-import is used, and every module-level private function or class is
-referenced somewhere in the package.  Deleting a duplicate tends to leave
-one of these behind.  A third check keeps heavy scipy subpackages that no
-command needs off the import path of the CLI.
+import is used, and every private function, class, method or property
+(module-level or in a class body) is referenced somewhere in the package.
+Deleting a duplicate tends to leave one of these behind.  A third check
+keeps heavy scipy subpackages that no command needs off the import path of
+the CLI.
 """
 
 import ast
@@ -55,15 +56,19 @@ def test_no_unused_imports():
 
 
 def test_no_unreferenced_private_definitions():
+    # module-level functions and classes, and the methods and properties in
+    # class bodies
     modules = _modules()
     referenced = set()
     for tree in modules.values():
         referenced |= _referenced(tree)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     orphans = [
         f"{name}:{node.lineno} {node.name}"
         for name, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for top in tree.body
+        for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+        if isinstance(node, defs)
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in referenced
     ]

@@ -293,7 +293,7 @@ def test_broken_h2_exact_for_quadratic_field():
 def test_broken_h1_pressure_linear_field():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     p = mesh.vertices[:, 0].copy()
-    assert broken_h1_pressure(mesh, p) == pytest.approx(1.0, rel=1e-12)
+    assert broken_h1_pressure(TaylorHoodSpace(mesh), p) == pytest.approx(1.0, rel=1e-12)
 
 
 # case_norm_suite values of the sp.diff + lambdify implementation; the
