@@ -50,7 +50,7 @@ from .errors import (
 )
 from .fem import TaylorHoodSpace, build_mesh, cell_centres
 from .fields import TensorField, VectorField
-from .solver import minres_solve, solve, uzawa_solve
+from .solver import minres_solve, solve
 from .verification import (
     SHIPPED_CASES,
     audit_estimates,
@@ -129,8 +129,6 @@ def _parse_triple(spec: str, name: str, cast=float):
 
 def _tensor_field_from_args(args) -> TensorField:
     if getattr(args, "b_grid", None):
-        if not os.path.exists(args.b_grid):
-            raise ConfigError(f"tensor grid file {args.b_grid!r} not found")
         return TensorField.from_file(args.b_grid)
     if getattr(args, "b_expr", None):
         comps = {}
@@ -232,9 +230,7 @@ def cmd_solve(args) -> int:
         print(f"ellipticity precheck failed: {exc}")
         return EXIT_NOT_ELLIPTIC
     try:
-        if args.method == "uzawa":
-            result = uzawa_solve(system, outer_tol=args.tol, tol=args.tol)
-        elif args.method == "direct":
+        if args.method == "direct":
             result = solve(system, tol=args.tol)
         else:
             result = minres_solve(system, tol=args.tol)
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--f-expr", help="fx;fy;fz forcing expressions")
     ps.add_argument("--quad", type=int, default=3,
                     help="quadrature points per direction")
-    ps.add_argument("--method", choices=("minres", "direct", "uzawa"),
+    ps.add_argument("--method", choices=("minres", "direct"),
                     default="minres")
     ps.add_argument("--tol", type=float, default=1e-10)
     ps.add_argument("--vtk", help="VTK output path")

@@ -271,7 +271,6 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
             db_l6**2 + sup_b * d2b_l3,
         ))
         d2a = _second_derivative_acal(mu_f, pts, bvals, binv, dbvals, dbinv, d2b, d2binv)
-        sup_dmu = [float(np.max(np.abs(f.grad(pts)))) for f in mu_f]
         d2mu_l3 = [_lp_norm(f.hess(pts), 3.0, volume) for f in mu_f]
         rhs_no_c = (
             d2mu_l3[0]

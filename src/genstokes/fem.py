@@ -115,9 +115,6 @@ class BoxMesh:
         v = self.vertices[self.tets]
         return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
 
-    def volumes(self) -> np.ndarray:
-        return np.abs(np.linalg.det(self.jacobians())) / 6.0
-
     def on_walls(self, pts) -> np.ndarray:
         """Mask of the points ``pts`` (m, 3) that lie on a face of the box."""
         tol = 1e-12 * max(self.box)

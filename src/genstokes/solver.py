@@ -18,10 +18,7 @@ tolerance; every method's final residual is gated at that tolerance.
 
 The reference route factors the full symmetric indefinite KKT matrix
 (velocity block, divergence block, pressure gauge row) with a sparse LU and
-polishes with one step of iterative refinement.  A pressure Schur-complement
-iteration -- conjugate gradients on S = G^t K^{-1} G with inner
-conjugate-gradient solves of K, preconditioned by the same lattice Poisson
-solve -- is kept as a cross-check.
+polishes with one step of iterative refinement.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .assembly import SaddleSystem
 from .errors import FactorizationFailure, MaxIterations, ResidualTooLarge
 
-__all__ = ["SolveResult", "minres_solve", "solve", "uzawa_solve"]
+__all__ = ["SolveResult", "minres_solve", "solve"]
 
 
 @dataclass
@@ -62,8 +59,8 @@ def _check_gauge(m: np.ndarray) -> None:
 
 
 def _check_load(F: np.ndarray) -> None:
-    # a NaN or inf load cannot give a finite solution; iterating on it only
-    # spends the iteration cap before failing
+    # a NaN or inf load cannot give a finite solution; iterating on it or
+    # factorizing it only spends the work before the residual gate fails
     bad = np.flatnonzero(~np.isfinite(F))
     if bad.size:
         raise ResidualTooLarge(
@@ -112,7 +109,12 @@ def _finish(system: SaddleSystem, u_int, p, xi, tol, stats) -> SolveResult:
 
 
 def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
-    """Sparse direct solve of the full KKT system."""
+    """Sparse direct solve of the full KKT system.
+
+    Raises ResidualTooLarge before factorizing when the load vector has a
+    non-finite entry; the final full residual is checked against ``tol``.
+    """
+    _check_load(system.F)
     b = system.rhs()
     ni, npr = system.n_interior, system.n_pressure
     if np.linalg.norm(b) == 0.0:
@@ -138,7 +140,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
 
 
 def _lattice_preconditioner(system: SaddleSystem):
-    """Block-diagonal preconditioner shared by MINRES and the Uzawa inner CG.
+    """Block-diagonal SPD preconditioner of the MINRES iteration.
 
     Returns ``(velocity, pressure_weight)``.  ``velocity(r)`` applies, per
     component, the inverse of c times the P1 stiffness of the Kuhn lattice
@@ -282,73 +284,3 @@ def minres_solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
         "residual_history": history,
     }
     return _finish(system, x[:ni], x[ni:], 0.0, tol, stats)
-
-
-def _cg(apply_a, b, tol, maxiter, precond=None, label="cg"):
-    """Plain (preconditioned) conjugate gradients; returns (x, iterations)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, 0
-    z = precond(r) if precond else r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, maxiter + 1):
-        ap = apply_a(p)
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, it
-        z = precond(r) if precond else r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise MaxIterations(f"{label}: no convergence in {maxiter} iterations")
-
-
-def uzawa_solve(
-    system: SaddleSystem,
-    outer_tol: float = 1e-10,
-    max_outer: int = 400,
-    tol: float = 1e-8,
-) -> SolveResult:
-    """Pressure Schur-complement iteration with lattice-preconditioned CG
-    inner solves.
-
-    Raises ResidualTooLarge before iterating when the load vector has a
-    non-finite entry, and MaxIterations when the outer iteration cannot
-    reach ``outer_tol`` within ``max_outer`` steps.  The final full residual
-    is checked against ``tol``.
-    """
-    K, G, F = system.K, system.G, system.F
-    _check_load(F)
-    if np.linalg.norm(F) == 0.0:
-        return _zero_solution(system, {"method": "uzawa", "outer_iterations": 0})
-    velocity, _ = _lattice_preconditioner(system)
-    inner_count = [0]
-
-    def ksolve(rhs):
-        x, it = _cg(
-            lambda v: K @ v, rhs, tol=1e-13, maxiter=20 * max(K.shape[0], 100),
-            precond=velocity, label="inner cg",
-        )
-        inner_count[0] += it
-        return x
-
-    g = G.T @ ksolve(F)
-    outer_count = [0]
-
-    def apply_s(p):
-        outer_count[0] += 1
-        return G.T @ ksolve(G @ p)
-
-    p, _ = _cg(apply_s, g, tol=outer_tol, maxiter=max_outer, label="schur cg")
-    u_int = ksolve(F - G @ p)
-    stats = {
-        "method": "uzawa",
-        "outer_iterations": int(outer_count[0]),
-        "inner_iterations": int(inner_count[0]),
-    }
-    return _finish(system, u_int, p, 0.0, tol, stats)

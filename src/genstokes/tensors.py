@@ -90,26 +90,6 @@ class SymTensor3:
             ]
         )
 
-    # -- small arithmetic helpers -------------------------------------------------
-    def __add__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(
-            self.a11 + other.a11,
-            self.a22 + other.a22,
-            self.a33 + other.a33,
-            self.a12 + other.a12,
-            self.a13 + other.a13,
-            self.a23 + other.a23,
-        )
-
-    def __sub__(self, other: "SymTensor3") -> "SymTensor3":
-        return self + other.scale(-1.0)
-
-    def scale(self, c: float) -> "SymTensor3":
-        return SymTensor3(
-            c * self.a11, c * self.a22, c * self.a33,
-            c * self.a12, c * self.a13, c * self.a23,
-        )
-
     def ddot(self, other: "SymTensor3") -> float:
         """Frobenius inner product A : B."""
         return (

@@ -32,7 +32,7 @@ from .constitutive import BoundAudit, MuTriple, _d_acal, _mu_fields, _ratio_audi
 from .errors import MissingNormInput, NonDifferentiableExpression
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
 from .fields import ScalarField, TensorField, VectorField
-from .solver import SolveResult, minres_solve, solve, uzawa_solve
+from .solver import SolveResult, minres_solve
 from .tensors import ch_inverse_batch, d_inverse_batch
 
 __all__ = [
@@ -252,18 +252,17 @@ class ConvergenceTable:
 
 
 def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
-                    threads: int = 1, method: str = "minres",
-                    box=(1.0, 1.0, 1.0), with_audits: bool = True) -> ConvergenceTable:
+                    threads: int = 1, box=(1.0, 1.0, 1.0),
+                    with_audits: bool = True) -> ConvergenceTable:
     """Solve the case on a mesh sequence and tabulate errors and rates."""
     table = ConvergenceTable(case.name, list(divisions), [], [], [], [])
-    solver = {"minres": minres_solve, "direct": solve, "uzawa": uzawa_solve}[method]
     case_norms = case_norm_suite(case, lambda1_box(*box), box) if with_audits else None
     for n in divisions:
         mesh = build_mesh(n, n, n, *box)
         space = TaylorHoodSpace(mesh)
         system = assemble(mesh, space, case.mu, case.b_field, case.f_field,
                           quad_n=quad_n, threads=threads)
-        result = solver(system)
+        result = minres_solve(system)
         e_h1, e_l2, e_p = errors_against_exact(system, result, case)
         table.h.append(max(box) / n)
         table.e_h1.append(e_h1)

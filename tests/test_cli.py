@@ -8,7 +8,7 @@ import pytest
 from genstokes.cli import main
 from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, write_grid_file
-from genstokes.solver import uzawa_solve
+from genstokes.solver import minres_solve, solve
 from genstokes.tensors import eig_sym3_batch
 
 
@@ -187,34 +187,48 @@ def test_malformed_grid_file_exits_2(tmp_path, capsys, command, text):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_solve_uzawa_method(tmp_path):
+def test_solve_direct_method(tmp_path):
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", "uzawa", "--tol", "1e-9",
+                 "--mesh", "2", "--method", "direct", "--tol", "1e-9",
                  "--f-expr", "0; 1; 0"])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["solver"]["method"] == "uzawa"
+    assert report["solver"]["method"] == "direct"
+    assert "factor_nnz" in report["solver"]
+
+
+def test_solve_unknown_method_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
+              "--mesh", "2", "--method", "uzawa"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "invalid choice: 'uzawa'" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("method", ["minres", "direct"])
 def test_solve_nan_forcing_exits_5(tmp_path, method):
-    # a NaN load gives a NaN residual, which must fail the gate
+    # a NaN load is refused before the solver iterates or factorizes
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
                  "--mesh", "2", "--method", method, "--f-expr", "nan; 0; 0"])
     assert code == 5
 
 
-def test_solve_uzawa_tol_gates_final_residual(tmp_path, monkeypatch):
-    # --tol is the final residual gate too, not only the outer tolerance
+@pytest.mark.parametrize("method, solver", [("minres", minres_solve),
+                                            ("direct", solve)],
+                         ids=["minres", "direct"])
+def test_solve_tol_gates_final_residual(tmp_path, monkeypatch, method, solver):
+    # --tol reaches the solver, whose final residual gate it is
     seen = {}
 
     def spy(system, **kwargs):
         seen.update(kwargs)
-        return uzawa_solve(system, **kwargs)
+        return solver(system, **kwargs)
 
-    monkeypatch.setattr("genstokes.cli.uzawa_solve", spy)
+    monkeypatch.setattr(f"genstokes.cli.{solver.__name__}", spy)
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", "uzawa", "--tol", "1e-12",
+                 "--mesh", "2", "--method", method, "--tol", "1e-12",
                  "--f-expr", "0; 1; 0"])
     assert seen["tol"] == 1e-12
     assert code in (0, 5)
@@ -301,6 +315,18 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path):
     assert main(["--config", str(tmp_path / "none.cfg"), "verify"]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "ellipticity"])
+def test_missing_b_grid_exits_2(tmp_path, capsys, command):
+    grid = tmp_path / "absent.txt"
+    code = main(["--out", str(tmp_path), command, "--mu", "1,1,1",
+                 "--b-grid", str(grid)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert str(grid) in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Direct and Schur-complement solvers of the saddle system."""
+"""MINRES and direct solvers of the saddle system."""
 
 import dataclasses
 import tracemalloc
@@ -13,8 +13,7 @@ from genstokes.errors import FactorizationFailure, MaxIterations, ResidualTooLar
 from genstokes.fem import TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, VectorField
 from genstokes.solver import (_CHECK_EVERY, _MAXITER, _STOP_DIVISOR,
-                              _lattice_preconditioner, minres_solve, solve,
-                              uzawa_solve)
+                              _lattice_preconditioner, minres_solve, solve)
 from genstokes.verification import SHIPPED_CASES, make_classical_case
 
 
@@ -64,35 +63,6 @@ def test_solve_deterministic(small_system):
     assert np.array_equal(a.pressure, b.pressure)
 
 
-def test_uzawa_agrees_with_direct(small_system):
-    mesh = small_system.mesh
-    space = small_system.space
-    rng = np.random.default_rng(3)
-    scale = np.max(np.abs(small_system.K.toarray()))
-    for trial in range(20):
-        f = VectorField.constant(*rng.uniform(-1, 1, size=3))
-        system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0),
-                          TensorField.identity(), f)
-        d = solve(system)
-        u = uzawa_solve(system, outer_tol=1e-12)
-        assert np.max(np.abs(d.velocity - u.velocity)) <= 1e-8
-        assert np.max(np.abs(d.pressure - u.pressure)) <= 1e-8
-
-
-def test_uzawa_zero_forcing_immediate():
-    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
-    space = TaylorHoodSpace(mesh)
-    system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
-    result = uzawa_solve(system)
-    assert result.stats["outer_iterations"] == 0
-    assert np.all(result.velocity == 0.0)
-
-
-def test_uzawa_unreachable_tolerance(small_system):
-    with pytest.raises(MaxIterations):
-        uzawa_solve(small_system, outer_tol=0.0, max_outer=10)
-
-
 def test_factorization_failure_reported(small_system):
     broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
     with pytest.raises(FactorizationFailure):
@@ -110,15 +80,15 @@ def test_superlu_resource_errors_reported(small_system, monkeypatch, exc):
         solve(small_system)
 
 
-@pytest.mark.parametrize("solver", [uzawa_solve, minres_solve])
+@pytest.mark.parametrize("solver", [minres_solve])
 def test_zero_gauge_row_reported(small_system, solver):
-    # without the check uzawa returned NaN pressures with residual nan
+    # without the check the pressure preconditioner divides by m = 0
     broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
     with pytest.raises(FactorizationFailure):
         solver(broken)
 
 
-@pytest.mark.parametrize("solver", [uzawa_solve, minres_solve])
+@pytest.mark.parametrize("solver", [solve, minres_solve])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_load_rejected_before_iterating(small_system, solver, bad,
                                                    monkeypatch):
@@ -126,10 +96,10 @@ def test_non_finite_load_rejected_before_iterating(small_system, solver, bad,
 
     def spy(*args, **kwargs):
         calls.append(args)
-        raise AssertionError("iterated on a non-finite load")
+        raise AssertionError("iterated on or factorized a non-finite load")
 
     monkeypatch.setattr("genstokes.solver._minres", spy)
-    monkeypatch.setattr("genstokes.solver._cg", spy)
+    monkeypatch.setattr("genstokes.solver.spla.splu", spy)
     F = small_system.F.copy()
     F[5] = bad
     broken = dataclasses.replace(small_system, F=F)
