@@ -5,7 +5,7 @@ The velocity block entry for test function phi_i e_a and trial phi_j e_b is
     K[(i,a),(j,b)] = int (D(phi_j e_b) A + A D(phi_j e_b)) : grad(phi_i e_a),
 
 the divergence block G[(i,a), j] = -int q_j d_a phi_i, the load
-F[(i,a)] = int f_a phi_i, and the pressure gauge row m_j = int q_j.  The
+F[(i,a)] = int f_a phi_i, and the pressure gauge weights m_j = int q_j.  The
 coefficient A = mu1 I + mu2 B + mu3 B^{-1} is evaluated at quadrature points
 (no interpolation of B onto finite element spaces).
 
@@ -53,7 +53,7 @@ class SaddleSystem:
 
     K is the (interior-dof) velocity block, G the divergence block with
     shape (n_interior, n_pressure), F the load vector, m the pressure gauge
-    row.  ``alpha`` and ``anorm_inf`` are the extreme eigenvalues of the
+    weights.  ``alpha`` and ``anorm_inf`` are the extreme eigenvalues of the
     coefficient tensor sampled at the assembly quadrature points.
     """
 
@@ -76,22 +76,6 @@ class SaddleSystem:
     @property
     def n_pressure(self) -> int:
         return self.G.shape[1]
-
-    def kkt(self) -> sparse.csc_matrix:
-        """Full symmetric saddle matrix [[K, G, 0], [G^t, 0, m], [0, m^t, 0]]."""
-        m_col = sparse.csc_matrix(self.m.reshape(-1, 1))
-        zero = sparse.csc_matrix((self.n_interior, 1))
-        return sparse.bmat(
-            [
-                [self.K, self.G, zero],
-                [self.G.T, None, m_col],
-                [zero.T, m_col.T, None],
-            ],
-            format="csc",
-        )
-
-    def rhs(self) -> np.ndarray:
-        return np.concatenate([self.F, np.zeros(self.n_pressure + 1)])
 
     def expand_velocity(self, u_int: np.ndarray) -> np.ndarray:
         """Interior coefficients -> full vector with zero walls."""

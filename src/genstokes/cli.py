@@ -463,6 +463,9 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(args)
+    except SystemExit as exc:
+        # argparse exits on --help (0) and on a usage error (2)
+        return exc.code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, NonDifferentiableField
 from .fields import ScalarField, TensorField
-from .tensors import SymTensor3, ch_inverse_batch, d2_inverse_batch, d_inverse_batch
+from .tensors import (UNIMODULAR_TOL, SymTensor3, ch_inverse_batch,
+                      d2_inverse_batch, d_inverse_batch)
 
 __all__ = [
     "MuTriple",
@@ -223,7 +224,7 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
             "derivative audits requested on constant-only data"
         )
 
-    unimodular = bool(np.max(np.abs(dets - 1.0)) <= 1e-8)
+    unimodular = bool(np.max(np.abs(dets - 1.0)) <= UNIMODULAR_TOL)
     dbvals = b.grad(pts)  # (N, k, 3, 3)
     sup_db = float(np.max(np.abs(dbvals))) if dbvals.size else 0.0
 

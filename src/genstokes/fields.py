@@ -39,7 +39,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import ConfigError, NonDifferentiableField
-from .tensors import SymTensor3
+from .tensors import UNIMODULAR_TOL, SymTensor3
 
 __all__ = [
     "ScalarField",
@@ -426,6 +426,12 @@ class TensorField:
         return cls("expression", fields)
 
     @classmethod
+    def from_sympy(cls, matrix: sp.Matrix) -> "TensorField":
+        """Build from a symmetric 3x3 sympy Matrix of expressions."""
+        return cls.expression({name: matrix[ij]
+                               for name, ij in _COMP_INDEX.items()})
+
+    @classmethod
     def from_file(cls, path) -> "TensorField":
         fields, box = _read_grid_file(path, ncomp=6)
         return cls("grid", dict(zip(COMPONENT_ORDER, fields)), box=box)
@@ -457,7 +463,7 @@ class TensorField:
     def hess(self, pts) -> np.ndarray:
         return self._symmetric(pts, "hess", (3, 3))
 
-    def check_unimodular(self, pts, tol: float = 1e-8) -> None:
+    def check_unimodular(self, pts, tol: float = UNIMODULAR_TOL) -> None:
         """Require |det B - 1| <= tol at every sample point."""
         dets = np.linalg.det(self.eval(pts))
         worst = np.argmax(np.abs(dets - 1.0))

@@ -9,16 +9,17 @@ are the lattice of Kuhn mesh 2n, where the P1 Laplacian stiffness is the
 Poisson solve on that lattice, scaled by c = (alpha + ||A||_inf) / 2; the
 pressure block by the lumped P1 mass m / c.  The constant pressure spans the
 (consistent) null space; the gauge is fixed afterwards by projecting to zero
-m-weighted mean, so no gauge row enters the iteration.  MINRES is one
+m-weighted mean, so no gauge enters the iteration.  MINRES is one
 hand-written pass that applies K and G from the assembled blocks (no copy of
 the KKT matrix).  It measures convergence in the preconditioner's norm, which
 drifts from the 2-norm under refinement, so it stops on the true 2-norm
 residual, checked every few iterations, a fixed factor under the requested
 tolerance; every method's final residual is gated at that tolerance.
 
-The reference route factors the full symmetric indefinite KKT matrix
-(velocity block, divergence block, pressure gauge row) with a sparse LU and
-polishes with one step of iterative refinement.
+The reference route factors the same block matrix with pressure dof 0
+pinned, [[K, G0], [G0^t, 0]] with G0 = G less its first column, with a
+sparse LU and polishes with one step of iterative refinement; the same
+projection then fixes the gauge.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .assembly import SaddleSystem
@@ -41,7 +43,7 @@ class SolveResult:
     """Discrete solution with algebraic quality metrics.
 
     ``velocity`` is the full-length coefficient vector (walls zero),
-    ``pressure`` has zero weighted mean under the gauge row.
+    ``pressure`` has zero m-weighted mean.
     """
 
     velocity: np.ndarray
@@ -55,7 +57,7 @@ def _check_gauge(m: np.ndarray) -> None:
     # preconditioner both divide by it
     if not (np.all(np.isfinite(m)) and np.all(m > 0.0)):
         raise FactorizationFailure(
-            "pressure gauge row m is not finite and positive")
+            "pressure gauge weights m are not finite and positive")
 
 
 def _check_load(F: np.ndarray) -> None:
@@ -84,22 +86,18 @@ def _block_residual(system: SaddleSystem, u_int, p):
             -(system.G.T @ u_int))
 
 
-def _finish(system: SaddleSystem, u_int, p, xi, tol, stats) -> SolveResult:
-    _check_gauge(system.m)
+def _finish(system: SaddleSystem, u_int, p, tol, stats) -> SolveResult:
     # pin the gauge exactly (a constant shift stays in the solution set)
     p = p - (system.m @ p) / np.sum(system.m)
-    # the residual of the full KKT system, from the blocks:
-    # [F - K u - G p, -(G^t u + m xi), -m^t p]
+    # the residual of [[K, G], [G^t, 0]] and the gauge, from the blocks:
+    # [F - K u - G p, -G^t u, -m^t p]
     ru, rp = _block_residual(system, u_int, p)
-    rp -= xi * system.m
     bnorm = np.linalg.norm(system.F)
     # a NaN norm must reach the gate, not read as a zero right-hand side
     res = (math.hypot(np.linalg.norm(ru), np.linalg.norm(rp), system.m @ p)
            / bnorm if bnorm != 0.0 else 0.0)
     if not res <= tol:
         raise ResidualTooLarge(f"relative residual {res:.3e} > {tol:.3e}")
-    stats = dict(stats)
-    stats["gauge_multiplier"] = float(xi)
     return SolveResult(
         velocity=system.expand_velocity(u_int),
         pressure=p,
@@ -109,17 +107,22 @@ def _finish(system: SaddleSystem, u_int, p, xi, tol, stats) -> SolveResult:
 
 
 def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
-    """Sparse direct solve of the full KKT system.
+    """Sparse direct solve of [[K, G0], [G0^t, 0]], the block system with
+    pressure dof 0 pinned (G0 is G without its first column).
 
     Raises ResidualTooLarge before factorizing when the load vector has a
-    non-finite entry; the final full residual is checked against ``tol``.
+    non-finite entry, and FactorizationFailure when the gauge weights m are
+    not finite and positive or SuperLU fails; the final full residual is
+    checked against ``tol``.
     """
     _check_load(system.F)
-    b = system.rhs()
-    ni, npr = system.n_interior, system.n_pressure
-    if np.linalg.norm(b) == 0.0:
+    ni = system.n_interior
+    if np.linalg.norm(system.F) == 0.0:
         return _zero_solution(system, {"method": "direct"})
-    a = system.kkt()
+    _check_gauge(system.m)
+    g0 = system.G[:, 1:]
+    a = sparse.bmat([[system.K, g0], [g0.T, None]], format="csc")
+    b = np.concatenate([system.F, np.zeros(system.n_pressure - 1)])
     try:
         lu = spla.splu(a)
     except (RuntimeError, SystemError, MemoryError) as exc:
@@ -136,7 +139,8 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
         "nnz": int(a.nnz),
         "factor_nnz": int(lu.L.nnz + lu.U.nnz),
     }
-    return _finish(system, x[:ni], x[ni:ni + npr], x[-1], tol, stats)
+    return _finish(system, x[:ni], np.concatenate([[0.0], x[ni:]]), tol,
+                   stats)
 
 
 def _lattice_preconditioner(system: SaddleSystem):
@@ -283,4 +287,4 @@ def minres_solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
         "stop_rtol": stop,
         "residual_history": history,
     }
-    return _finish(system, x[:ni], x[ni:], 0.0, tol, stats)
+    return _finish(system, x[:ni], x[ni:], tol, stats)

@@ -38,7 +38,12 @@ __all__ = [
     "ch_inverse_batch",
     "d_inverse_batch",
     "d2_inverse_batch",
+    "UNIMODULAR_TOL",
 ]
+
+# |det B - 1| up to which B counts as unimodular (det B = 1), the premise of
+# the derivative formulas of B^{-1}.
+UNIMODULAR_TOL = 1e-8
 
 # Tolerance below which the closed-form eigenvalue solve counts a spectrum
 # as a triple point, or hands a nearly degenerate one over to eigvalsh.
@@ -324,7 +329,7 @@ def lop(a: SymTensor3, m) -> SymTensor3:
     return SymTensor3.from_matrix(sm @ am + am @ sm)
 
 
-def _check_unimodular(b: SymTensor3, tol: float = 1e-8) -> None:
+def _check_unimodular(b: SymTensor3, tol: float = UNIMODULAR_TOL) -> None:
     det = invariants(b).i3
     if abs(det - 1.0) > tol:
         raise NotUnimodular(f"det B = {det:.12g}, not 1 within {tol:g}")
@@ -334,7 +339,7 @@ def d_inverse(b: SymTensor3, db: SymTensor3) -> SymTensor3:
     """Directional derivative of B^{-1} along ``db`` for unimodular B.
 
     See :func:`d_inverse_batch`; raises :class:`NotUnimodular` unless
-    det B = 1 within 1e-8.
+    det B = 1 within ``UNIMODULAR_TOL``.
     """
     _check_unimodular(b)
     return SymTensor3.from_matrix(d_inverse_batch(b.to_matrix(), db.to_matrix()))
@@ -346,7 +351,7 @@ def d2_inverse(
     """Second derivative of B^{-1} along a path on the det = 1 manifold.
 
     See :func:`d2_inverse_batch`; raises :class:`NotUnimodular` unless
-    det B = 1 within 1e-8.
+    det B = 1 within ``UNIMODULAR_TOL``.
     """
     _check_unimodular(b)
     return SymTensor3.from_matrix(d2_inverse_batch(

@@ -33,7 +33,7 @@ from .errors import MissingNormInput, NonDifferentiableExpression
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
 from .fields import ScalarField, TensorField, VectorField
 from .solver import SolveResult, minres_solve
-from .tensors import ch_inverse_batch, d_inverse_batch
+from .tensors import UNIMODULAR_TOL, ch_inverse_batch, d_inverse_batch
 
 __all__ = [
     "MMSCase",
@@ -81,12 +81,7 @@ class MMSCase:
         if self.b_exprs is None:
             self.b_field = TensorField.identity()
         else:
-            names = {(0, 0): "a11", (1, 1): "a22", (2, 2): "a33",
-                     (0, 1): "a12", (0, 2): "a13", (1, 2): "a23"}
-            comps = {}
-            for (i, j), nm in names.items():
-                comps[nm] = ScalarField.expression(self.b_exprs[i, j])
-            self.b_field = TensorField("expression", comps)
+            self.b_field = TensorField.from_sympy(self.b_exprs)
         self.v_field = VectorField.expression(self.v_exprs)
         self.p_field = ScalarField.expression(self.p_expr)
 
@@ -451,7 +446,7 @@ def _sup_da(mu, b_field: TensorField, pts) -> Optional[float]:
     else:
         # checked before inverting: a refused field needs no inverse
         dets = np.linalg.det(bvals)
-        if np.max(np.abs(dets - 1.0)) > 1e-8:
+        if np.max(np.abs(dets - 1.0)) > UNIMODULAR_TOL:
             return None
         dbvals = b_field.grad(pts)
         dbinv = d_inverse_batch(bvals[:, None], dbvals)
@@ -464,11 +459,7 @@ def case_norm_suite(case: MMSCase, lambda1: float, box,
                     n_axis: int = 12) -> dict:
     """Coefficient and forcing norms reused across mesh levels of one case."""
     if case.b_exprs is not None:
-        a = case.a_exprs
-        a_field = TensorField.expression({
-            "a11": a[0, 0], "a22": a[1, 1], "a33": a[2, 2],
-            "a12": a[0, 1], "a13": a[0, 2], "a23": a[1, 2],
-        })
+        a_field = TensorField.from_sympy(case.a_exprs)
     else:
         a_field = TensorField.constant(
             np.eye(3) * (case.mu.mu1 + case.mu.mu2 + case.mu.mu3)

@@ -198,13 +198,17 @@ def test_solve_direct_method(tmp_path):
 
 
 def test_solve_unknown_method_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-              "--mesh", "2", "--method", "uzawa"])
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
+                 "--mesh", "2", "--method", "uzawa"])
     captured = capsys.readouterr()
-    assert exc.value.code == 2
+    assert code == 2
     assert "invalid choice: 'uzawa'" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_help_returns_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--method" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("method", ["minres", "direct"])

@@ -64,8 +64,9 @@ def test_solve_deterministic(small_system):
 
 
 def test_factorization_failure_reported(small_system):
-    broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
-    with pytest.raises(FactorizationFailure):
+    # with K = 0 the pinned block matrix is exactly singular in SuperLU
+    broken = dataclasses.replace(small_system, K=small_system.K * 0.0)
+    with pytest.raises(FactorizationFailure, match="exactly singular"):
         solve(broken)
 
 
@@ -80,11 +81,17 @@ def test_superlu_resource_errors_reported(small_system, monkeypatch, exc):
         solve(small_system)
 
 
-@pytest.mark.parametrize("solver", [minres_solve])
-def test_zero_gauge_row_reported(small_system, solver):
-    # without the check the pressure preconditioner divides by m = 0
+@pytest.mark.parametrize("solver", [solve, minres_solve])
+def test_zero_gauge_row_reported(small_system, solver, monkeypatch):
+    # without the check the projection and the pressure preconditioner
+    # divide by m = 0; it comes before any factorization or iteration
+    def spy(*args, **kwargs):
+        raise AssertionError("factorized or iterated without a gauge")
+
+    monkeypatch.setattr("genstokes.solver._minres", spy)
+    monkeypatch.setattr("genstokes.solver.spla.splu", spy)
     broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
-    with pytest.raises(FactorizationFailure):
+    with pytest.raises(FactorizationFailure, match="gauge"):
         solver(broken)
 
 
@@ -106,6 +113,15 @@ def test_non_finite_load_rejected_before_iterating(small_system, solver, bad,
     with pytest.raises(ResidualTooLarge, match=r"load vector F .*F\[5\]"):
         solver(broken)
     assert calls == []
+
+
+def test_direct_pins_one_pressure_dof():
+    # [[K, G0], [G0^t, 0]] carries no dense gauge row, which would fill
+    # the factor to 604,534 entries here
+    system = _case_system("anisotropic", (4, 4, 4))
+    stats = solve(system).stats
+    assert stats["n"] == system.n_interior + system.n_pressure - 1
+    assert stats["factor_nnz"] < 560_000
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +210,12 @@ def test_minres_iterations_flat_under_refinement(aniso8):
 def test_minres_stops_where_asked(aniso8):
     result = minres_solve(aniso8)
     stop = result.stats["stop_rtol"]
-    # the true residual of the returned solution, from the assembled KKT
-    a, b = aniso8.kkt(), aniso8.rhs()
-    x = np.concatenate([result.velocity[aniso8.space.interior_idx],
-                        result.pressure, [0.0]])
-    assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= stop
+    # the true residual of the returned solution, from the blocks
+    u, p = result.velocity[aniso8.space.interior_idx], result.pressure
+    ru = aniso8.F - aniso8.K @ u - aniso8.G @ p
+    rp = aniso8.G.T @ u
+    res = np.sqrt(ru @ ru + rp @ rp + (aniso8.m @ p) ** 2)
+    assert res / np.linalg.norm(aniso8.F) <= stop
     # and no further than needed: a looser gate takes fewer iterations
     loose = minres_solve(aniso8, tol=1e-6)
     assert loose.stats["iterations"] < result.stats["iterations"]
