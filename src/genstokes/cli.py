@@ -492,10 +492,9 @@ def _apply_default_paths(args, outdir: str) -> None:
         place("report", None)
     else:
         place("report", None)
-    for name in ("b_grid", "config"):
-        val = getattr(args, name, None)
-        if val and not os.path.exists(val):
-            raise ConfigError(f"input file {val!r} not found")
+    val = getattr(args, "b_grid", None)
+    if val and not os.path.exists(val):
+        raise ConfigError(f"input file {val!r} not found")
 
 
 if __name__ == "__main__":

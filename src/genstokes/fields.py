@@ -3,16 +3,17 @@
 Three representations share one evaluation interface:
 
 * ``constant`` -- a single value everywhere,
-* ``expression`` -- a closed-form expression in x, y, z built from
-  arithmetic, sin/cos/exp and numeric constants (sympy-backed).  Values
-  come from a lambdified closed form; ``grad``, ``hess`` and
-  ``derivative_stack`` all run one pass of truncated Taylor arithmetic
-  (Taylor-mode automatic differentiation) over the expression DAG, exact
-  up to rounding, and never differentiate symbolically.  The Taylor pass
-  supports x, y, z, numbers and numeric constants such as pi, sums,
-  products, powers (integral exponents as repeated products, others as a
-  binomial series, symbolic exponents as exp(b log a)) and sin/cos/exp;
-  any other node raises NonDifferentiableField,
+* ``expression`` -- a closed-form expression in x, y, z (sympy-backed).
+  ``eval``, ``grad``, ``hess`` and ``derivative_stack`` all run one pass of
+  truncated Taylor arithmetic (Taylor-mode automatic differentiation) over
+  the expression DAG, exact up to rounding; values are the pass's order-0
+  row, and nothing is differentiated symbolically.  The pass has a rule for
+  x, y, z, numbers and numeric constants such as pi, sums, products, powers
+  (integral exponents as repeated products, others as a binomial series,
+  symbolic exponents as exp(b log a)) and sin/cos/exp.  Those nodes are the
+  grammar of ``parse_expression``, which refuses any other node with
+  ConfigError; an expression built in sympy that holds another node raises
+  NonDifferentiableField when evaluated,
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
   with second-order finite-difference derivatives (one-sided at the faces)
   tabulated per node at construction; values and derivatives are
@@ -51,7 +52,7 @@ __all__ = [
 
 _X, _Y, _Z = sp.symbols("x y z")
 _VARS = (_X, _Y, _Z)
-_ALLOWED_FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
+_TAYLOR_FUNCS = (sp.sin, sp.cos, sp.exp)
 
 # Storage/file order of the six independent components of a symmetric tensor.
 COMPONENT_ORDER = ("a11", "a22", "a33", "a12", "a13", "a23")
@@ -64,31 +65,18 @@ _HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def parse_expression(text: str) -> sp.Expr:
-    """Parse an expression restricted to x, y, z, arithmetic, sin/cos/exp, pi."""
+    """Parse an expression made only of nodes that ``_taylor_jet`` evaluates."""
     local = {"x": _X, "y": _Y, "z": _Z, "pi": sp.pi}
-    local.update(_ALLOWED_FUNCS)
+    local.update((f.__name__, f) for f in _TAYLOR_FUNCS)
     try:
         expr = sp.parse_expr(str(text), local_dict=local)
     except Exception as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-    extra = expr.free_symbols - {_X, _Y, _Z}
-    if extra:
-        raise ConfigError(f"expression {text!r} uses unknown symbols {extra}")
-    for f in expr.atoms(sp.Function):
-        if f.func not in (sp.sin, sp.cos, sp.exp):
-            raise ConfigError(f"expression {text!r} uses unsupported function {f.func}")
+    for node in sp.preorder_traversal(expr):
+        if not isinstance(node, sp.Basic) or _taylor_rule(node) is None:
+            raise ConfigError(f"expression {text!r} uses {type(node).__name__} "
+                              f"{node}, which is outside the expression grammar")
     return expr
-
-
-def _lambdify(expr: sp.Expr):
-    fn = sp.lambdify((_X, _Y, _Z), expr, modules="numpy")
-
-    def wrapped(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = fn(pts[..., 0], pts[..., 1], pts[..., 2])
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
-
-    return wrapped
 
 
 # -- truncated Taylor arithmetic ----------------------------------------------
@@ -121,10 +109,9 @@ def _jet_mul(a, b, pairs):
     out = np.empty_like(a)
     for g, pl in enumerate(pairs):
         i, j = pl[0]
-        acc = a[i] * b[j]
+        np.multiply(a[i], b[j], out=out[g])
         for i, j in pl[1:]:
-            acc += a[i] * b[j]
-        out[g] = acc
+            out[g] += a[i] * b[j]
     return out
 
 
@@ -179,6 +166,21 @@ def _jet_func(func, a, order, pairs):
     return coeffs[0] if isinstance(a, float) else _jet_series(a, coeffs, pairs)
 
 
+def _taylor_rule(node):
+    """The rule ``_taylor_jet`` evaluates ``node`` by, or None if it has none."""
+    if node.is_Symbol:
+        return "variable" if node in _VARS else None
+    if node.is_Number or isinstance(node, sp.NumberSymbol):
+        return "number"
+    if node.is_Add:
+        return "add"
+    if node.is_Mul:
+        return "mul"
+    if node.is_Pow:
+        return "pow"
+    return "function" if node.func in _TAYLOR_FUNCS else None
+
+
 def _taylor_jet(expr: sp.Expr, pts: np.ndarray, order: int):
     """Jet of ``expr`` at ``pts`` by one pass over its expression DAG.
 
@@ -198,15 +200,16 @@ def _taylor_jet(expr: sp.Expr, pts: np.ndarray, order: int):
     jets = {}
     for node in post:
         args = [jets[a] for a in node.args]
-        if node.is_Symbol and node in _VARS:
+        rule = _taylor_rule(node)
+        if rule == "variable":
             val = np.zeros((len(row), pts.shape[0]))
             k = _VARS.index(node)
             val[0] = pts[:, k]
             if order:
                 val[1 + k] = 1.0
-        elif node.is_Number or isinstance(node, sp.NumberSymbol):
+        elif rule == "number":
             val = np.float64(node)  # numpy semantics: inf/nan, not exceptions
-        elif node.is_Add:
+        elif rule == "add":
             consts = sum((a for a in args if isinstance(a, float)), 0.0)
             arrays = [a for a in args if not isinstance(a, float)]
             if not arrays:
@@ -216,17 +219,17 @@ def _taylor_jet(expr: sp.Expr, pts: np.ndarray, order: int):
                 for a in arrays[1:]:
                     val += a
                 val[0] += consts
-        elif node.is_Mul:
+        elif rule == "mul":
             val = 1.0
             for a in sorted(args, key=lambda a: not isinstance(a, float)):
                 val = _jet_mul(val, a, pairs)
-        elif node.is_Pow and isinstance(args[1], float):
+        elif rule == "pow" and isinstance(args[1], float):
             val = _jet_pow(args[0], args[1], order, pairs)
-        elif node.is_Pow:  # a**b = exp(b log a)
+        elif rule == "pow":  # a**b = exp(b log a)
             val = _jet_func(sp.exp, _jet_mul(
                 args[1], _jet_func(sp.log, args[0], order, pairs), pairs),
                 order, pairs)
-        elif node.func in (sp.sin, sp.cos, sp.exp):
+        elif rule == "function":
             val = _jet_func(node.func, args[0], order, pairs)
         else:
             raise NonDifferentiableField(
@@ -247,9 +250,7 @@ class ScalarField:
         self.kind = kind
         self._payload = payload
         self.box = box  # (Lx, Ly, Lz) for grid fields
-        if kind == "expression":
-            self._fn = _lambdify(payload)
-        elif kind == "grid":
+        if kind == "grid":
             self._build_grid_tables()
 
     # -- constructors -------------------------------------------------------
@@ -337,7 +338,8 @@ class ScalarField:
         if self.kind == "constant":
             return np.full(pts.shape[0], self._payload)
         if self.kind == "expression":
-            return self._fn(pts)
+            jet, _ = _taylor_jet(self._payload, pts, 0)
+            return np.full(pts.shape[0], jet) if isinstance(jet, float) else jet[0]
         return self._trilinear(0, self._locate(pts))
 
     def grad(self, pts) -> np.ndarray:
@@ -400,14 +402,15 @@ class TensorField:
 
     def __init__(self, kind, components, box=None):
         self.kind = kind
-        self.components = components  # dict name -> ScalarField, or SymTensor3
+        self.components = components  # dict name -> ScalarField
         self.box = box
 
     @classmethod
     def constant(cls, value) -> "TensorField":
         if not isinstance(value, SymTensor3):
             value = SymTensor3.from_matrix(np.asarray(value, dtype=float))
-        return cls("constant", value)
+        return cls("constant", {name: ScalarField.constant(getattr(value, name))
+                                for name in COMPONENT_ORDER})
 
     @classmethod
     def identity(cls) -> "TensorField":
@@ -438,23 +441,19 @@ class TensorField:
 
     def _symmetric(self, pts, derivative: str, shape: tuple) -> np.ndarray:
         """(N, *shape, 3, 3) stack of each component's ``derivative``
-        (eval, grad or hess), written to both triangles; zero if constant.
-        A grid field's components share one lattice: cells are located once."""
+        (eval, grad or hess), written to both triangles.  A grid field's
+        components share one lattice: cells are located once."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros((pts.shape[0],) + shape + (3, 3))
-        if self.kind != "constant":
-            cells = self.components["a11"]._locate(pts) if self.kind == "grid" else None
-            for name, fld in self.components.items():
-                i, j = _COMP_INDEX[name]
-                out[..., i, j] = out[..., j, i] = (
-                    getattr(fld, derivative)(pts) if cells is None
-                    else fld._trilinear(len(shape), cells))
+        cells = self.components["a11"]._locate(pts) if self.kind == "grid" else None
+        for name, fld in self.components.items():
+            i, j = _COMP_INDEX[name]
+            out[..., i, j] = out[..., j, i] = (
+                getattr(fld, derivative)(pts) if cells is None
+                else fld._trilinear(len(shape), cells))
         return out
 
     def eval(self, pts) -> np.ndarray:
-        if self.kind == "constant":
-            n = np.atleast_2d(np.asarray(pts, dtype=float)).shape[0]
-            return np.broadcast_to(self.components.to_matrix(), (n, 3, 3)).copy()
         return self._symmetric(pts, "eval", ())
 
     def grad(self, pts) -> np.ndarray:

@@ -125,9 +125,11 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     b = np.concatenate([system.F, np.zeros(system.n_pressure - 1)])
     try:
         lu = spla.splu(a)
+        factor_nnz = int(lu.L.nnz + lu.U.nnz)
     except (RuntimeError, SystemError, MemoryError) as exc:
         # SuperLU reports exhausted workspace ("Can't expand MemType") as
-        # SystemError; allocations outside it raise MemoryError
+        # SystemError; allocations outside it, such as the CSC copies that
+        # lu.L and lu.U make of the factor, raise MemoryError
         raise FactorizationFailure(
             f"sparse factorization failed on n = {a.shape[0]} system: {exc}"
         ) from exc
@@ -137,7 +139,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
         "method": "direct",
         "n": int(a.shape[0]),
         "nnz": int(a.nnz),
-        "factor_nnz": int(lu.L.nnz + lu.U.nnz),
+        "factor_nnz": factor_nnz,
     }
     return _finish(system, x[:ni], np.concatenate([[0.0], x[ni:]]), tol,
                    stats)

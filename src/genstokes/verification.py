@@ -31,7 +31,7 @@ from .assembly import SaddleSystem, assemble
 from .constitutive import BoundAudit, MuTriple, _d_acal, _mu_fields, _ratio_audit
 from .errors import MissingNormInput, NonDifferentiableExpression
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
-from .fields import ScalarField, TensorField, VectorField
+from .fields import COMPONENT_ORDER, ScalarField, TensorField, VectorField
 from .solver import SolveResult, minres_solve
 from .tensors import UNIMODULAR_TOL, ch_inverse_batch, d_inverse_batch
 
@@ -325,15 +325,7 @@ def _field_components(field_like):
     if isinstance(field_like, VectorField):
         return list(field_like.components), [1.0] * 3
     if isinstance(field_like, TensorField):
-        if field_like.kind == "constant":
-            comps = [ScalarField.constant(v) for v in (
-                field_like.components.a11, field_like.components.a22,
-                field_like.components.a33, field_like.components.a12,
-                field_like.components.a13, field_like.components.a23)]
-        else:
-            from .fields import COMPONENT_ORDER
-
-            comps = [field_like.components[n] for n in COMPONENT_ORDER]
+        comps = [field_like.components[n] for n in COMPONENT_ORDER]
         return comps, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
     raise TypeError(f"unsupported field object {type(field_like)!r}")
 

@@ -219,6 +219,38 @@ def test_solve_nan_forcing_exits_5(tmp_path, method):
     assert code == 5
 
 
+@pytest.mark.parametrize("text, node", [("I*x", "ImaginaryUnit"),
+                                        ("zoo", "ComplexInfinity"),
+                                        ("x>0.5", "StrictGreaterThan"),
+                                        ("Max(x,y)", "Max")])
+def test_solve_expression_outside_grammar_exits_2(tmp_path, capsys, text, node):
+    # the grammar is the Taylor evaluator's node set: a complex constant, a
+    # comparison or another function is refused where the text is parsed
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
+                 "--mesh", "2", "--f-expr", f"{text};0;0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert node in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_solve_direct_factor_count_out_of_memory_exits_5(tmp_path, monkeypatch):
+    # counting the factor copies it out of SuperLU's storage, which can
+    # run out of memory after the factorization itself succeeded
+    class Factor:
+        @property
+        def L(self):
+            raise MemoryError("Unable to allocate 618. MiB")
+
+        U = L
+
+    monkeypatch.setattr("genstokes.solver.spla.splu", lambda a: Factor())
+    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
+                 "--mesh", "2", "--method", "direct", "--f-expr", "0; 1; 0"])
+    assert code == 5
+
+
 @pytest.mark.parametrize("method, solver", [("minres", minres_solve),
                                             ("direct", solve)],
                          ids=["minres", "direct"])

@@ -40,6 +40,22 @@ def test_expression_rejects_unknown_names():
         parse_expression("tan(x)")
     with pytest.raises(ConfigError):
         parse_expression("import os")
+    with pytest.raises(ConfigError, match="tuple"):
+        parse_expression("x, y")
+
+
+def test_expression_grammar_is_the_taylor_node_set():
+    # every node parse_expression admits has a Taylor rule, so values and
+    # derivatives come from the same pass; a literal nan is a number
+    text = "sin(pi*x)*cos(E*y)/(2 + z**2) - exp(x)**0.5 + 2**y + nan"
+    values = ScalarField.expression(text).eval(_STACK_PTS)
+    assert values.shape == (len(_STACK_PTS),) and np.isnan(values).all()
+    assert np.array_equal(ScalarField.expression("pi").eval(_STACK_PTS),
+                          np.full(len(_STACK_PTS), np.pi))
+    # a refused node is named (the CLI tests cover I, zoo, x>0.5, Max)
+    for text, node in [("log(x)", "log"), ("q + x", "Symbol q")]:
+        with pytest.raises(ConfigError, match=node):
+            parse_expression(text)
 
 
 def test_constant_field():

@@ -81,6 +81,21 @@ def test_superlu_resource_errors_reported(small_system, monkeypatch, exc):
         solve(small_system)
 
 
+def test_factor_count_out_of_memory_reported(small_system, monkeypatch):
+    # lu.L and lu.U copy the factor to count it; a MemoryError there is a
+    # factorization failure, not a traceback
+    class Factor:
+        @property
+        def L(self):
+            raise MemoryError("Unable to allocate 618. MiB")
+
+        U = L
+
+    monkeypatch.setattr("genstokes.solver.spla.splu", lambda a: Factor())
+    with pytest.raises(FactorizationFailure, match="618"):
+        solve(small_system)
+
+
 @pytest.mark.parametrize("solver", [solve, minres_solve])
 def test_zero_gauge_row_reported(small_system, solver, monkeypatch):
     # without the check the projection and the pressure preconditioner

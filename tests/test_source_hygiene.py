@@ -5,7 +5,7 @@ import is used, and every private function, class, method or property
 (module-level or in a class body) is referenced somewhere in the package.
 Deleting a duplicate tends to leave one of these behind.  A third check
 keeps heavy scipy subpackages that no command needs off the import path of
-the CLI.
+the CLI, and a fourth keeps expression fields on one evaluator.
 """
 
 import ast
@@ -85,3 +85,13 @@ def test_cli_import_leaves_out_interpolate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_lambdify_in_package():
+    # expression values come from the Taylor pass that gives their
+    # derivatives; sympy.lambdify stays only as the tests' oracle
+    users = [f"{path.name}:{n}"
+             for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "lambdify" in line]
+    assert users == []
