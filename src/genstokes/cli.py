@@ -10,9 +10,11 @@ Subcommands:
 * ``mms``   -- manufactured-solution convergence study; writes a CSV table.
 * ``verify`` -- run the seeded property suite.
 
-Configuration can come from a flat ``key = value`` text file (``--config``);
-explicit command-line flags override file values.  The environment variable
-``GENSTOKES_OUTDIR`` overrides the default output directory.
+Settings have one parser, argparse: each option's ``type=`` converts and
+checks its value.  A ``--config`` file's ``key = value`` lines are read as
+the subcommand's options ``--key=value``, ahead of the explicit ones, which
+therefore win.  The environment variable ``GENSTOKES_OUTDIR`` overrides the
+default output directory.
 
 Exit codes: 0 success; 1 property/positivity failure; 2 configuration or
 thermodynamic-admissibility error; 3 non-SPD tensor sample; 4 ellipticity
@@ -91,40 +93,41 @@ def _write_report(path, report) -> None:
         fh.write("\n")
 
 
-def load_config(path) -> dict:
-    """Flat key = value configuration file; '#' starts a comment."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} not found")
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+def _flag_type(what, cast=float, ok=math.isfinite, counts=(1,),
+               shape=lambda vals: vals[0]):
+    """An argparse ``type=``: comma-separated values, each converted by
+    ``cast`` and kept by ``ok``, as many as ``counts`` allows (any number
+    when it is None), handed to ``shape``.  argparse names the option in
+    the message of a refused value."""
+    def convert(text):
+        try:
+            vals = [cast(v) for v in text.split(",")]
+        except ValueError:
+            vals = []
+        if (not vals or not all(ok(v) for v in vals)
+                or (counts is not None and len(vals) not in counts)):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return shape(vals)
+    return convert
 
 
-def _parse_mu(spec: str) -> MuTriple:
-    parts = [p.strip() for p in str(spec).split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"--mu needs three comma-separated values, got {spec!r}")
-    try:
-        return MuTriple(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --mu {spec!r}: {exc}") from exc
+def _triple(vals) -> tuple:
+    return tuple(vals * (3 // len(vals)))  # one value stands for all three
 
 
-def _parse_triple(spec: str, name: str, cast=float):
-    parts = [p.strip() for p in str(spec).split(",")]
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
-        raise ConfigError(f"{name} needs one or three comma-separated values")
-    return tuple(cast(p) for p in parts)
+_MU = _flag_type("three finite numbers mu1,mu2,mu3", counts=(3,),
+                 shape=lambda vals: MuTriple(*vals))
+_COUNT = _flag_type("a whole number >= 1", int, lambda v: v >= 1)
+_COUNTS = _flag_type("comma-separated whole numbers >= 1", int, lambda v: v >= 1,
+                     counts=None, shape=list)
+_MESH = _flag_type("one or three whole numbers >= 1", int, lambda v: v >= 1,
+                   counts=(1, 3), shape=_triple)
+_BOX = _flag_type("one or three finite positive numbers",
+                  ok=lambda v: math.isfinite(v) and v > 0, counts=(1, 3),
+                  shape=_triple)
+_POSITIVE = _flag_type("a number > 0", ok=lambda v: v > 0)
+_FINITE = _flag_type("a finite number")
+_SEED = _flag_type("a whole number >= 0", int, lambda v: v >= 0)
 
 
 def _tensor_field_from_args(args) -> TensorField:
@@ -145,7 +148,7 @@ def _tensor_field_from_args(args) -> TensorField:
 
 
 def cmd_ellipticity(args) -> int:
-    mu = _parse_mu(args.mu)
+    mu = args.mu
     report = {"mu": list(mu.as_tuple())}
     scenario, lam_set = classify(mu)
     report["scenario"] = scenario.value
@@ -180,7 +183,7 @@ def cmd_ellipticity(args) -> int:
     code = EXIT_OK
     if args.b_grid or args.b_expr:
         b = _tensor_field_from_args(args)
-        box = b.box if b.box else _parse_triple(args.box, "--box")
+        box = b.box if b.box else args.box
         pts = cell_centres(box, args.samples)
         try:
             rep = alpha_field(mu, b, pts)
@@ -207,11 +210,6 @@ def cmd_ellipticity(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    mu = _parse_mu(args.mu)
-    nx, ny, nz = _parse_triple(args.mesh, "--mesh", int)
-    lx, ly, lz = _parse_triple(args.box, "--box")
-    if args.tol <= 0:
-        raise ConfigError("--tol must be positive")
     b = _tensor_field_from_args(args)
     if args.f_expr:
         comps = [c.strip() for c in args.f_expr.split(";")]
@@ -221,10 +219,10 @@ def cmd_solve(args) -> int:
     else:
         f = VectorField.zero()
 
-    mesh = build_mesh(nx, ny, nz, lx, ly, lz)
+    mesh = build_mesh(*args.mesh, *args.box)
     space = TaylorHoodSpace(mesh)
     try:
-        system = assemble(mesh, space, mu, b, f, quad_n=args.quad,
+        system = assemble(mesh, space, args.mu, b, f, quad_n=args.quad,
                           threads=args.threads)
     except (NotElliptic, NotSPD) as exc:
         print(f"ellipticity precheck failed: {exc}")
@@ -238,8 +236,8 @@ def cmd_solve(args) -> int:
         print(f"solver failed: {exc}")
         return EXIT_SOLVER
 
-    report = audit_estimates(system, result, mu, b)
-    scenario, lam_set = classify(mu)
+    report = audit_estimates(system, result, args.mu, b)
+    scenario, lam_set = classify(args.mu)
     report["scenario"] = scenario.value
     report["lambda_set"] = lam_set.as_dict()
 
@@ -258,15 +256,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_mms(args) -> int:
-    if args.case not in SHIPPED_CASES:
-        raise ConfigError(f"unknown case {args.case!r}; "
-                          f"available: {sorted(SHIPPED_CASES)}")
-    divisions = [int(v) for v in str(args.meshes).split(",") if v.strip()]
-    if not divisions:
-        raise ConfigError("--meshes must list at least one division count")
     case = SHIPPED_CASES[args.case]()
     try:
-        table = run_convergence(case, divisions, quad_n=args.quad,
+        table = run_convergence(case, args.meshes, quad_n=args.quad,
                                 threads=args.threads)
     except (FactorizationFailure, ResidualTooLarge, MaxIterations) as exc:
         # an unsolvable level (e.g. under-integrated quadrature) cannot
@@ -304,8 +296,6 @@ def cmd_mms(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tol <= 0:
-        raise ConfigError("--tol must be positive")
     report = verifysuite.run_suite(seed=args.seed, trials=args.trials)
     for prop in report["properties"]:
         status = "PASS" if prop["pass"] else "FAIL"
@@ -329,26 +319,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--out", help="output directory (default '.', or "
                                       "GENSTOKES_OUTDIR)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_COUNT, default=1,
                         help="worker threads for assembly")
     # the global flags are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering values parsed by the main parser
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--threads", type=_COUNT, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("ellipticity", parents=[common],
                         help="classify and evaluate positivity")
-    pe.add_argument("--mu", required=False, help="mu1,mu2,mu3")
+    pe.add_argument("--mu", type=_MU, required=True, help="mu1,mu2,mu3")
     pe.add_argument("--b-grid", "--b-field", dest="b_grid",
                     help="tensor grid field file")
     pe.add_argument("--b-expr", help="a11=expr;a12=expr;... components")
-    pe.add_argument("--box", default="1,1,1", help="box edge lengths")
-    pe.add_argument("--samples", type=int, default=16,
+    pe.add_argument("--box", type=_BOX, default="1,1,1", help="box edge lengths")
+    pe.add_argument("--samples", type=_COUNT, default=16,
                     help="sample divisions per axis")
-    pe.add_argument("--eps", type=float, default=0.0,
+    pe.add_argument("--eps", type=_FINITE, default=0.0,
                     help="positivity margin for the radius computation")
     pe.add_argument("--radius", action="store_true",
                     help="also compute the identity perturbation radius")
@@ -356,115 +346,104 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", parents=[common],
                         help="assemble and solve one problem")
-    ps.add_argument("--mu", required=False, help="mu1,mu2,mu3")
-    ps.add_argument("--mesh", default="4", help="divisions nx[,ny,nz]")
-    ps.add_argument("--box", default="1,1,1", help="edge lengths Lx[,Ly,Lz]")
+    ps.add_argument("--mu", type=_MU, required=True, help="mu1,mu2,mu3")
+    ps.add_argument("--mesh", type=_MESH, default="4", help="divisions nx[,ny,nz]")
+    ps.add_argument("--box", type=_BOX, default="1,1,1",
+                    help="edge lengths Lx[,Ly,Lz]")
     ps.add_argument("--b-grid", "--b-field", dest="b_grid",
                     help="tensor grid field file")
     ps.add_argument("--b-expr", help="a11=expr;... components")
     ps.add_argument("--f-expr", help="fx;fy;fz forcing expressions")
-    ps.add_argument("--quad", type=int, default=3,
+    ps.add_argument("--quad", type=_COUNT, default=3,
                     help="quadrature points per direction")
     ps.add_argument("--method", choices=("minres", "direct"),
                     default="minres")
-    ps.add_argument("--tol", type=float, default=1e-10)
+    ps.add_argument("--tol", type=_POSITIVE, default=1e-10)
     ps.add_argument("--vtk", help="VTK output path")
     ps.add_argument("--report", help="JSON report path")
 
     pm = sub.add_parser("mms", parents=[common],
                         help="manufactured-solution convergence study")
-    pm.add_argument("--case", default="classical",
-                    help="classical | anisotropic")
-    pm.add_argument("--meshes", default="2,4,8", help="division counts")
-    pm.add_argument("--quad", type=int, default=3)
+    pm.add_argument("--case", choices=sorted(SHIPPED_CASES), default="classical")
+    pm.add_argument("--meshes", type=_COUNTS, default="2,4,8",
+                    help="division counts")
+    pm.add_argument("--quad", type=_COUNT, default=3)
     pm.add_argument("--csv", help="CSV output path")
     pm.add_argument("--report", help="JSON report path")
-    pm.add_argument("--min-rate-h1", type=float, default=1.9)
-    pm.add_argument("--min-rate-l2", type=float, default=2.8)
-    pm.add_argument("--min-rate-p", type=float, default=1.9)
+    pm.add_argument("--min-rate-h1", type=_FINITE, default=1.9)
+    pm.add_argument("--min-rate-l2", type=_FINITE, default=2.8)
+    pm.add_argument("--min-rate-p", type=_FINITE, default=1.9)
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the seeded property suite")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--trials", type=int, default=50)
-    pv.add_argument("--tol", type=float, default=1e-10,
+    pv.add_argument("--seed", type=_SEED, default=0)
+    pv.add_argument("--trials", type=_COUNT, default=50)
+    pv.add_argument("--tol", type=_POSITIVE, default=1e-10,
                     help="must be positive; the suite's thresholds are fixed")
     pv.add_argument("--report", help="JSON report path")
     return parser
 
 
-_NUMERIC_VALUE_FLAGS = {"--mu", "--box", "--meshes", "--eps", "--tol",
-                        "--min-rate-h1", "--min-rate-l2", "--min-rate-p"}
+# options that take no value
+_SWITCHES = ("--help", "--radius")
 
 
-def _merge_negative_values(argv):
-    """Join '--mu -1,1,1' into '--mu=-1,1,1' so argparse keeps the value."""
-    out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _NUMERIC_VALUE_FLAGS and nxt is not None
-                and nxt.startswith("-") and len(nxt) > 1
-                and set(nxt[1:]) <= set("0123456789.,+-eE")):
-            out.append(f"{tok}={nxt}")
-            skip = True
-        else:
-            out.append(tok)
+def _attached(argv) -> list:
+    """Each '--option value' pair written as '--option=value', so that a value
+    starting with '-' (say '--mu -1,1,1') stays the option's value."""
+    out, rest = [], iter(argv)
+    for tok in rest:
+        if tok.startswith("--") and "=" not in tok and tok not in _SWITCHES:
+            val = next(rest, None)
+            tok = tok if val is None else f"{tok}={val}"
+        out.append(tok)
     return out
 
 
-def _coerce_like(current, raw: str):
-    if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
-
-
-def _apply_config(args, argv, path) -> None:
-    """Fill parsed args from the config file; explicit flags win."""
-    cfg = load_config(path)
-    supplied = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            supplied.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in cfg.items():
-        if key in supplied or not hasattr(args, key):
-            continue
-        try:
-            setattr(args, key, _coerce_like(getattr(args, key), raw))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
+def _config_flags(path) -> list:
+    """The lines of a flat 'key = value' config file ('#' starts a comment) as
+    options '--key=value' ('b_grid' and 'b-grid' are both '--b-grid').  A
+    'radius' line of yes/true/on/1 is the switch '--radius' and one of
+    no/false/off/0 is dropped; argparse refuses any other value."""
+    if not os.path.exists(path):
+        raise ConfigError(f"config file {path!r} not found")
+    flags = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not (key and eq):
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key = key.replace("_", "-")
+            if key == "radius" and val.lower() in ("1", "true", "yes", "on"):
+                flags.append("--radius")
+            elif key != "radius" or val.lower() not in ("0", "false", "no", "off"):
+                flags.append(f"--{key}={val}")
+    return flags
 
 
 def main(argv=None) -> int:
-    argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
+    argv = _attached(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv)[0].config
+        if config:
+            # the file's options go right after the subcommand, ahead of every
+            # explicit option, global ones written before the subcommand too
+            at = next((i for i, tok in enumerate(argv) if tok[:1] != "-"), len(argv))
+            argv = argv[at:at + 1] + _config_flags(config) + argv[:at] + argv[at + 1:]
         args = parser.parse_args(argv)
-        if args.config:
-            _apply_config(args, argv, args.config)
         outdir = _outdir(args)
         os.makedirs(outdir, exist_ok=True)
         _apply_default_paths(args, outdir)
-        if args.command in ("ellipticity", "solve") and not args.mu:
-            raise ConfigError("--mu is required")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        handler = {
-            "ellipticity": cmd_ellipticity,
-            "solve": cmd_solve,
-            "mms": cmd_mms,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+        return {"ellipticity": cmd_ellipticity, "solve": cmd_solve,
+                "mms": cmd_mms, "verify": cmd_verify}[args.command](args)
     except SystemExit as exc:
-        # argparse exits on --help (0) and on a usage error (2)
+        # argparse exits on --help (0) and on a usage error or refused value (2)
         return exc.code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

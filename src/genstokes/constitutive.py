@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError, NonDifferentiableField
 from .fields import ScalarField, TensorField
-from .tensors import (UNIMODULAR_TOL, SymTensor3, ch_inverse_batch,
-                      d2_inverse_batch, d_inverse_batch)
+from .tensors import (SymTensor3, ch_inverse_batch, d2_inverse_batch,
+                      d_inverse_batch, unimodular_batch)
 
 __all__ = [
     "MuTriple",
@@ -27,6 +27,7 @@ __all__ = [
     "acal_samples",
     "acal_values",
     "mu_values",
+    "coefficient_derivatives",
     "audit_bounds",
     "shipped_smooth_fields",
 ]
@@ -145,22 +146,32 @@ def _lp_norm(stack: np.ndarray, p: float, volume: float) -> float:
     return float((np.sum(np.mean(flat, axis=0)) * volume) ** (1.0 / p))
 
 
-def _d_acal(mu_fields, pts, bvals, binv, dbvals, dbinv) -> np.ndarray:
-    """dA = dmu1 I + dmu2 B + mu2 dB + dmu3 B^{-1} + mu3 d(B^{-1}), (N,3,3,3)."""
-    m1, m2, m3 = mu_fields
-    eye = np.eye(3)
-    g1 = m1.grad(pts)[:, :, None, None]
-    g2 = m2.grad(pts)[:, :, None, None]
-    g3 = m3.grad(pts)[:, :, None, None]
-    v2 = m2.eval(pts)[:, None, None, None]
-    v3 = m3.eval(pts)[:, None, None, None]
-    return (
-        g1 * eye
-        + g2 * bvals[:, None, :, :]
-        + v2 * dbvals
-        + g3 * binv[:, None, :, :]
-        + v3 * dbinv
-    )
+def coefficient_derivatives(mu, b: TensorField, pts, bvals, binv=None):
+    """(dB, d(B^{-1}), dA) at the samples ``pts``, each (N, 3, 3, 3) indexed
+    [n, k, i, j] = d_k (.)_ij, where B takes the values ``bvals``; ``binv``
+    is B^{-1} there, computed here when not given.
+
+    A constant B has zero derivatives whatever its determinant.  Otherwise
+    d(B^{-1}) is the formula for det B = 1, so every sample must be
+    unimodular; if one is not, None comes back before anything is inverted.
+    """
+    if b.kind == "constant":
+        dbvals = np.zeros((pts.shape[0], 3, 3, 3))
+        dbinv = np.zeros_like(dbvals)
+    elif not unimodular_batch(bvals).all():
+        return None
+    else:
+        dbvals = b.grad(pts)
+        dbinv = d_inverse_batch(bvals[:, None], dbvals)
+    if binv is None:
+        binv = ch_inverse_batch(bvals)
+    # dA = dmu1 I + dmu2 B + mu2 dB + dmu3 B^{-1} + mu3 d(B^{-1})
+    m1, m2, m3 = _mu_fields(mu)
+    return dbvals, dbinv, (m1.grad(pts)[:, :, None, None] * np.eye(3)
+                           + m2.grad(pts)[:, :, None, None] * bvals[:, None]
+                           + m2.eval(pts)[:, None, None, None] * dbvals
+                           + m3.grad(pts)[:, :, None, None] * binv[:, None]
+                           + m3.eval(pts)[:, None, None, None] * dbinv)
 
 
 def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
@@ -185,7 +196,8 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
     * ``binv_l2``:    ||B^{-1}||_L2 vs ||B||_L4^2
 
     ``derivatives``: "auto" includes derivative audits, with exactly zero
-    derivatives for constant representations; "require" raises
+    derivatives for constant representations, when
+    :func:`coefficient_derivatives` computes them; "require" raises
     NonDifferentiableField when every field is constant (nothing to
     measure); "skip" emits only the order-zero audits.
     """
@@ -224,66 +236,64 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
             "derivative audits requested on constant-only data"
         )
 
-    unimodular = bool(np.max(np.abs(dets - 1.0)) <= UNIMODULAR_TOL)
-    dbvals = b.grad(pts)  # (N, k, 3, 3)
+    derivs = coefficient_derivatives(mu_f, b, pts, bvals, binv)
+    if derivs is None:
+        return audits
+    dbvals, dbinv, davals = derivs
     sup_db = float(np.max(np.abs(dbvals))) if dbvals.size else 0.0
+    sup_dbinv, idx_dbinv = _sup_entry(dbinv)
+    rhs = 20.0 * sup_b * sup_db
+    audits.append(BoundAudit(
+        "d_binv_linf", sup_dbinv, rhs,
+        satisfied=sup_dbinv <= rhs * (1 + 1e-12),
+        worst_point=tuple(pts[idx_dbinv]),
+    ))
 
-    if unimodular:
-        dbinv = d_inverse_batch(bvals[:, None, :, :], dbvals)
-        sup_dbinv, idx_dbinv = _sup_entry(dbinv)
-        rhs = 20.0 * sup_b * sup_db
-        audits.append(BoundAudit(
-            "d_binv_linf", sup_dbinv, rhs,
-            satisfied=sup_dbinv <= rhs * (1 + 1e-12),
-            worst_point=tuple(pts[idx_dbinv]),
-        ))
+    sup_da, idx_da = _sup_entry(davals)
+    sup_dmu = [float(np.max(np.abs(f.grad(pts)))) for f in mu_f]
+    rhs = (
+        sup_dmu[0]
+        + sup_dmu[1] * sup_b
+        + sup_mu[1] * sup_db
+        + 9.0 * sup_dmu[2] * sup_b**2
+        + 20.0 * sup_mu[2] * sup_b * sup_db
+    )
+    audits.append(BoundAudit(
+        "d_acal_linf", sup_da, rhs,
+        satisfied=sup_da <= rhs * (1 + 1e-12),
+        worst_point=tuple(pts[idx_da]),
+    ))
 
-        davals = _d_acal(mu_f, pts, bvals, binv, dbvals, dbinv)
-        sup_da, idx_da = _sup_entry(davals)
-        sup_dmu = [float(np.max(np.abs(f.grad(pts)))) for f in mu_f]
-        rhs = (
-            sup_dmu[0]
-            + sup_dmu[1] * sup_b
-            + sup_mu[1] * sup_db
-            + 9.0 * sup_dmu[2] * sup_b**2
-            + 20.0 * sup_mu[2] * sup_b * sup_db
-        )
-        audits.append(BoundAudit(
-            "d_acal_linf", sup_da, rhs,
-            satisfied=sup_da <= rhs * (1 + 1e-12),
-            worst_point=tuple(pts[idx_da]),
-        ))
-
-        # ratio-only family
-        b_l6 = _lp_norm(bvals, 6.0, volume)
-        b_l4 = _lp_norm(bvals, 4.0, volume)
-        db_l6 = _lp_norm(dbvals, 6.0, volume)
-        db_l3 = _lp_norm(dbvals, 3.0, volume)
-        d2b = b.hess(pts)  # (N, k, l, 3, 3)
-        d2b_l3 = _lp_norm(d2b, 3.0, volume)
-        d2binv = d2_inverse_batch(bvals[:, None, None], dbvals[:, :, None],
-                                  dbvals[:, None, :], d2b)
-        audits.append(_ratio_audit("binv_l3", _lp_norm(binv, 3.0, volume), b_l6**2))
-        audits.append(_ratio_audit(
-            "d_binv_l3", _lp_norm(dbinv, 3.0, volume), b_l6 * db_l6
-        ))
-        audits.append(_ratio_audit(
-            "d2_binv_l3", _lp_norm(d2binv, 3.0, volume),
-            db_l6**2 + sup_b * d2b_l3,
-        ))
-        d2a = _second_derivative_acal(mu_f, pts, bvals, binv, dbvals, dbinv, d2b, d2binv)
-        d2mu_l3 = [_lp_norm(f.hess(pts), 3.0, volume) for f in mu_f]
-        rhs_no_c = (
-            d2mu_l3[0]
-            + d2mu_l3[1] * sup_b
-            + sup_dmu[1] * db_l3
-            + sup_mu[1] * db_l3
-            + d2mu_l3[2] * sup_binv
-            + sup_dmu[2] * _lp_norm(dbinv, 3.0, volume)
-            + sup_mu[2] * _lp_norm(d2binv, 3.0, volume)
-        )
-        audits.append(_ratio_audit("d2_acal_l3", _lp_norm(d2a, 3.0, volume), rhs_no_c))
-        audits.append(_ratio_audit("binv_l2", _lp_norm(binv, 2.0, volume), b_l4**2))
+    # ratio-only family
+    b_l6 = _lp_norm(bvals, 6.0, volume)
+    b_l4 = _lp_norm(bvals, 4.0, volume)
+    db_l6 = _lp_norm(dbvals, 6.0, volume)
+    db_l3 = _lp_norm(dbvals, 3.0, volume)
+    d2b = b.hess(pts)  # (N, k, l, 3, 3)
+    d2b_l3 = _lp_norm(d2b, 3.0, volume)
+    d2binv = d2_inverse_batch(bvals[:, None, None], dbvals[:, :, None],
+                              dbvals[:, None, :], d2b)
+    audits.append(_ratio_audit("binv_l3", _lp_norm(binv, 3.0, volume), b_l6**2))
+    audits.append(_ratio_audit(
+        "d_binv_l3", _lp_norm(dbinv, 3.0, volume), b_l6 * db_l6
+    ))
+    audits.append(_ratio_audit(
+        "d2_binv_l3", _lp_norm(d2binv, 3.0, volume),
+        db_l6**2 + sup_b * d2b_l3,
+    ))
+    d2a = _second_derivative_acal(mu_f, pts, bvals, binv, dbvals, dbinv, d2b, d2binv)
+    d2mu_l3 = [_lp_norm(f.hess(pts), 3.0, volume) for f in mu_f]
+    rhs_no_c = (
+        d2mu_l3[0]
+        + d2mu_l3[1] * sup_b
+        + sup_dmu[1] * db_l3
+        + sup_mu[1] * db_l3
+        + d2mu_l3[2] * sup_binv
+        + sup_dmu[2] * _lp_norm(dbinv, 3.0, volume)
+        + sup_mu[2] * _lp_norm(d2binv, 3.0, volume)
+    )
+    audits.append(_ratio_audit("d2_acal_l3", _lp_norm(d2a, 3.0, volume), rhs_no_c))
+    audits.append(_ratio_audit("binv_l2", _lp_norm(binv, 2.0, volume), b_l4**2))
     return audits
 
 

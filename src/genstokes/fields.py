@@ -12,7 +12,8 @@ Three representations share one evaluation interface:
   (integral exponents as repeated products, others as a binomial series,
   symbolic exponents as exp(b log a)) and sin/cos/exp.  Those nodes are the
   grammar of ``parse_expression``, which refuses any other node with
-  ConfigError; an expression built in sympy that holds another node raises
+  ConfigError, checking the text's Python syntax before sympy evaluates it;
+  an expression built in sympy that holds another node raises
   NonDifferentiableField when evaluated,
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
   with second-order finite-difference derivatives (one-sided at the faces)
@@ -31,6 +32,7 @@ Fields are read-only after construction; concurrent evaluation is safe.
 
 from __future__ import annotations
 
+import ast
 import collections
 import functools
 import itertools
@@ -40,7 +42,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import ConfigError, NonDifferentiableField
-from .tensors import UNIMODULAR_TOL, SymTensor3
+from .tensors import SymTensor3
 
 __all__ = [
     "ScalarField",
@@ -64,12 +66,40 @@ _COMP_INDEX = {
 _HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
+# Python syntax of the grammar; what names mean is checked on sympy's result
+_SYNTAX = (ast.Expression, ast.Name, ast.Load, ast.BinOp, ast.Add, ast.Sub,
+           ast.Mult, ast.Div, ast.Pow, ast.UnaryOp, ast.UAdd, ast.USub,
+           ast.Compare, ast.cmpop, ast.Tuple)
+
+
 def parse_expression(text: str) -> sp.Expr:
-    """Parse an expression made only of nodes that ``_taylor_jet`` evaluates."""
+    """Parse an expression made only of nodes that ``_taylor_jet`` evaluates.
+
+    The text's Python syntax is checked first, since sympy runs the text
+    through Python's ``eval``; sympy's result is then checked node by node.
+    """
+    text = str(text)
+    try:
+        tree = ast.parse(text.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        elif isinstance(node, ast.Call):  # sin, cos or exp of one argument
+            ok = (getattr(node.func, "id", "") in [f.__name__ for f in _TAYLOR_FUNCS]
+                  and len(node.args) == 1)
+        else:
+            ok = (isinstance(node, _SYNTAX)
+                  and not getattr(node, "id", "").startswith("_"))
+        if not ok:
+            what = f"{type(node).__name__} {ast.unparse(node)}".strip()
+            raise ConfigError(f"expression {text!r} uses {what}, which is "
+                              f"outside the expression grammar")
     local = {"x": _X, "y": _Y, "z": _Z, "pi": sp.pi}
     local.update((f.__name__, f) for f in _TAYLOR_FUNCS)
     try:
-        expr = sp.parse_expr(str(text), local_dict=local)
+        expr = sp.parse_expr(text, local_dict=local)
     except Exception as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
     for node in sp.preorder_traversal(expr):
@@ -159,10 +189,11 @@ def _jet_func(func, a, order, pairs):
         coeffs = [np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k)
                                  for k in range(1, order + 1)]
     else:  # sin^(k)(t) = sin(t + k pi/2), cos^(k)(t) = sin(t + (k+1) pi/2)
-        s, c = np.sin(a0), np.cos(a0)
-        shift = 0 if func is sp.sin else 1
-        coeffs = [(s, c, -s, -c)[(k + shift) % 4] / math.factorial(k)
-                  for k in range(order + 1)]
+        shifts = [(k + (func is sp.cos)) % 4 for k in range(order + 1)]
+        # sin(a0) and cos(a0), each only if a coefficient reads it
+        sc = {j: (np.sin, np.cos)[j](a0) for j in {m % 2 for m in shifts}}
+        coeffs = [(sc[m % 2] if m < 2 else -sc[m % 2]) / math.factorial(k)
+                  for k, m in enumerate(shifts)]
     return coeffs[0] if isinstance(a, float) else _jet_series(a, coeffs, pairs)
 
 
@@ -461,16 +492,6 @@ class TensorField:
 
     def hess(self, pts) -> np.ndarray:
         return self._symmetric(pts, "hess", (3, 3))
-
-    def check_unimodular(self, pts, tol: float = UNIMODULAR_TOL) -> None:
-        """Require |det B - 1| <= tol at every sample point."""
-        dets = np.linalg.det(self.eval(pts))
-        worst = np.argmax(np.abs(dets - 1.0))
-        if abs(dets[worst] - 1.0) > tol:
-            pts = np.atleast_2d(pts)
-            raise ConfigError(
-                f"tensor field not unimodular: det = {dets[worst]:.9g} at {pts[worst]}"
-            )
 
 
 class VectorField:

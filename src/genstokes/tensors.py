@@ -38,6 +38,7 @@ __all__ = [
     "ch_inverse_batch",
     "d_inverse_batch",
     "d2_inverse_batch",
+    "unimodular_batch",
     "UNIMODULAR_TOL",
 ]
 
@@ -329,10 +330,16 @@ def lop(a: SymTensor3, m) -> SymTensor3:
     return SymTensor3.from_matrix(sm @ am + am @ sm)
 
 
-def _check_unimodular(b: SymTensor3, tol: float = UNIMODULAR_TOL) -> None:
-    det = invariants(b).i3
-    if abs(det - 1.0) > tol:
-        raise NotUnimodular(f"det B = {det:.12g}, not 1 within {tol:g}")
+def unimodular_batch(mats: np.ndarray) -> np.ndarray:
+    """Whether det B = 1 within ``UNIMODULAR_TOL``, per matrix of an
+    (..., 3, 3) stack; a non-finite determinant is not."""
+    return np.abs(np.linalg.det(mats) - 1.0) <= UNIMODULAR_TOL
+
+
+def _check_unimodular(b: SymTensor3) -> None:
+    if not unimodular_batch(b.to_matrix()):
+        raise NotUnimodular(f"det B = {invariants(b).i3:.12g}, "
+                            f"not 1 within {UNIMODULAR_TOL:g}")
 
 
 def d_inverse(b: SymTensor3, db: SymTensor3) -> SymTensor3:

@@ -28,12 +28,12 @@ import sympy as sp
 from scipy.special import roots_legendre
 
 from .assembly import SaddleSystem, assemble
-from .constitutive import BoundAudit, MuTriple, _d_acal, _mu_fields, _ratio_audit
+from .constitutive import (BoundAudit, MuTriple, _ratio_audit,
+                           coefficient_derivatives)
 from .errors import MissingNormInput, NonDifferentiableExpression
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
 from .fields import COMPONENT_ORDER, ScalarField, TensorField, VectorField
 from .solver import SolveResult, minres_solve
-from .tensors import UNIMODULAR_TOL, ch_inverse_batch, d_inverse_batch
 
 __all__ = [
     "MMSCase",
@@ -428,25 +428,6 @@ def rk_evaluate(alpha: float, lambda1: float, a_norms: dict, f_norms: dict,
 # per-solve audits
 
 
-def _sup_da(mu, b_field: TensorField, pts) -> Optional[float]:
-    """Sampled sup-norm of the coefficient derivative, when computable."""
-    mu_f = _mu_fields(mu)
-    bvals = b_field.eval(pts)
-    if b_field.kind == "constant":
-        dbvals = np.zeros((pts.shape[0], 3, 3, 3))
-        dbinv = np.zeros_like(dbvals)
-    else:
-        # checked before inverting: a refused field needs no inverse
-        dets = np.linalg.det(bvals)
-        if np.max(np.abs(dets - 1.0)) > UNIMODULAR_TOL:
-            return None
-        dbvals = b_field.grad(pts)
-        dbinv = d_inverse_batch(bvals[:, None], dbvals)
-    binv = ch_inverse_batch(bvals)
-    da = _d_acal(mu_f, pts, bvals, binv, dbvals, dbinv)
-    return float(np.max(np.abs(da)))
-
-
 def case_norm_suite(case: MMSCase, lambda1: float, box,
                     n_axis: int = 12) -> dict:
     """Coefficient and forcing norms reused across mesh levels of one case."""
@@ -507,9 +488,10 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
     ))
     bounds.append(_ratio_audit("pressure_l2", p_l2, (anorm / alpha) * f_dual))
 
-    sup_da = _sup_da(mu, b_field, geom.flat_points)
-    if sup_da is not None:
-        a_w1inf = math.sqrt(lam1) * anorm + sup_da
+    pts = geom.flat_points
+    derivs = coefficient_derivatives(mu, b_field, pts, b_field.eval(pts))
+    if derivs is not None:  # sup |dA| completes ||A||_W1inf
+        a_w1inf = math.sqrt(lam1) * anorm + float(np.max(np.abs(derivs[2])))
         d2v = broken_h2_velocity(system.space, result.velocity)
         rhs_d2v = (1.0 / alpha) * (f_l2 + (1.0 / alpha) * a_w1inf * f_dual)
         bounds.append(_ratio_audit("d2v_broken", d2v, rhs_d2v))

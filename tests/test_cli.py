@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from genstokes import cli
 from genstokes.cli import main
 from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, write_grid_file
@@ -347,6 +348,110 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code = main(["--config", str(cfg), "--out", str(tmp_path),
                  "ellipticity", "--mu", "1,-1,-1"])
     assert code == 2
+
+
+_SOLVE = ["solve", "--mu", "1,0,0", "--mesh", "2"]
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ("method = uzawa", _SOLVE, "--method"),
+    ("methdo = direct", _SOLVE, "--methdo"),
+    ("= direct", _SOLVE, "run.cfg:1: expected key = value"),
+    (None, _SOLVE + ["--quad", "0"], "--quad"),
+    (None, ["mms", "--meshes", "2", "--quad", "0"], "--quad"),
+    (None, ["ellipticity", "--mu", "1,1,1", "--b-expr", "a11=1;a22=1;a33=1",
+            "--samples", "0"], "--samples"),
+    (None, ["solve", "--mu", "1,0,0", "--mesh", "a"], "--mesh"),
+    (None, _SOLVE + ["--box", "a"], "--box"),
+    (None, ["mms", "--meshes", "a"], "--meshes"),
+    (None, ["solve", "--mu", "1,0,0", "--mesh", "0"], "--mesh"),
+    (None, _SOLVE + ["--box", "0"], "--box"),
+    (None, ["mms", "--meshes", "0"], "--meshes"),
+    (None, _SOLVE + ["--f-expr", "open('F','w').close() or x; 0; 0"], "BoolOp"),
+    (None, ["ellipticity", "--mu", "nan,1,1"], "--mu"),
+    (None, ["ellipticity", "--mu", "1,1,1", "--radius", "--eps", "nan"], "--eps"),
+    (None, ["verify", "--seed", "-1"], "--seed"),
+    (None, ["verify", "--trials", "0"], "--trials"),
+], ids=["config-choice", "config-unknown-key", "config-no-key", "solve-quad", "mms-quad",
+        "samples", "mesh-text", "box-text", "meshes-text", "mesh-zero",
+        "box-zero", "meshes-zero", "expression-code", "mu-nan", "eps-nan",
+        "seed-negative", "trials-zero"])
+def test_refused_setting_exits_2(tmp_path, capsys, monkeypatch, config, argv,
+                                 named):
+    # refused where it enters: exit 2, the flag, key or node named, no
+    # traceback, and nothing in the text run
+    monkeypatch.chdir(tmp_path)
+    head = ["--out", str(tmp_path)]
+    if config:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        head += ["--config", str(tmp_path / "run.cfg")]
+    code = main(head + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err.splitlines()[-1]  # the error, not the usage
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "F").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("quad", "0"), ("mesh", "2,2"), ("box", "nan"), ("tol", "0"),
+    ("mu", "1,1"), ("threads", "0"), ("method", "uzawa"), ("radius", "maybe"),
+])
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys, key, value):
+    # a config line is the subcommand's option --key=value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    command = "ellipticity" if key == "radius" else "solve"
+    flag_code = main(["--out", str(tmp_path), command, "--mu", "1,0,0",
+                      f"--{key}={value}"])
+    flag_err = capsys.readouterr().err.splitlines()[-1]
+    code = main(["--config", str(cfg), "--out", str(tmp_path), command,
+                 "--mu", "1,0,0"] if key != "mu" else
+                ["--config", str(cfg), "--out", str(tmp_path), command])
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert code == flag_code == 2
+    assert err == flag_err and f"--{key}" in err
+
+
+def test_config_radius_line_switches_radius_on(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    report = tmp_path / "r.json"
+    for value, on in [("yes", True), ("On", True), ("1", True), ("no", False)]:
+        cfg.write_text(f"mu = -2.5,4,0.25\nradius = {value}\n")
+        code = main(["--config", str(cfg), "--out", str(tmp_path),
+                     "ellipticity", "--report", str(report)])
+        assert code == 0
+        assert ("radius" in json.loads(report.read_text())) is on
+
+
+def test_flags_before_subcommand_beat_config(tmp_path, monkeypatch):
+    seen = {}
+    real = cli.assemble
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mu = 1,0,0\nmesh = 2\nthreads = 2\nout = {tmp_path / 'file'}\n")
+    code = main(["--threads", "1", "--out", str(tmp_path / "flag"),
+                 "--config", str(cfg), "solve"])
+    assert code == 0
+    assert seen["threads"] == 1
+    assert (tmp_path / "flag" / "report.json").exists()
+    assert not (tmp_path / "file").exists()
+
+
+def test_values_starting_with_minus_parse(tmp_path):
+    # '--f-expr -x*y;...' was read by argparse as an unknown option
+    for head in (["--f-expr", "-x*y; 0; 0"], ["--config", str(tmp_path / "run.cfg")]):
+        (tmp_path / "run.cfg").write_text("f_expr = -x*y; 0; 0\n")
+        code = main(["--out", str(tmp_path), "solve", "--mu", "-1,1,1",
+                     "--mesh", "2", *head])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["norms"]["f_l2"] > 0.0
 
 
 def test_config_file_missing(tmp_path):

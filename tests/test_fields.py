@@ -17,6 +17,7 @@ from genstokes.fields import (
     parse_expression,
     write_grid_file,
 )
+from genstokes.tensors import unimodular_batch
 
 
 def test_expression_eval_and_derivatives():
@@ -42,6 +43,25 @@ def test_expression_rejects_unknown_names():
         parse_expression("import os")
     with pytest.raises(ConfigError, match="tuple"):
         parse_expression("x, y")
+
+
+def test_expression_syntax_is_checked_before_sympy_evaluates_it(monkeypatch):
+    # sympy runs the text through Python's eval: code in it would run before
+    # the walk over sympy's result could refuse anything
+    import os
+
+    calls = []
+    monkeypatch.setattr(os, "getpid", lambda: calls.append(1) or 0)
+    for text, node in [("__import__('os').getpid()*0 + x", "Call"),
+                       ("open('F', 'w').close() or x", "BoolOp"),
+                       ("x.real", "Attribute"), ("x % 2", "Mod"),
+                       ("sqrt(x)", "Call"), ("sin(x, y)", "Call"),
+                       ("True", "Constant"), ("_x", "Name")]:
+        with pytest.raises(ConfigError, match=f"uses {node}"):
+            parse_expression(text)
+    assert calls == []
+    x, y, _ = _SYMS
+    assert parse_expression(" -x**2 / (1 + sin(y))") == -x**2 / (1 + sp.sin(y))
 
 
 def test_expression_grammar_is_the_taylor_node_set():
@@ -335,9 +355,11 @@ def test_vector_field():
 
 
 def test_tensor_unimodular_check():
+    pts = np.array([[0.5, 0.5, 0.5], [0.1, 0.2, 0.3]])
     fld = TensorField.expression({"a11": "2", "a22": "1", "a33": "1"})
-    with pytest.raises(ConfigError):
-        fld.check_unimodular(np.array([[0.5, 0.5, 0.5]]))
+    assert not unimodular_batch(fld.eval(pts)).any()
+    shear = TensorField.expression({"a11": "1 + x*x", "a12": "x", "a22": "1", "a33": "1"})
+    assert unimodular_batch(shear.eval(pts)).all()
 
 
 def _lambdified(expr, pts):

@@ -5,12 +5,14 @@ import is used, and every private function, class, method or property
 (module-level or in a class body) is referenced somewhere in the package.
 Deleting a duplicate tends to leave one of these behind.  A third check
 keeps heavy scipy subpackages that no command needs off the import path of
-the CLI, and a fourth keeps expression fields on one evaluator.
+the CLI, a fourth keeps expression fields on one evaluator, and a fifth keeps
+text from being evaluated anywhere but behind the expression grammar.
 """
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -95,3 +97,17 @@ def test_no_lambdify_in_package():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "lambdify" in line]
     assert users == []
+
+
+def test_text_reaches_python_eval_only_through_parse_expression():
+    # sympy.parse_expr runs its input through Python's eval; its one call is
+    # in parse_expression, behind the grammar's syntax check, and nothing
+    # else in the package evaluates text
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(SRC.glob("*.py"))}
+    assert sum(len(re.findall(r"\bparse_expr\b", t)) for t in texts.values()) == 1
+    evaluators = [f"{name}:{n}"
+                  for name, text in texts.items()
+                  for n, line in enumerate(text.splitlines(), 1)
+                  if re.search(r"sympify\(|(?<![\w.])(?<!def )(?:eval|exec)\(", line)]
+    assert evaluators == []

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from genstokes import verification
-from genstokes.constitutive import MuTriple
+from genstokes import constitutive, verification
+from genstokes.constitutive import MuTriple, coefficient_derivatives
 from genstokes.errors import MissingNormInput, NonDifferentiableExpression
 from genstokes.fem import TaylorHoodSpace, build_mesh
 from genstokes.fields import ScalarField, TensorField
@@ -363,21 +363,23 @@ def test_csv_emission(tmp_path):
 
 
 def test_sup_da_checks_unimodularity_before_inverting(monkeypatch):
+    # the coefficient derivatives that audit_estimates takes sup |dA| from
     calls = []
-    real = verification.ch_inverse_batch
+    real = constitutive.ch_inverse_batch
 
     def spy(mats):
         calls.append(len(mats))
         return real(mats)
 
-    monkeypatch.setattr(verification, "ch_inverse_batch", spy)
+    monkeypatch.setattr(constitutive, "ch_inverse_batch", spy)
     mu = MuTriple(1.0, 1.0, 0.5)
     pts = np.random.default_rng(0).uniform(size=(50, 3))
     scaled = TensorField.expression({"a11": "2 + x", "a22": "1", "a33": "1"})
-    assert verification._sup_da(mu, scaled, pts) is None
+    assert coefficient_derivatives(mu, scaled, pts, scaled.eval(pts)) is None
     assert calls == []
     # det = (1 + x^2) - x^2 = 1: unimodular, so it is inverted once
     shear = TensorField.expression(
         {"a11": "1 + x*x", "a12": "x", "a22": "1", "a33": "1"})
-    assert verification._sup_da(mu, shear, pts) > 0.0
+    _, _, da = coefficient_derivatives(mu, shear, pts, shear.eval(pts))
+    assert np.max(np.abs(da)) > 0.0
     assert calls == [50]
