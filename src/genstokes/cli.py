@@ -378,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the seeded property suite")
     pv.add_argument("--seed", type=_SEED, default=0)
     pv.add_argument("--trials", type=_COUNT, default=50)
-    pv.add_argument("--tol", type=_POSITIVE, default=1e-10,
-                    help="must be positive; the suite's thresholds are fixed")
     pv.add_argument("--report", help="JSON report path")
     return parser
 

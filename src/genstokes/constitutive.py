@@ -1,5 +1,8 @@
 """Constitutive operator A(B) = mu1 I + mu2 B + mu3 B^{-1} and its norm audits.
 
+A and its first and second derivatives come from one product rule over the
+jets (values and derivatives, each evaluated once) of mu, B and B^{-1}.
+
 The audits compare sampled sup-norms (max-abs-entry for tensors) against the
 explicit constants of the constitutive regularity estimates; inequalities
 whose universal constant is unspecified are reported ratio-only.  Sup norms
@@ -14,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NonDifferentiableField
+from .errors import DomainError
 from .fields import ScalarField, TensorField
 from .tensors import (SymTensor3, ch_inverse_batch, d2_inverse_batch,
                       d_inverse_batch, unimodular_batch)
@@ -107,13 +110,43 @@ def mu_values(mu, pts) -> tuple:
 
 def acal_samples(mu_vals, bvals: np.ndarray) -> np.ndarray:
     """A = mu1 I + mu2 B + mu3 B^{-1} from sampled ``mu_values`` and B (N, 3, 3)."""
-    m1, m2, m3 = mu_vals
-    binv = ch_inverse_batch(bvals)
-    return (
-        m1[:, None, None] * np.eye(3)
-        + m2[:, None, None] * bvals
-        + m3[:, None, None] * binv
-    )
+    return _acal_jet([[m] for m in mu_vals],
+                     [[bvals], [ch_inverse_batch(bvals)]])[0]
+
+
+# I and its (zero) derivatives, broadcast against the sample axis
+_IDENTITY_JET = [np.eye(3)[None], np.zeros((1,) * 4), np.zeros((1,) * 5)]
+
+
+def _acal_jet(mu_jets, t_jets) -> list:
+    """[A, dA, d2A] of A = mu1 I + mu2 B + mu3 B^{-1} by the product rule,
+    as deep as the given jets.
+
+    ``mu_jets`` holds [mu_k, grad mu_k, hess mu_k] per k, of shapes (N,),
+    (N, 3), (N, 3, 3); ``t_jets`` holds [T, dT, d2T] for T = B and B^{-1},
+    of shapes (N, 3, 3), (N, 3, 3, 3), (N, 3, 3, 3, 3), derivatives indexed
+    [n, k, i, j] = d_k T_ij and [n, k, l, i, j] = d_k d_l T_ij.
+    """
+    order = len(t_jets[0]) - 1
+    jet = [None] * (order + 1)
+
+    def add(n, term):
+        if jet[n] is None:
+            jet[n] = term
+        else:
+            jet[n] += term
+
+    for m, t in zip(mu_jets, [_IDENTITY_JET, *t_jets]):
+        add(0, m[0][:, None, None] * t[0])
+        if order >= 1:
+            add(1, m[1][:, :, None, None] * t[0][:, None])
+            add(1, m[0][:, None, None, None] * t[1])
+        if order >= 2:
+            g = m[1][:, :, None, None, None]
+            add(2, m[2][..., None, None] * t[0][:, None, None])
+            add(2, g * t[1][:, None] + np.swapaxes(g, 1, 2) * t[1][:, :, None])
+            add(2, m[0][:, None, None, None, None] * t[2])
+    return jet
 
 
 def acal_values(mu, b: TensorField, pts) -> np.ndarray:
@@ -146,36 +179,36 @@ def _lp_norm(stack: np.ndarray, p: float, volume: float) -> float:
     return float((np.sum(np.mean(flat, axis=0)) * volume) ** (1.0 / p))
 
 
-def coefficient_derivatives(mu, b: TensorField, pts, bvals, binv=None):
-    """(dB, d(B^{-1}), dA) at the samples ``pts``, each (N, 3, 3, 3) indexed
-    [n, k, i, j] = d_k (.)_ij, where B takes the values ``bvals``; ``binv``
-    is B^{-1} there, computed here when not given.
+def coefficient_derivatives(mu, b: TensorField, pts, bvals, binv=None,
+                            order: int = 1):
+    """Jets [value, first, second derivatives] up to ``order`` of mu, B,
+    B^{-1} and A at the samples ``pts``, where B takes the values ``bvals``;
+    ``binv`` is B^{-1} there, computed here when not given.
 
-    A constant B has zero derivatives whatever its determinant.  Otherwise
-    d(B^{-1}) is the formula for det B = 1, so every sample must be
-    unimodular; if one is not, None comes back before anything is inverted.
+    Returns (mu_jets, b_jet, binv_jet, a_jet), shaped as in :func:`_acal_jet`.
+    d(B^{-1}) is the formula for det B = 1, so every sample of a varying B
+    must be unimodular; if one is not, None comes back before anything is
+    evaluated.  A constant B has zero derivatives, and so does its inverse
+    by that formula, whatever its determinant.
     """
-    if b.kind == "constant":
-        dbvals = np.zeros((pts.shape[0], 3, 3, 3))
-        dbinv = np.zeros_like(dbvals)
-    elif not unimodular_batch(bvals).all():
+    if order and b.kind != "constant" and not unimodular_batch(bvals).all():
         return None
-    else:
-        dbvals = b.grad(pts)
-        dbinv = d_inverse_batch(bvals[:, None], dbvals)
     if binv is None:
         binv = ch_inverse_batch(bvals)
-    # dA = dmu1 I + dmu2 B + mu2 dB + dmu3 B^{-1} + mu3 d(B^{-1})
-    m1, m2, m3 = _mu_fields(mu)
-    return dbvals, dbinv, (m1.grad(pts)[:, :, None, None] * np.eye(3)
-                           + m2.grad(pts)[:, :, None, None] * bvals[:, None]
-                           + m2.eval(pts)[:, None, None, None] * dbvals
-                           + m3.grad(pts)[:, :, None, None] * binv[:, None]
-                           + m3.eval(pts)[:, None, None, None] * dbinv)
+    derivatives = ("eval", "grad", "hess")[:order + 1]
+    mu_jets = [[getattr(f, d)(pts) for d in derivatives] for f in _mu_fields(mu)]
+    b_jet, binv_jet = [bvals], [binv]
+    if order >= 1:
+        b_jet.append(b.grad(pts))
+        binv_jet.append(d_inverse_batch(bvals[:, None], b_jet[1]))
+    if order >= 2:
+        b_jet.append(b.hess(pts))
+        binv_jet.append(d2_inverse_batch(bvals[:, None, None], b_jet[1][:, :, None],
+                                         b_jet[1][:, None, :], b_jet[2]))
+    return mu_jets, b_jet, binv_jet, _acal_jet(mu_jets, [b_jet, binv_jet])
 
 
-def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
-                 derivatives: str = "auto") -> list:
+def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0) -> list:
     """Audit the explicit constitutive norm bounds over a sample set.
 
     Assertable audits (fully specified constants):
@@ -195,18 +228,18 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
     * ``d2_acal_l3``: ||D2 A||_L3 vs the analogous term combination
     * ``binv_l2``:    ||B^{-1}||_L2 vs ||B||_L4^2
 
-    ``derivatives``: "auto" includes derivative audits, with exactly zero
-    derivatives for constant representations, when
-    :func:`coefficient_derivatives` computes them; "require" raises
-    NonDifferentiableField when every field is constant (nothing to
-    measure); "skip" emits only the order-zero audits.
+    The derivative audits, with exactly zero derivatives for a constant B,
+    are included whenever :func:`coefficient_derivatives` computes them.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    mu_f = _mu_fields(mu)
-    audits = []
-
     bvals = b.eval(pts)
     binv = ch_inverse_batch(bvals)
+    # order 0 when a varying B is not unimodular: no derivative audits
+    mu_jets, b_jet, binv_jet, a_jet = (
+        coefficient_derivatives(mu, b, pts, bvals, binv, order=2)
+        or coefficient_derivatives(mu, b, pts, bvals, binv, order=0))
+    audits = []
+
     dets = np.linalg.det(bvals)
     sup_b, _ = _sup_entry(bvals)
     sup_binv, idx_binv = _sup_entry(binv)
@@ -219,27 +252,17 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
         worst_point=tuple(pts[idx_binv]),
     ))
 
-    avals = acal_values(mu_f, b, pts)
-    sup_a, idx_a = _sup_entry(avals)
-    sup_mu = [float(np.max(np.abs(f.eval(pts)))) for f in mu_f]
+    sup_a, idx_a = _sup_entry(a_jet[0])
+    sup_mu = [float(np.max(np.abs(m[0]))) for m in mu_jets]
     rhs = sup_mu[0] + sup_mu[1] * sup_b + 15.0 * sup_mu[2] * sup_detinv * sup_b**2
     audits.append(BoundAudit(
         "acal_linf", sup_a, rhs, satisfied=sup_a <= rhs * (1 + 1e-12),
         worst_point=tuple(pts[idx_a]),
     ))
-
-    if derivatives == "skip":
+    if len(a_jet) == 1:
         return audits
-    all_constant = b.kind == "constant" and all(f.kind == "constant" for f in mu_f)
-    if derivatives == "require" and all_constant:
-        raise NonDifferentiableField(
-            "derivative audits requested on constant-only data"
-        )
 
-    derivs = coefficient_derivatives(mu_f, b, pts, bvals, binv)
-    if derivs is None:
-        return audits
-    dbvals, dbinv, davals = derivs
+    (dbvals, d2b), (dbinv, d2binv), (davals, d2a) = b_jet[1:], binv_jet[1:], a_jet[1:]
     sup_db = float(np.max(np.abs(dbvals))) if dbvals.size else 0.0
     sup_dbinv, idx_dbinv = _sup_entry(dbinv)
     rhs = 20.0 * sup_b * sup_db
@@ -250,7 +273,7 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
     ))
 
     sup_da, idx_da = _sup_entry(davals)
-    sup_dmu = [float(np.max(np.abs(f.grad(pts)))) for f in mu_f]
+    sup_dmu = [float(np.max(np.abs(m[1]))) for m in mu_jets]
     rhs = (
         sup_dmu[0]
         + sup_dmu[1] * sup_b
@@ -269,10 +292,7 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
     b_l4 = _lp_norm(bvals, 4.0, volume)
     db_l6 = _lp_norm(dbvals, 6.0, volume)
     db_l3 = _lp_norm(dbvals, 3.0, volume)
-    d2b = b.hess(pts)  # (N, k, l, 3, 3)
     d2b_l3 = _lp_norm(d2b, 3.0, volume)
-    d2binv = d2_inverse_batch(bvals[:, None, None], dbvals[:, :, None],
-                              dbvals[:, None, :], d2b)
     audits.append(_ratio_audit("binv_l3", _lp_norm(binv, 3.0, volume), b_l6**2))
     audits.append(_ratio_audit(
         "d_binv_l3", _lp_norm(dbinv, 3.0, volume), b_l6 * db_l6
@@ -281,8 +301,7 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
         "d2_binv_l3", _lp_norm(d2binv, 3.0, volume),
         db_l6**2 + sup_b * d2b_l3,
     ))
-    d2a = _second_derivative_acal(mu_f, pts, bvals, binv, dbvals, dbinv, d2b, d2binv)
-    d2mu_l3 = [_lp_norm(f.hess(pts), 3.0, volume) for f in mu_f]
+    d2mu_l3 = [_lp_norm(m[2], 3.0, volume) for m in mu_jets]
     rhs_no_c = (
         d2mu_l3[0]
         + d2mu_l3[1] * sup_b
@@ -300,36 +319,6 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0,
 def _ratio_audit(name: str, lhs: float, rhs: float) -> BoundAudit:
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else float("inf"))
     return BoundAudit(name, lhs, rhs, ratio=ratio)
-
-
-def _second_derivative_acal(mu_f, pts, bvals, binv, dbvals, dbinv, d2b, d2binv):
-    """d2 A over samples, (N, k, l, 3, 3)."""
-    m1, m2, m3 = mu_f
-    eye = np.eye(3)
-    h1 = m1.hess(pts)[:, :, :, None, None]
-    h2 = m2.hess(pts)[:, :, :, None, None]
-    h3 = m3.hess(pts)[:, :, :, None, None]
-    g2 = m2.grad(pts)
-    g3 = m3.grad(pts)
-    v2 = m2.eval(pts)[:, None, None, None, None]
-    v3 = m3.eval(pts)[:, None, None, None, None]
-    cross2 = (
-        g2[:, :, None, None, None] * dbvals[:, None, :, :, :]
-        + g2[:, None, :, None, None] * dbvals[:, :, None, :, :]
-    )
-    cross3 = (
-        g3[:, :, None, None, None] * dbinv[:, None, :, :, :]
-        + g3[:, None, :, None, None] * dbinv[:, :, None, :, :]
-    )
-    return (
-        h1 * eye
-        + h2 * bvals[:, None, None, :, :]
-        + cross2
-        + v2 * d2b
-        + h3 * binv[:, None, None, :, :]
-        + cross3
-        + v3 * d2binv
-    )
 
 
 def shipped_smooth_fields() -> dict:

@@ -1,9 +1,10 @@
 """Pointwise algebra of symmetric 3x3 tensors.
 
-Everything here is exact componentwise arithmetic on small immutable values:
-principal invariants, eigenvalues, the Cayley-Hamilton inverse, the
-symmetrization operator S(M), the product operator S(M)A + A S(M), and the
-analytic first and second derivatives of the inverse of a unimodular tensor.
+Componentwise arithmetic on small immutable values: principal invariants,
+the Cayley-Hamilton inverse, the symmetrization operator S(M), the product
+operator S(M)A + A S(M), and the analytic first and second derivatives of
+the inverse of a unimodular tensor.  Eigenvalues come from LAPACK
+(``np.linalg.eigvalsh``), NaN for a matrix with a non-finite entry.
 
 Each stacked formula has one vectorized kernel over (..., 3, 3) arrays
 (``eig_sym3_batch``, ``ch_inverse_batch``, ``d_inverse_batch``,
@@ -46,9 +47,6 @@ __all__ = [
 # the derivative formulas of B^{-1}.
 UNIMODULAR_TOL = 1e-8
 
-# Tolerance below which the closed-form eigenvalue solve counts a spectrum
-# as a triple point, or hands a nearly degenerate one over to eigvalsh.
-_DEGENERATE_TOL = 1e-12
 # Largest max|B X - I| that ch_inverse_batch returns.  Beyond it the
 # cancellation in the Cayley-Hamilton form has outrun the polish (condition
 # numbers of about 1e5 and up), and the inverse is refused, not returned.
@@ -167,48 +165,14 @@ def eig_sym3(b: SymTensor3) -> EigenTriple:
 def eig_sym3_batch(mats: np.ndarray) -> np.ndarray:
     """Vectorized ascending eigenvalues for an (..., 3, 3) symmetric stack.
 
-    Closed-form trigonometric solve of the characteristic cubic.  Exactly
-    diagonal rows are sorted as they are, and a spectrum that is a triple
-    point to machine precision (deviation from its mean at most 1e-12 of
-    the largest entry, at any scale) returns its mean.  When the spectrum is
-    nearly degenerate the acos argument saturates and the closed form loses
-    accuracy, so those rows are redone by one ``np.linalg.eigvalsh`` call.
+    One LAPACK ``np.linalg.eigvalsh`` call, which reads the lower triangle.
+    A matrix with a non-finite entry gets NaN eigenvalues: LAPACK can return
+    a finite spectrum for it (eigenvalue 0 for a NaN diagonal entry).
     """
     mats = np.asarray(mats, dtype=float)
-    flat = mats.reshape(-1, 3, 3)
-    q = np.trace(flat, axis1=1, axis2=2) / 3.0
-    diff = flat - q[:, None, None] * np.eye(3)
-    p2 = np.sum(diff * diff, axis=(1, 2))
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    out = np.empty((flat.shape[0], 3))
-
-    # exactly diagonal rows bypass the trig solve (keeps them bit-exact)
-    off2 = (flat[:, 0, 1] ** 2 + flat[:, 0, 2] ** 2 + flat[:, 1, 2] ** 2
-            + flat[:, 1, 0] ** 2 + flat[:, 2, 0] ** 2 + flat[:, 2, 1] ** 2)
-    diag_rows = off2 == 0.0
-    if np.any(diag_rows):
-        out[diag_rows] = np.sort(
-            flat[diag_rows][:, (0, 1, 2), (0, 1, 2)], axis=1
-        )
-
-    tiny = p <= _DEGENERATE_TOL * np.abs(flat).max(axis=(1, 2))
-    tiny &= ~diag_rows
-    out[tiny] = q[tiny, None]
-
-    rest = ~tiny & ~diag_rows
-    if np.any(rest):
-        m = diff[rest] / p[rest, None, None]
-        r = np.linalg.det(m) / 2.0
-        sat = np.abs(r) >= 1.0 - _DEGENERATE_TOL
-        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-        l3 = q[rest] + 2.0 * p[rest] * np.cos(phi)
-        l1 = q[rest] + 2.0 * p[rest] * np.cos(phi + 2.0 * math.pi / 3.0)
-        l2 = 3.0 * q[rest] - l1 - l3
-        vals = np.stack([l1, l2, l3], axis=1)
-        if np.any(sat):
-            vals[sat] = np.linalg.eigvalsh(flat[rest][sat])
-        out[rest] = vals
-    return out.reshape(mats.shape[:-2] + (3,))
+    out = np.linalg.eigvalsh(mats)
+    out[~np.isfinite(mats).all(axis=(-2, -1))] = np.nan
+    return out
 
 
 def ch_inverse(b: SymTensor3) -> SymTensor3:

@@ -491,7 +491,7 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
     pts = geom.flat_points
     derivs = coefficient_derivatives(mu, b_field, pts, b_field.eval(pts))
     if derivs is not None:  # sup |dA| completes ||A||_W1inf
-        a_w1inf = math.sqrt(lam1) * anorm + float(np.max(np.abs(derivs[2])))
+        a_w1inf = math.sqrt(lam1) * anorm + float(np.max(np.abs(derivs[3][1])))
         d2v = broken_h2_velocity(system.space, result.velocity)
         rhs_d2v = (1.0 / alpha) * (f_l2 + (1.0 / alpha) * a_w1inf * f_dual)
         bounds.append(_ratio_audit("d2v_broken", d2v, rhs_d2v))

@@ -147,20 +147,34 @@ def test_solve_not_elliptic_exits_4(tmp_path):
     assert code == 4
 
 
-def test_solve_nan_grid_exits_4(tmp_path, capsys):
-    # nan <= 0 is false, so a NaN alpha must not slip through the precheck
-    grid = tmp_path / "nan.txt"
+def _non_finite_grid_exits_4(tmp_path, capsys, command, bad):
+    # nan <= 0 is false, so a NaN alpha must not slip through the precheck;
+    # an inf entry makes the sample's eigenvalues NaN, not a triple point
+    grid = tmp_path / "bad.txt"
     values = np.zeros((3, 3, 3, 6))
     values[..., :3] = 1.0
-    values[1, 1, 1, 0] = np.nan
+    values[1, 1, 1, 0 if bad == "nan" else 3] = float(bad)
     write_grid_file(grid, values, (1.0, 1.0, 1.0))
-    code = main(["--out", str(tmp_path), "solve", "--mu", "1,1,1",
-                 "--mesh", "2", "--b-grid", str(grid), "--f-expr", "1; 0; 0"])
+    args = ["--mesh", "2", "--f-expr", "1; 0; 0"] if command == "solve" else []
+    code = main(["--out", str(tmp_path), command, "--mu", "1,1,1",
+                 "--b-grid", str(grid)] + args)
     captured = capsys.readouterr()
     assert code == 4
-    assert "precheck failed" in captured.out
     assert "alpha = nan" in captured.out
     assert "Traceback" not in captured.out + captured.err
+    return captured.out
+
+
+def test_solve_nan_grid_exits_4(tmp_path, capsys):
+    out = _non_finite_grid_exits_4(tmp_path, capsys, "solve", "nan")
+    assert "precheck failed" in out
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("solve", "inf"), ("ellipticity", "nan"), ("ellipticity", "inf"),
+])
+def test_non_finite_grid_exits_4(tmp_path, capsys, command, bad):
+    _non_finite_grid_exits_4(tmp_path, capsys, command, bad)
 
 
 _RECORDS = "1 1 1 0 0 0\n" * 8
@@ -320,8 +334,14 @@ def test_verify_seed_independence(tmp_path):
                  "--seed", "12345"]) == 0
 
 
-def test_verify_zero_tolerance_config_error(tmp_path):
-    assert main(["--out", str(tmp_path), "verify", "--tol", "0"]) == 2
+def test_verify_has_no_tol_option(tmp_path, capsys):
+    # the suite's thresholds are fixed; --tol, as a flag or a config line,
+    # is refused as an unknown option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-3\n")
+    for head in (["verify", "--tol", "1e-3"], ["--config", str(cfg), "verify"]):
+        assert main(["--out", str(tmp_path)] + head + ["--trials", "1"]) == 2
+        assert "--tol" in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_verify_determinism_byte_identical(tmp_path):

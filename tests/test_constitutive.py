@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from genstokes import constitutive
 from genstokes.constitutive import (
     MuTriple,
     acal,
     acal_values,
     audit_bounds,
+    coefficient_derivatives,
     g_eval,
     shipped_smooth_fields,
 )
-from genstokes.errors import DomainError, NonDifferentiableField, SingularTensor
+from genstokes.errors import DomainError, SingularTensor
 from genstokes.fields import ScalarField, TensorField
 from genstokes.tensors import SymTensor3, eig_sym3, unimodular_batch
 
@@ -160,19 +162,6 @@ def test_audit_bounds_needs_no_symbolic_differentiation(monkeypatch):
         assert {"d_acal_linf", "d2_acal_l3"} <= ids
 
 
-def test_audit_requires_derivatives_on_constant_data():
-    b = TensorField.constant(SymTensor3.diag(1.0, 1.0, 1.0))
-    with pytest.raises(NonDifferentiableField):
-        audit_bounds(MuTriple(1.0, 1.0, 1.0), b, grid_points(2),
-                     derivatives="require")
-
-
-def test_audit_skip_derivatives():
-    audits = audit_bounds(MuTriple(1.0, 1.0, 1.0), TensorField.identity(),
-                          grid_points(2), derivatives="skip")
-    assert {a.id for a in audits} == {"binv_linf", "acal_linf"}
-
-
 def test_audit_mu_fields_variable():
     mu = (ScalarField.expression("1 + 0.5*sin(pi*x)"),
           ScalarField.constant(1.0),
@@ -193,3 +182,63 @@ def test_acal_values_batch_matches_pointwise():
     for k, p in enumerate(pts):
         single = acal(mu, fld, p).to_matrix()
         assert np.allclose(batch[k], single, rtol=1e-12, atol=1e-14)
+
+
+def _central_differences(f, pts, h):
+    """First and second central differences of f: (N, 3) -> (N, ...), laid
+    out like grad (N, 3, ...) and hess (N, 3, 3, ...)."""
+    e = h * np.eye(3)
+    d1 = np.stack([(f(pts + e[k]) - f(pts - e[k])) / (2 * h) for k in range(3)], 1)
+    d2 = np.stack([np.stack([
+        (f(pts + e[k] + e[l]) - f(pts + e[k] - e[l])
+         - f(pts - e[k] + e[l]) + f(pts - e[k] - e[l])) / (4 * h * h)
+        for l in range(3)], 1) for k in range(3)], 1)
+    return d1, d2
+
+
+def test_acal_derivatives_match_central_differences():
+    # the product rule's dA and d2A, and the audits read from them, against
+    # finite differences of A itself, with every mu_k varying
+    mu = (ScalarField.expression("1 + 0.5*sin(pi*x)*y"),
+          ScalarField.expression("0.8 + 0.2*cos(pi*z)*x"),
+          ScalarField.expression("0.6 + 0.3*x*y*z"))
+    fld = shipped_smooth_fields()["double_shear"]
+    pts = grid_points(4)
+    *_, a_jet = coefficient_derivatives(mu, fld, pts, fld.eval(pts), order=2)
+    f = lambda p: acal_values(mu, fld, p)
+    da_fd, _ = _central_differences(f, pts, 1e-5)
+    _, d2a_fd = _central_differences(f, pts, 1e-4)
+    assert np.max(np.abs(a_jet[1] - da_fd)) <= 1e-8 * np.max(np.abs(da_fd))
+    assert np.max(np.abs(a_jet[2] - d2a_fd)) <= 1e-6 * np.max(np.abs(d2a_fd))
+
+    by_id = {a.id: a for a in audit_bounds(mu, fld, pts)}
+    assert by_id["d_acal_linf"].lhs == pytest.approx(np.max(np.abs(da_fd)), rel=1e-8)
+    # sampled L3 over the unit box: per component, the mean of |.|^3
+    l3 = np.sum(np.mean(np.abs(d2a_fd.reshape(len(pts), -1)) ** 3, axis=0)) ** (1 / 3)
+    assert by_id["d2_acal_l3"].lhs == pytest.approx(l3, rel=1e-6)
+
+
+def test_audit_bounds_evaluates_each_field_once(monkeypatch):
+    # B is evaluated and inverted once per audit; each mu_k is evaluated,
+    # differentiated and twice differentiated at most once
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    fld = shipped_smooth_fields()["shear_xy"]
+    mu = tuple(ScalarField.expression(t) for t in ("1 + 0.1*x", "1", "0.5 + 0.1*y"))
+    monkeypatch.setattr(fld, "eval", spy("b.eval", fld.eval))
+    monkeypatch.setattr(constitutive, "ch_inverse_batch",
+                        spy("ch_inverse_batch", constitutive.ch_inverse_batch))
+    for k, f in enumerate(mu):
+        for name in ("eval", "grad", "hess"):
+            monkeypatch.setattr(f, name, spy(f"mu{k}.{name}", getattr(f, name)))
+    audits = audit_bounds(mu, fld, grid_points(4))
+    assert "d2_acal_l3" in {a.id for a in audits}
+    assert calls.count("b.eval") == 1
+    assert calls.count("ch_inverse_batch") == 1
+    assert max(calls.count(c) for c in set(calls)) == 1

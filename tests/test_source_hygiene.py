@@ -1,9 +1,10 @@
 """Static checks on the package source, read with ``ast``, and its imports.
 
 No linter is part of the toolchain, so two of its checks live here: every
-import is used, and every private function, class, method or property
-(module-level or in a class body) is referenced somewhere in the package.
-Deleting a duplicate tends to leave one of these behind.  A third check
+import is used, and every private constant, function or class at module
+level, and every private method or property in a class body, is referenced
+somewhere in the package.  Deleting a duplicate tends to leave one of these
+behind.  A third check
 keeps heavy scipy subpackages that no command needs off the import path of
 the CLI, a fourth keeps expression fields on one evaluator, and a fifth keeps
 text from being evaluated anywhere but behind the expression grammar.
@@ -57,22 +58,33 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _defined_names(node) -> list:
+    """Names a statement defines: a function's or class's, or the plain
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_no_unreferenced_private_definitions():
-    # module-level functions and classes, and the methods and properties in
-    # class bodies
+    # module-level constants, functions and classes, and the methods and
+    # properties in class bodies
     modules = _modules()
     referenced = set()
     for tree in modules.values():
         referenced |= _referenced(tree)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     orphans = [
-        f"{name}:{node.lineno} {node.name}"
+        f"{name}:{node.lineno} {defined}"
         for name, tree in modules.items()
         for top in tree.body
         for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
-        if isinstance(node, defs)
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in referenced
+        if node is top or isinstance(node, defs)
+        for defined in _defined_names(node)
+        if defined.startswith("_") and not defined.startswith("__")
+        and defined not in referenced
     ]
     assert orphans == []
 
