@@ -44,6 +44,13 @@ __all__ = ["SaddleSystem", "assemble", "full_velocity_block", "korn_terms"]
 
 # Bytes of mirrored element matrices (900 doubles per element) in one chunk.
 _CHUNK_BYTES = 4 << 20
+# Quadrature points in one chunk of a pass that forms no element matrices
+# (error integration, the estimate audits).  Measured on the mesh-8
+# anisotropic MMS case, one BLAS thread: 8192 points held the two passes'
+# tracemalloc peaks to 3.5 and 9.2 MB (16384: 7.0 and 17.8 MB), and 2048
+# made the error integration twice as slow (0.59 against 0.31 s), since
+# every chunk pays a fixed cost per field evaluation.
+_CHUNK_POINTS = 8192
 _SYM_ROWS, _SYM_COLS = (np.array(ix) for ix in zip(*SYM_PAIRS))
 
 
@@ -84,10 +91,14 @@ class SaddleSystem:
         return full
 
 
-def _chunks(nt: int) -> list:
+def _chunks(nt: int, nq: int = 0) -> list:
     """Element slices of at most ``_CHUNK_BYTES`` of element matrices, each
-    a whole number of Kuhn cells."""
-    size = max(6, _CHUNK_BYTES // (900 * 8) // 6 * 6)
+    a whole number of Kuhn cells; given ``nq`` quadrature points per
+    element, also of at most ``_CHUNK_POINTS`` points."""
+    size = _CHUNK_BYTES // (900 * 8)
+    if nq:
+        size = min(size, _CHUNK_POINTS // nq)
+    size = max(6, size // 6 * 6)
     return [slice(lo, min(lo + size, nt)) for lo in range(0, nt, size)]
 
 
@@ -171,7 +182,7 @@ def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
     if not report.alpha > 0.0:
         raise NotElliptic(
             f"coefficient not uniformly positive: alpha = {report.alpha:.6g} "
-            f"at {report.minimizer_point}",
+            f"at {tuple(map(float, report.minimizer_point))}",
             point=report.minimizer_point,
             alpha=report.alpha,
         )

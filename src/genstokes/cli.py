@@ -236,7 +236,7 @@ def cmd_solve(args) -> int:
         print(f"solver failed: {exc}")
         return EXIT_SOLVER
 
-    report = audit_estimates(system, result, args.mu, b)
+    report = audit_estimates(system, result, args.mu, b, threads=args.threads)
     scenario, lam_set = classify(args.mu)
     report["scenario"] = scenario.value
     report["lambda_set"] = lam_set.as_dict()
@@ -259,7 +259,8 @@ def cmd_mms(args) -> int:
     case = SHIPPED_CASES[args.case]()
     try:
         table = run_convergence(case, args.meshes, quad_n=args.quad,
-                                threads=args.threads)
+                                threads=args.threads,
+                                with_audits=args.report is not None)
     except (FactorizationFailure, ResidualTooLarge, MaxIterations) as exc:
         # an unsolvable level (e.g. under-integrated quadrature) cannot
         # establish the required rates
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default '.', or "
                                       "GENSTOKES_OUTDIR)")
     parser.add_argument("--threads", type=_COUNT, default=1,
-                        help="worker threads for assembly")
+                        help="worker threads for assembly, error integration "
+                             "and the estimate audits")
     # the global flags are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering values parsed by the main parser
     common = argparse.ArgumentParser(add_help=False)
@@ -456,10 +458,15 @@ def _apply_default_paths(args, outdir: str) -> None:
         val = getattr(args, name, None)
         if val is None and default is not None:
             val = default
-        if val is not None and not os.path.isabs(val):
+        if val is None:
+            return
+        if not os.path.isabs(val):
             val = os.path.join(outdir, val)
-        if hasattr(args, name):
-            setattr(args, name, val)
+        # refuse the path before the command's work, not when writing to it
+        if not os.path.isdir(os.path.dirname(val) or "."):
+            raise ConfigError(f"output path {val!r}: no directory "
+                              f"{os.path.dirname(val)!r}")
+        setattr(args, name, val)
 
     if args.command == "solve":
         place("vtk", "solution.vtk")

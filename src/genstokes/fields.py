@@ -327,8 +327,11 @@ class ScalarField:
                                          edge_order=2 if data.shape[k] >= 3 else 1)
                              for k in range(3)], axis=-1)
 
-        grads = grad_arrays(self._payload)
-        hess = np.stack([grad_arrays(grads[..., k]) for k in range(3)], axis=-2)
+        # a non-finite node value gives non-finite differences, which the
+        # positivity checks refuse; numpy need not warn about them first
+        with np.errstate(invalid="ignore", over="ignore"):
+            grads = grad_arrays(self._payload)
+            hess = np.stack([grad_arrays(grads[..., k]) for k in range(3)], axis=-2)
         # one row per node: values, d_k f, and [k, l] = d_l (d_k f)
         self._tables = tuple(t.reshape(self._payload.size, *t.shape[3:])
                              for t in (self._payload, grads, hess))

@@ -27,7 +27,7 @@ import numpy as np
 import sympy as sp
 from scipy.special import roots_legendre
 
-from .assembly import SaddleSystem, assemble
+from .assembly import SaddleSystem, _chunks, _in_order, assemble
 from .constitutive import (BoundAudit, MuTriple, _ratio_audit,
                            coefficient_derivatives)
 from .errors import MissingNormInput, NonDifferentiableExpression
@@ -175,36 +175,67 @@ SHIPPED_CASES = {
 # errors and convergence studies
 
 
+def _chunk_sums(geom, fn, threads: int = 1) -> np.ndarray:
+    """The sum of ``fn(sl)`` (a number or a tuple of them) over the element chunks
+    ``sl`` of ``geom``, added in chunk order whatever ``threads`` is."""
+    total = 0.0
+    for part in _in_order(fn, _chunks(*geom.wdet.shape), threads):
+        total = total + np.array(part)
+    return total
+
+
+def _centred_l2(geom, values, threads: int = 1) -> float:
+    """||g - mean(g)||_L2 of the field whose (e, q) values at the points of
+    chunk ``sl`` are ``values(sl)``: the mean from a first chunked pass."""
+    def moments(sl):
+        wdet = geom.wdet[sl]
+        return np.sum(wdet), np.sum(wdet * values(sl))
+
+    vol, integral = _chunk_sums(geom, moments, threads)
+
+    def centred(sl):
+        d = values(sl) - integral / vol
+        return np.sum(geom.wdet[sl] * d * d)
+
+    return math.sqrt(float(_chunk_sums(geom, centred, threads)))
+
+
+def _p1_values(geom, tets, pressure):
+    """(e, q) values at the points of ``geom`` of the P1 field ``pressure``
+    on the elements ``tets``."""
+    return np.einsum("qj,ej->eq", geom.p1_vals, pressure[tets])
+
+
 def errors_against_exact(system: SaddleSystem, result: SolveResult,
-                         case: MMSCase, quad_n: Optional[int] = None):
+                         case: MMSCase, quad_n: Optional[int] = None,
+                         threads: int = 1):
     """(velocity H1 seminorm, velocity L2, pressure L2/R) errors.
 
-    Integrated with quadrature one degree above assembly unless overridden.
+    Integrated with quadrature one degree above assembly unless overridden,
+    over element chunks.
     """
     space = system.space
     geom = space.geometry(quad_n or system.quad_n + 1)
-    pts = geom.flat_points
-    ne, nq = geom.wdet.shape
+    u = result.velocity.reshape(-1, 3)
 
-    v_exact = case.v_field.eval(pts).reshape(ne, nq, 3)
-    gv_exact = case.v_field.grad(pts).reshape(ne, nq, 3, 3)
-    uloc = result.velocity.reshape(-1, 3)[space.tet_nodes]
-    v_h = np.einsum("qi,eia->eqa", geom.n2_vals, uloc)
-    gv_h = geom.p2_grad(uloc)
+    def velocity(sl):
+        wdet = geom.wdet[sl]
+        pts = geom.points[sl].reshape(-1, 3)
+        uloc = u[space.tet_nodes[sl]]
+        dv = (np.einsum("qi,eia->eqa", geom.n2_vals, uloc)
+              - case.v_field.eval(pts).reshape(*wdet.shape, 3))
+        dg = geom.p2_grad(uloc) - case.v_field.grad(pts).reshape(*wdet.shape, 3, 3)
+        return (np.einsum("eq,eqac,eqac->", wdet, dg, dg),
+                np.einsum("eq,eqa,eqa->", wdet, dv, dv))
 
-    dv = v_h - v_exact
-    dg = gv_h - gv_exact
-    e_l2 = math.sqrt(float(np.einsum("eq,eqa,eqa->", geom.wdet, dv, dv)))
-    e_h1 = math.sqrt(float(np.einsum("eq,eqac,eqac->", geom.wdet, dg, dg)))
+    def pressure(sl):
+        p_exact = case.p_field.eval(geom.points[sl].reshape(-1, 3))
+        return (_p1_values(geom, system.mesh.tets[sl], result.pressure)
+                - p_exact.reshape(geom.wdet[sl].shape))
 
-    p_exact = case.p_field.eval(pts).reshape(ne, nq)
-    p_h = np.einsum("qj,ej->eq", geom.p1_vals, result.pressure[system.mesh.tets])
-    vol = float(np.sum(geom.wdet))
-    diff = (p_h - np.sum(geom.wdet * p_h) / vol) - (
-        p_exact - np.sum(geom.wdet * p_exact) / vol
-    )
-    e_p = math.sqrt(float(np.sum(geom.wdet * diff * diff)))
-    return e_h1, e_l2, e_p
+    h1_sq, l2_sq = _chunk_sums(geom, velocity, threads)
+    return (math.sqrt(float(h1_sq)), math.sqrt(float(l2_sq)),
+            _centred_l2(geom, pressure, threads))
 
 
 @dataclass
@@ -258,7 +289,8 @@ def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
         system = assemble(mesh, space, case.mu, case.b_field, case.f_field,
                           quad_n=quad_n, threads=threads)
         result = minres_solve(system)
-        e_h1, e_l2, e_p = errors_against_exact(system, result, case)
+        e_h1, e_l2, e_p = errors_against_exact(system, result, case,
+                                               threads=threads)
         table.h.append(max(box) / n)
         table.e_h1.append(e_h1)
         table.e_l2.append(e_l2)
@@ -266,7 +298,7 @@ def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
         if with_audits:
             table.audits.append(
                 audit_estimates(system, result, case.mu, case.b_field,
-                                case_norms=case_norms)
+                                case_norms=case_norms, threads=threads)
             )
         # free this level's geometry tables before the next level builds its own
         del mesh, space, system, result
@@ -277,21 +309,32 @@ def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
 # broken seminorms of discrete fields
 
 
-def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray) -> float:
+def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray,
+                       threads: int = 1) -> float:
     """Elementwise ||D^2 v_h||_{L^2}; second derivatives of quadratics are
     constant per element."""
     geom = space.geometry()
-    hv = geom.p2_hess(u_full.reshape(-1, 3)[space.tet_nodes])  # (ne, 3, 3, 3)
+    u = u_full.reshape(-1, 3)
     # multi-index convention: each distinct second derivative counted once
     w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
-    return math.sqrt(geom.integrate_constant(np.einsum("eacd,cd->e", hv * hv, w)))
+
+    def chunk(sl):
+        hv = geom.p2_hess(u[space.tet_nodes[sl]])  # (e, 3, 3, 3)
+        return geom.integrate_constant(np.einsum("eacd,cd->e", hv * hv, w))
+
+    return math.sqrt(float(_chunk_sums(geom, chunk, threads)))
 
 
-def broken_h1_pressure(space: TaylorHoodSpace, p_coeffs: np.ndarray) -> float:
+def broken_h1_pressure(space: TaylorHoodSpace, p_coeffs: np.ndarray,
+                       threads: int = 1) -> float:
     """Elementwise ||grad p_h||_{L^2} for the piecewise-linear pressure."""
     geom = space.geometry()
-    g = geom.p1_grad(p_coeffs[space.mesh.tets])
-    return math.sqrt(geom.integrate_constant(np.sum(g * g, axis=1)))
+
+    def chunk(sl):
+        g = geom.p1_grad(p_coeffs[space.mesh.tets[sl]])
+        return geom.integrate_constant(np.sum(g * g, axis=1))
+
+    return math.sqrt(float(_chunk_sums(geom, chunk, threads)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +499,46 @@ def case_norm_suite(case: MMSCase, lambda1: float, box,
     return {"a": a_norms, "f": f_norms, "exact": exact}
 
 
+def _sup_da(mu, b_field: TensorField, geom, threads: int = 1) -> Optional[float]:
+    """sup |dA| over the quadrature points of ``geom``, chunk by chunk; None
+    as soon as one chunk's B is refused by :func:`coefficient_derivatives`."""
+    def chunk(sl):
+        pts = geom.points[sl].reshape(-1, 3)
+        derivs = coefficient_derivatives(mu, b_field, pts, b_field.eval(pts))
+        return None if derivs is None else float(np.max(np.abs(derivs[3][1])))
+
+    sups = []
+    for part in _in_order(chunk, _chunks(*geom.wdet.shape), threads):
+        if part is None:
+            return None
+        sups.append(part)
+    return float(np.max(sups))
+
+
 def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
-                    b_field: TensorField, case_norms: Optional[dict] = None) -> dict:
+                    b_field: TensorField, case_norms: Optional[dict] = None,
+                    threads: int = 1) -> dict:
     """Estimate audits for one solve.
 
     Asserts the constant-free velocity bound; everything carrying a shape
     constant is reported as a ratio against the RHS with the constant
-    dropped.
+    dropped.  The integrals and sup |dA| are taken over element chunks.
     """
     mesh = system.mesh
+    space = system.space
     lam1 = lambda1_box(*mesh.box)
     alpha = system.alpha
     anorm = system.anorm_inf
-    geom = system.space.geometry(system.quad_n)
-    gv = geom.p2_grad(result.velocity.reshape(-1, 3)[system.space.tet_nodes])
-    grad_v = math.sqrt(float(np.einsum("eq,eqac,eqac->", geom.wdet, gv, gv)))
+    geom = space.geometry(system.quad_n)
+    u = result.velocity.reshape(-1, 3)
 
-    p_h = np.einsum("qj,ej->eq", geom.p1_vals, result.pressure[mesh.tets])
-    vol = float(np.sum(geom.wdet))
-    p_centered = p_h - float(np.sum(geom.wdet * p_h)) / vol
-    p_l2 = math.sqrt(float(np.sum(geom.wdet * p_centered**2)))
+    def grad_sq(sl):
+        gv = geom.p2_grad(u[space.tet_nodes[sl]])
+        return np.einsum("eq,eqac,eqac->", geom.wdet[sl], gv, gv)
+
+    grad_v = math.sqrt(float(_chunk_sums(geom, grad_sq, threads)))
+    p_l2 = _centred_l2(
+        geom, lambda sl: _p1_values(geom, mesh.tets[sl], result.pressure), threads)
 
     f_l2 = system.f_l2
     f_dual = f_l2 / math.sqrt(lam1)
@@ -488,14 +551,13 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
     ))
     bounds.append(_ratio_audit("pressure_l2", p_l2, (anorm / alpha) * f_dual))
 
-    pts = geom.flat_points
-    derivs = coefficient_derivatives(mu, b_field, pts, b_field.eval(pts))
-    if derivs is not None:  # sup |dA| completes ||A||_W1inf
-        a_w1inf = math.sqrt(lam1) * anorm + float(np.max(np.abs(derivs[3][1])))
-        d2v = broken_h2_velocity(system.space, result.velocity)
+    sup_da = _sup_da(mu, b_field, geom, threads)
+    if sup_da is not None:  # sup |dA| completes ||A||_W1inf
+        a_w1inf = math.sqrt(lam1) * anorm + sup_da
+        d2v = broken_h2_velocity(space, result.velocity, threads)
         rhs_d2v = (1.0 / alpha) * (f_l2 + (1.0 / alpha) * a_w1inf * f_dual)
         bounds.append(_ratio_audit("d2v_broken", d2v, rhs_d2v))
-        gp = broken_h1_pressure(system.space, result.pressure)
+        gp = broken_h1_pressure(space, result.pressure, threads)
         bounds.append(_ratio_audit("grad_p_broken", gp, anorm * rhs_d2v))
 
     norms = {

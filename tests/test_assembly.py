@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from scipy.special import roots_legendre
 
 from genstokes.assembly import assemble, full_velocity_block, korn_terms
@@ -155,8 +156,6 @@ def test_perturbed_vertices_rejected_where_tables_are_built():
 def test_first_assemble_memory_budget():
     # tracemalloc peak of the first assembly on a fresh mesh-8 space:
     # geometry, per-shape tables and CSR patterns included
-    import tracemalloc
-
     from genstokes.verification import make_anisotropic_case
 
     case = make_anisotropic_case()
@@ -165,12 +164,8 @@ def test_first_assemble_memory_budget():
     assemble(tiny, TaylorHoodSpace(tiny), case.mu, case.b_field, case.f_field)
     mesh = build_mesh(8, 8, 8, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
-    tracemalloc.start()
-    try:
-        assemble(mesh, space, case.mu, case.b_field, case.f_field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: assemble(mesh, space, case.mu, case.b_field,
+                                        case.f_field))
     assert peak <= 80 * 2**20, f"assembly peak {peak / 2**20:.1f} MB > 80 MB"
 
 

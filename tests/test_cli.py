@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from genstokes import cli
+from genstokes import cli, verification
 from genstokes.cli import main
 from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, write_grid_file
@@ -156,8 +158,10 @@ def _non_finite_grid_exits_4(tmp_path, capsys, command, bad):
     values[1, 1, 1, 0 if bad == "nan" else 3] = float(bad)
     write_grid_file(grid, values, (1.0, 1.0, 1.0))
     args = ["--mesh", "2", "--f-expr", "1; 0; 0"] if command == "solve" else []
-    code = main(["--out", str(tmp_path), command, "--mu", "1,1,1",
-                 "--b-grid", str(grid)] + args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(["--out", str(tmp_path), command, "--mu", "1,1,1",
+                     "--b-grid", str(grid)] + args)
     captured = capsys.readouterr()
     assert code == 4
     assert "alpha = nan" in captured.out
@@ -168,6 +172,9 @@ def _non_finite_grid_exits_4(tmp_path, capsys, command, bad):
 def test_solve_nan_grid_exits_4(tmp_path, capsys):
     out = _non_finite_grid_exits_4(tmp_path, capsys, "solve", "nan")
     assert "precheck failed" in out
+    # the minimizer as plain numbers, not numpy scalar reprs
+    assert "np.float64" not in out
+    assert re.search(r"alpha = nan at \((0\.\d+, ){2}0\.\d+\)", out)
 
 
 @pytest.mark.parametrize("command, bad", [
@@ -314,6 +321,48 @@ def test_mms_under_integration_surfaces_as_rate_failure(tmp_path, capsys):
 
 def test_mms_unknown_case(tmp_path):
     assert main(["--out", str(tmp_path), "mms", "--case", "nope"]) == 2
+
+
+@pytest.mark.parametrize("report", [False, True])
+def test_mms_audits_only_for_report(tmp_path, monkeypatch, report):
+    calls = {"case_norm_suite": 0, "audit_estimates": 0}
+
+    def spy(name):
+        real = getattr(verification, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(verification, name, spy(name))
+    argv = ["--out", str(tmp_path), "mms", "--case", "classical", "--meshes", "2,3",
+            "--min-rate-h1", "0", "--min-rate-l2", "0", "--min-rate-p", "0"]
+    assert main(argv + (["--report", "r.json"] if report else [])) == 0
+    assert calls == {"case_norm_suite": int(report), "audit_estimates": 2 * int(report)}
+    if report:
+        assert len(json.loads((tmp_path / "r.json").read_text())["audits"]) == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["solve", "--mu", "1,1,1", "--mesh", "2"], "--report"),
+    (["solve", "--mu", "1,1,1", "--mesh", "2"], "--vtk"),
+    (["mms", "--meshes", "2"], "--csv"),
+    (["mms", "--meshes", "2"], "--report"),
+    (["verify", "--trials", "1"], "--report"),
+    (["ellipticity", "--mu", "1,1,1"], "--report"),
+])
+def test_output_path_without_directory_exits_2_before_work(tmp_path, capsys,
+                                                            monkeypatch, argv, option):
+    for name in ("cmd_ellipticity", "cmd_solve", "cmd_mms", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("the command ran"))
+    path = tmp_path / "nodir" / "out.txt"
+    code = main(["--out", str(tmp_path), *argv, option, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------

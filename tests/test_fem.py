@@ -6,6 +6,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from genstokes.errors import InvalidDimensions
 from genstokes.fem import (
@@ -248,14 +249,7 @@ def test_geometry_memory_is_per_shape():
     # all of it the per-element points and weights; a per-element gradient
     # table would add 47 MB (the whole build peaked at 57 MB with one).
     # The bound leaves a 50% margin.
-    import tracemalloc
-
     space = TaylorHoodSpace(build_mesh(8, 8, 8, 1.0, 1.0, 1.0))
-    tracemalloc.start()
-    try:
-        geom = space.geometry(4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6
+    assert traced_peak(lambda: space.geometry(4)) < 10e6
+    geom = space.geometry(4)
     assert geom.grads.shape == (6, 64, 10, 3)

@@ -1,11 +1,11 @@
 """MINRES and direct solvers of the saddle system."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from conftest import traced_peak
 
 from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple
@@ -249,13 +249,7 @@ def test_minres_memory_budget(aniso8):
     # MINRES applies the blocks and holds a few vectors (87 kB each here);
     # a copy of the KKT matrix (K alone is 8.6 MB) does not fit the budget
     minres_solve(aniso8)
-    tracemalloc.start()
-    try:
-        minres_solve(aniso8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 << 20
+    assert traced_peak(lambda: minres_solve(aniso8)) <= 4 << 20
 
 
 def test_minres_zero_forcing_gives_zero_solution():

@@ -6,13 +6,17 @@ import time
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import traced_peak
 
-from genstokes import constitutive, verification
+from genstokes import assembly, constitutive, verification
+from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple, coefficient_derivatives
 from genstokes.errors import MissingNormInput, NonDifferentiableExpression
 from genstokes.fem import TaylorHoodSpace, build_mesh
 from genstokes.fields import ScalarField, TensorField
+from genstokes.solver import minres_solve
 from genstokes.verification import (
+    audit_estimates,
     boundary_trace_max,
     broken_h1_pressure,
     broken_h2_velocity,
@@ -20,6 +24,7 @@ from genstokes.verification import (
     derivative_lp,
     dim_norm,
     divergence_expr,
+    errors_against_exact,
     lambda1_box,
     make_anisotropic_case,
     make_classical_case,
@@ -383,3 +388,113 @@ def test_sup_da_checks_unimodularity_before_inverting(monkeypatch):
     *_, a_jet = coefficient_derivatives(mu, shear, pts, shear.eval(pts))
     assert np.max(np.abs(a_jet[1])) > 0.0
     assert calls == [50]
+
+
+# ---------------------------------------------------------------------------
+# post-solve passes over element chunks
+
+
+def _solved(case, n):
+    mesh = build_mesh(n, n, n, 1.0, 1.0, 1.0)
+    system = assemble(mesh, TaylorHoodSpace(mesh), case.mu, case.b_field,
+                      case.f_field)
+    return system, minres_solve(system)
+
+
+@pytest.fixture(scope="module")
+def aniso4():
+    case = make_anisotropic_case()
+    return (case, *_solved(case, 4))
+
+
+def _whole_array_errors(system, result, case):
+    """errors_against_exact over all quadrature points at once."""
+    space = system.space
+    geom = space.geometry(system.quad_n + 1)
+    pts = geom.flat_points
+    ne, nq = geom.wdet.shape
+    uloc = result.velocity.reshape(-1, 3)[space.tet_nodes]
+    dv = (np.einsum("qi,eia->eqa", geom.n2_vals, uloc)
+          - case.v_field.eval(pts).reshape(ne, nq, 3))
+    dg = geom.p2_grad(uloc) - case.v_field.grad(pts).reshape(ne, nq, 3, 3)
+    p_h = np.einsum("qj,ej->eq", geom.p1_vals, result.pressure[system.mesh.tets])
+    p_exact = case.p_field.eval(pts).reshape(ne, nq)
+    vol = np.sum(geom.wdet)
+    dp = (p_h - np.sum(geom.wdet * p_h) / vol) - (p_exact - np.sum(geom.wdet * p_exact) / vol)
+    return tuple(math.sqrt(float(s)) for s in (
+        np.einsum("eq,eqac,eqac->", geom.wdet, dg, dg),
+        np.einsum("eq,eqa,eqa->", geom.wdet, dv, dv),
+        np.sum(geom.wdet * dp * dp)))
+
+
+def _numbers(report):
+    """The floats of an audit report, in a fixed order."""
+    out = [report["alpha"], report["anorm_inf"], *report["norms"].values()]
+    for bound in report["bounds"]:
+        out += [v for v in bound.values() if isinstance(v, float)]
+    return np.array(out)
+
+
+def test_chunked_errors_match_whole_array_reference(aniso4):
+    case, system, result = aniso4
+    geom = system.space.geometry(system.quad_n + 1)
+    assert len(assembly._chunks(*geom.wdet.shape)) > 1
+    got = errors_against_exact(system, result, case)
+    want = _whole_array_errors(system, result, case)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_chunked_audit_matches_one_chunk(aniso4, monkeypatch):
+    case, system, result = aniso4
+    assert len(assembly._chunks(*system.space.geometry(system.quad_n).wdet.shape)) > 1
+    chunked = audit_estimates(system, result, case.mu, case.b_field)
+    assert any(b["id"] == "d2v_broken" for b in chunked["bounds"])
+    # one chunk: every pass sees all quadrature points at once
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 1 << 40)
+    monkeypatch.setattr(assembly, "_CHUNK_POINTS", 1 << 40)
+    assert len(assembly._chunks(system.mesh.n_tets, 64)) == 1
+    whole = audit_estimates(system, result, case.mu, case.b_field)
+    assert [b["id"] for b in chunked["bounds"]] == [b["id"] for b in whole["bounds"]]
+    np.testing.assert_allclose(_numbers(chunked), _numbers(whole), rtol=1e-13, atol=0.0)
+
+
+def test_post_solve_passes_bitwise_equal_over_threads(aniso4, monkeypatch):
+    case, system, result = aniso4
+    # small chunks, so that two threads have several in flight
+    monkeypatch.setattr(assembly, "_CHUNK_POINTS", 36 * 27)
+    runs = [(errors_against_exact(system, result, case, threads=t),
+             audit_estimates(system, result, case.mu, case.b_field, threads=t))
+            for t in (1, 2)]
+    assert runs[0][0] == runs[1][0]
+    assert _numbers(runs[0][1]).tobytes() == _numbers(runs[1][1]).tobytes()
+
+
+def test_sup_da_stops_at_the_first_refused_chunk(monkeypatch):
+    calls = []
+    real = verification.coefficient_derivatives
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "coefficient_derivatives", spy)
+    monkeypatch.setattr(assembly, "_CHUNK_POINTS", 36 * 27)
+    geom = TaylorHoodSpace(build_mesh(3, 3, 3, 1.0, 1.0, 1.0)).geometry(3)
+    assert len(assembly._chunks(*geom.wdet.shape)) > 1
+    mu = MuTriple(1.0, 1.0, 0.5)
+    scaled = TensorField.expression({"a11": "2 + x", "a22": "1", "a33": "1"})
+    assert verification._sup_da(mu, scaled, geom) is None
+    assert calls == [1]
+
+
+def test_post_solve_memory_budget():
+    # tracemalloc peaks at mesh 8 (3,072 elements; 82,944 assembly points and
+    # 196,608 error points): 3.5 MB for the errors and 9.2 MB for the audit in
+    # element chunks; 70.5 and 100.1 MB when every pass held all points
+    case = make_anisotropic_case()
+    system, result = _solved(case, 8)
+    system.space.geometry(system.quad_n + 1)
+    peak = traced_peak(lambda: errors_against_exact(system, result, case))
+    assert peak <= 16 << 20, f"errors peak {peak / 2**20:.1f} MB > 16 MB"
+    peak = traced_peak(lambda: audit_estimates(system, result, case.mu, case.b_field))
+    assert peak <= 16 << 20, f"audit peak {peak / 2**20:.1f} MB > 16 MB"
