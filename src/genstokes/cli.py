@@ -141,8 +141,10 @@ def _tensor_field_from_args(args) -> TensorField:
                 continue
             if "=" not in item:
                 raise ConfigError(f"--b-expr entries need name=expression: {item!r}")
-            name, expr = item.split("=", 1)
-            comps[name.strip()] = expr.strip()
+            name, expr = (part.strip() for part in item.split("=", 1))
+            if name in comps:
+                raise ConfigError(f"--b-expr names {name} twice: {item!r}")
+            comps[name] = expr
         return TensorField.expression(comps)
     return TensorField.identity()
 

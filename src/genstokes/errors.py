@@ -69,10 +69,6 @@ class NonDifferentiableField(GenStokesError):
     """Derivative data requested from a field that cannot provide it."""
 
 
-# Forcing construction differentiates expressions twice; failure mode is the same.
-NonDifferentiableExpression = NonDifferentiableField
-
-
 class MissingNormInput(GenStokesError):
     """A required norm value was not supplied to a diagnostic formula."""
 

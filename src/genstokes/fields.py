@@ -3,18 +3,13 @@
 Three representations share one evaluation interface:
 
 * ``constant`` -- a single value everywhere,
-* ``expression`` -- a closed-form expression in x, y, z (sympy-backed).
-  ``eval``, ``grad``, ``hess`` and ``derivative_stack`` all run one pass of
-  truncated Taylor arithmetic (Taylor-mode automatic differentiation) over
-  the expression DAG, exact up to rounding; values are the pass's order-0
-  row, and nothing is differentiated symbolically.  The pass has a rule for
-  x, y, z, numbers and numeric constants such as pi, sums, products, powers
-  (integral exponents as repeated products, others as a binomial series,
-  symbolic exponents as exp(b log a)) and sin/cos/exp.  Those nodes are the
-  grammar of ``parse_expression``, which refuses any other node with
-  ConfigError, checking the text's Python syntax before sympy evaluates it;
-  an expression built in sympy that holds another node raises
-  NonDifferentiableField when evaluated,
+* ``expression`` -- a jet function ``(pts, order) -> jets`` gives the
+  truncated Taylor expansions (Taylor-mode automatic differentiation) of
+  the fields that share it, such as a vector's components; ``eval``,
+  ``grad``, ``hess`` and ``derivative_stack`` read one such pass.  For text
+  it is a pass over the tape of ``parse_expression``, which reads the text
+  with ``ast`` (nothing in it is run) and refuses, with ConfigError, any
+  node outside the grammar (README, "Expression grammar"),
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
   with second-order finite-difference derivatives (one-sided at the faces)
   tabulated per node at construction; values and derivatives are
@@ -39,7 +34,6 @@ import itertools
 import math
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError, NonDifferentiableField
 from .tensors import SymTensor3
@@ -52,10 +46,6 @@ __all__ = [
     "COMPONENT_ORDER",
 ]
 
-_X, _Y, _Z = sp.symbols("x y z")
-_VARS = (_X, _Y, _Z)
-_TAYLOR_FUNCS = (sp.sin, sp.cos, sp.exp)
-
 # Storage/file order of the six independent components of a symmetric tensor.
 COMPONENT_ORDER = ("a11", "a22", "a33", "a12", "a13", "a23")
 _COMP_INDEX = {
@@ -64,49 +54,94 @@ _COMP_INDEX = {
 }
 # Column of d_i d_j in an order-2 derivative stack (xx, xy, xz, yy, yz, zz).
 _HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# Index into a derivative stack of order 0, 1, 2 giving eval, grad, hess.
+_UNPACK = (0, slice(None), _HESS_INDEX)
 
 
-# Python syntax of the grammar; what names mean is checked on sympy's result
-_SYNTAX = (ast.Expression, ast.Name, ast.Load, ast.BinOp, ast.Add, ast.Sub,
-           ast.Mult, ast.Div, ast.Pow, ast.UnaryOp, ast.UAdd, ast.USub,
-           ast.Compare, ast.cmpop, ast.Tuple)
+# -- the expression grammar ------------------------------------------------------
+# A tape lists nodes children first: ("num", value), ("var", axis), and
+# (op, *argument positions) for op in add, mul, pow, sin, cos, exp.
+
+_NAMES = {"x": ("var", 0), "y": ("var", 1), "z": ("var", 2),
+          "pi": np.float64(np.pi), "E": np.float64(np.e), "nan": np.float64(np.nan)}
+_FUNCS = ("sin", "cos", "exp")
+_BINOPS = {ast.Add: "add", ast.Sub: "add", ast.Mult: "mul", ast.Div: "mul",
+           ast.Pow: "pow"}  # a - b = a + (-1) b, a / b = a b**(-1)
+_MINUS_ONE = np.float64(-1.0)
+_SYNTAX = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.UAdd, ast.USub, ast.Load,
+           *_BINOPS)
 
 
-def parse_expression(text: str) -> sp.Expr:
-    """Parse an expression made only of nodes that ``_taylor_jet`` evaluates.
+def _tape(texts) -> tuple:
+    """One tape for all ``texts``, and the position of each text's root."""
+    tape, index, roots = [], {}, []
 
-    The text's Python syntax is checked first, since sympy runs the text
-    through Python's ``eval``; sympy's result is then checked node by node.
-    """
-    text = str(text)
-    try:
-        tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant):
-            ok = type(node.value) in (int, float)
-        elif isinstance(node, ast.Call):  # sin, cos or exp of one argument
-            ok = (getattr(node.func, "id", "") in [f.__name__ for f in _TAYLOR_FUNCS]
-                  and len(node.args) == 1)
-        else:
-            ok = (isinstance(node, _SYNTAX)
-                  and not getattr(node, "id", "").startswith("_"))
-        if not ok:
-            what = f"{type(node).__name__} {ast.unparse(node)}".strip()
-            raise ConfigError(f"expression {text!r} uses {what}, which is "
-                              f"outside the expression grammar")
-    local = {"x": _X, "y": _Y, "z": _Z, "pi": sp.pi}
-    local.update((f.__name__, f) for f in _TAYLOR_FUNCS)
-    try:
-        expr = sp.parse_expr(text, local_dict=local)
-    except Exception as exc:
-        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-    for node in sp.preorder_traversal(expr):
-        if not isinstance(node, sp.Basic) or _taylor_rule(node) is None:
-            raise ConfigError(f"expression {text!r} uses {type(node).__name__} "
-                              f"{node}, which is outside the expression grammar")
-    return expr
+    def emit(tag, *args):
+        """The tape position of (tag, *args), whose operands are positions or
+        floats; a float if every operand is one."""
+        if tag not in ("num", "var"):
+            if all(isinstance(a, float) for a in args):
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    return _node_jet((tag,), args, None, 0, ())
+            args = [emit("num", a) if isinstance(a, float) else a for a in args]
+        if (tag, *args) not in index:
+            index[tag, *args] = len(tape)
+            tape.append((tag, *args))
+        return index[tag, *args]
+
+    for text in map(str, texts):
+        try:
+            tree = ast.parse(text.strip(), mode="eval")
+        except (SyntaxError, RecursionError) as exc:
+            raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
+        nodes, funcs = list(ast.walk(tree)), set()
+        for node in nodes:  # breadth first, so the outermost refused node is named
+            if isinstance(node, ast.Constant):
+                ok = type(node.value) in (int, float)
+            elif isinstance(node, ast.Call):  # sin, cos or exp of one argument
+                ok = getattr(node.func, "id", "") in _FUNCS and len(node.args) == 1
+                funcs.add(node.func)
+            elif isinstance(node, ast.Name):
+                ok = node.id in _NAMES or node in funcs
+            else:
+                ok = isinstance(node, _SYNTAX)
+            if not ok:
+                what = f"{type(node).__name__} {ast.unparse(node)}".strip()
+                raise ConfigError(f"expression {text!r} uses {what}, which is "
+                                  f"outside the expression grammar")
+        built = {}  # ast node -> tape position or float, children first
+        for node in reversed(nodes):
+            try:
+                if isinstance(node, ast.Constant):
+                    built[node] = np.float64(node.value)
+                elif isinstance(node, ast.Name) and node not in funcs:
+                    name = _NAMES[node.id]
+                    built[node] = name if isinstance(name, float) else emit(*name)
+                elif isinstance(node, ast.Call):
+                    built[node] = emit(node.func.id, built[node.args[0]])
+                elif isinstance(node, ast.UnaryOp):
+                    a = built[node.operand]
+                    built[node] = (a if isinstance(node.op, ast.UAdd)
+                                   else emit("mul", _MINUS_ONE, a))
+                elif isinstance(node, ast.BinOp):
+                    b = built[node.right]
+                    if isinstance(node.op, ast.Sub):
+                        b = emit("mul", _MINUS_ONE, b)
+                    elif isinstance(node.op, ast.Div):
+                        b = emit("pow", b, _MINUS_ONE)
+                    built[node] = emit(_BINOPS[type(node.op)], built[node.left], b)
+            except (FloatingPointError, OverflowError) as exc:
+                raise ConfigError(f"expression {text!r} uses {ast.unparse(node)}, "
+                                  f"which has no finite real value ({exc})") from None
+        root = built[tree.body]
+        roots.append(emit("num", root) if isinstance(root, float) else root)
+    return tape, roots
+
+
+def parse_expression(text: str) -> list:
+    """The tape of one expression text, its root last."""
+    tape, _ = _tape([text])
+    return tape
 
 
 # -- truncated Taylor arithmetic ----------------------------------------------
@@ -131,6 +166,30 @@ def _taylor_tables(order: int):
             if s in row:
                 pairs[row[s]].append((i, j))
     return row, tuple(map(tuple, pairs))
+
+
+def _jet_derivative(a, k: int, order: int):
+    """d_k of the ``order`` jet ``a``: an ``order - 1`` jet whose row alpha is
+    (alpha_k + 1) times row alpha + e_k of ``a``."""
+    if isinstance(a, float):
+        return np.float64(0.0)
+    row, _ = _taylor_tables(order)
+    shifted = [tuple(n + (i == k) for i, n in enumerate(alpha))
+               for alpha in _taylor_tables(order - 1)[0]]
+    return np.stack([beta[k] * a[row[beta]] for beta in shifted])
+
+
+def _jet_sum(*terms):
+    """Sum of jets; a constant adds to row 0 only."""
+    const = sum((t for t in terms if isinstance(t, float)), np.float64(0.0))
+    arrays = [t for t in terms if not isinstance(t, float)]
+    if not arrays:
+        return const
+    out = arrays[0].copy()
+    for a in arrays[1:]:
+        out += a
+    out[0] += const
+    return out
 
 
 def _jet_mul(a, b, pairs):
@@ -179,17 +238,17 @@ def _jet_pow(a, p, order, pairs):
     return _jet_series(a, coeffs, pairs)
 
 
-def _jet_func(func, a, order, pairs):
+def _jet_func(func: str, a, order, pairs):
     """exp, log, sin or cos of a jet through its series about a's value."""
     a0 = a if isinstance(a, float) else a[0]
-    if func is sp.exp:
+    if func == "exp":
         e = np.exp(a0)
         coeffs = [e / math.factorial(k) for k in range(order + 1)]
-    elif func is sp.log:  # reached only through a**b = exp(b log a)
+    elif func == "log":  # reached only through a**b = exp(b log a)
         coeffs = [np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k)
                                  for k in range(1, order + 1)]
     else:  # sin^(k)(t) = sin(t + k pi/2), cos^(k)(t) = sin(t + (k+1) pi/2)
-        shifts = [(k + (func is sp.cos)) % 4 for k in range(order + 1)]
+        shifts = [(k + (func == "cos")) % 4 for k in range(order + 1)]
         # sin(a0) and cos(a0), each only if a coefficient reads it
         sc = {j: (np.sin, np.cos)[j](a0) for j in {m % 2 for m in shifts}}
         coeffs = [(sc[m % 2] if m < 2 else -sc[m % 2]) / math.factorial(k)
@@ -197,81 +256,95 @@ def _jet_func(func, a, order, pairs):
     return coeffs[0] if isinstance(a, float) else _jet_series(a, coeffs, pairs)
 
 
-def _taylor_rule(node):
-    """The rule ``_taylor_jet`` evaluates ``node`` by, or None if it has none."""
-    if node.is_Symbol:
-        return "variable" if node in _VARS else None
-    if node.is_Number or isinstance(node, sp.NumberSymbol):
-        return "number"
-    if node.is_Add:
-        return "add"
-    if node.is_Mul:
-        return "mul"
-    if node.is_Pow:
-        return "pow"
-    return "function" if node.func in _TAYLOR_FUNCS else None
+def _node_jet(node, args, pts, order, pairs):
+    """The jet of a tape node at ``pts`` from its arguments' jets."""
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "var":
+        val = np.zeros((len(pairs), pts.shape[0]))
+        val[0] = pts[:, node[1]]
+        if order:
+            val[1 + node[1]] = 1.0
+        return val
+    if tag == "add":
+        return _jet_sum(*args)
+    if tag == "mul":
+        return _jet_mul(*args, pairs)
+    if tag == "pow" and isinstance(args[1], float):
+        return _jet_pow(*args, order, pairs)
+    if tag == "pow":  # a**b = exp(b log a)
+        return _jet_func("exp", _jet_mul(
+            args[1], _jet_func("log", args[0], order, pairs), pairs), order, pairs)
+    return _jet_func(tag, args[0], order, pairs)
 
 
-def _taylor_jet(expr: sp.Expr, pts: np.ndarray, order: int):
-    """Jet of ``expr`` at ``pts`` by one pass over its expression DAG.
+def _operands(node) -> tuple:
+    """The tape positions a node reads."""
+    return () if node[0] in ("num", "var") else node[1:]
 
-    A node's jet is kept only while some parent still has to read it.
-    """
-    row, pairs = _taylor_tables(order)
-    post, seen, todo = [], set(), [(expr, False)]
-    while todo:
-        node, expanded = todo.pop()
-        if expanded:
-            post.append(node)
-        elif node not in seen:
-            seen.add(node)
-            todo.append((node, True))
-            todo.extend((a, False) for a in node.args if a not in seen)
-    uses = collections.Counter(a for node in post for a in node.args)
-    jets = {}
-    for node in post:
-        args = [jets[a] for a in node.args]
-        rule = _taylor_rule(node)
-        if rule == "variable":
-            val = np.zeros((len(row), pts.shape[0]))
-            k = _VARS.index(node)
-            val[0] = pts[:, k]
-            if order:
-                val[1 + k] = 1.0
-        elif rule == "number":
-            val = np.float64(node)  # numpy semantics: inf/nan, not exceptions
-        elif rule == "add":
-            consts = sum((a for a in args if isinstance(a, float)), 0.0)
-            arrays = [a for a in args if not isinstance(a, float)]
-            if not arrays:
-                val = consts
-            else:
-                val = arrays[0].copy()
-                for a in arrays[1:]:
-                    val += a
-                val[0] += consts
-        elif rule == "mul":
-            val = 1.0
-            for a in sorted(args, key=lambda a: not isinstance(a, float)):
-                val = _jet_mul(val, a, pairs)
-        elif rule == "pow" and isinstance(args[1], float):
-            val = _jet_pow(args[0], args[1], order, pairs)
-        elif rule == "pow":  # a**b = exp(b log a)
-            val = _jet_func(sp.exp, _jet_mul(
-                args[1], _jet_func(sp.log, args[0], order, pairs), pairs),
-                order, pairs)
-        elif rule == "function":
-            val = _jet_func(node.func, args[0], order, pairs)
-        else:
-            raise NonDifferentiableField(
-                f"no Taylor rule for {type(node).__name__} node {node}"
-            )
-        jets[node] = val
-        for a in node.args:
-            uses[a] -= 1
-            if not uses[a]:
-                del jets[a]
-    return jets[expr], row
+
+def _text_jets(texts):
+    """The jet function of ``texts``: one pass over their shared tape gives
+    one jet per text.  A node's jet is kept only while a later node still
+    reads it."""
+    tape, roots = _tape(texts)
+    uses = collections.Counter(a for node in tape for a in _operands(node))
+    uses.update(roots)
+
+    def jets(pts, order):
+        _, pairs = _taylor_tables(order)
+        vals, left = {}, uses.copy()
+        for k, node in enumerate(tape):
+            vals[k] = _node_jet(node, [vals[a] for a in _operands(node)],
+                                pts, order, pairs)
+            for a in _operands(node):
+                left[a] -= 1
+                if not left[a]:
+                    del vals[a]
+        return [vals[r] for r in roots]
+
+    return jets
+
+
+def _field_jets(fields, pts, order) -> list:
+    """The ``order`` jet at ``pts`` of each constant or expression field;
+    fields that share a jet function run it once."""
+    runs, out = {}, []
+    for fld in fields:
+        if fld.kind == "constant":
+            out.append(np.float64(fld._payload))
+            continue
+        fn, i = fld._payload
+        if fn not in runs:
+            runs[fn] = fn(pts, order)
+        out.append(runs[fn][i])
+    return out
+
+
+def _derivative_stacks(fields, pts, order: int) -> list:
+    """Each field's ``derivative_stack(pts, order)``; fields that share a jet
+    function run it once."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    combos = list(itertools.combinations_with_replacement(range(3), order))
+    jets = iter(_field_jets([f for f in fields if f.kind != "grid"], pts, order))
+    row, _ = _taylor_tables(order)
+    out = []
+    for fld in fields:
+        if fld.kind == "grid":
+            out.append(fld.derivative_stack(pts, order))
+            continue
+        jet = next(jets)
+        if isinstance(jet, float):
+            out.append(np.full((pts.shape[0], len(combos)), jet if order == 0 else 0.0))
+            continue
+        cols = []  # column alpha is alpha! times the jet's c_alpha
+        for combo in combos:
+            alpha = tuple(combo.count(k) for k in range(3))
+            scale = math.prod(math.factorial(a) for a in alpha)
+            cols.append(scale * jet[row[alpha]])
+        out.append(np.stack(cols, axis=-1))
+    return out
 
 
 class ScalarField:
@@ -291,8 +364,7 @@ class ScalarField:
 
     @classmethod
     def expression(cls, text) -> "ScalarField":
-        expr = text if isinstance(text, sp.Expr) else parse_expression(text)
-        return cls("expression", expr)
+        return cls("expression", (_text_jets([text]), 0))
 
     @classmethod
     def grid(cls, values: np.ndarray, box) -> "ScalarField":
@@ -309,14 +381,6 @@ class ScalarField:
         return _read_grid_file(path, ncomp=1)[0][0]
 
     # -- helpers ------------------------------------------------------------
-    @property
-    def expr(self) -> sp.Expr:
-        if self.kind == "expression":
-            return self._payload
-        if self.kind == "constant":
-            return sp.Float(self._payload)
-        raise NonDifferentiableField("grid fields have no closed form")
-
     def _build_grid_tables(self):
         axes = [np.linspace(0.0, b, n) for b, n in zip(self.box, self._payload.shape)]
 
@@ -367,32 +431,22 @@ class ScalarField:
         return out
 
     # -- evaluation ---------------------------------------------------------
-    def eval(self, pts) -> np.ndarray:
+    def _derivative(self, pts, order: int) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "constant":
-            return np.full(pts.shape[0], self._payload)
-        if self.kind == "expression":
-            jet, _ = _taylor_jet(self._payload, pts, 0)
-            return np.full(pts.shape[0], jet) if isinstance(jet, float) else jet[0]
-        return self._trilinear(0, self._locate(pts))
+        if self.kind == "grid":
+            return self._trilinear(order, self._locate(pts))
+        return _derivative_stacks([self], pts, order)[0][:, _UNPACK[order]]
+
+    def eval(self, pts) -> np.ndarray:
+        return self._derivative(pts, 0)
 
     def grad(self, pts) -> np.ndarray:
         """First derivatives, shape (N, 3)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "constant":
-            return np.zeros((pts.shape[0], 3))
-        if self.kind == "expression":
-            return self.derivative_stack(pts, 1)
-        return self._trilinear(1, self._locate(pts))
+        return self._derivative(pts, 1)
 
     def hess(self, pts) -> np.ndarray:
         """Second derivatives, shape (N, 3, 3)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "constant":
-            return np.zeros((pts.shape[0], 3, 3))
-        if self.kind == "expression":
-            return self.derivative_stack(pts, 2)[:, _HESS_INDEX]
-        return self._trilinear(2, self._locate(pts))
+        return self._derivative(pts, 2)
 
     def derivative_stack(self, pts, order: int) -> np.ndarray:
         """All distinct derivatives of the given order, shape (N, n_multi).
@@ -402,28 +456,18 @@ class ScalarField:
         fields support order <= 2; expressions any order, by truncated
         Taylor arithmetic (column alpha is alpha! times the jet's c_alpha).
         """
+        if self.kind != "grid":
+            return _derivative_stacks([self], pts, order)[0]
+        if order > 2:
+            raise NonDifferentiableField(
+                f"grid fields provide derivatives up to order 2, not {order}"
+            )
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        combos = list(itertools.combinations_with_replacement(range(3), order))
+        table = self._trilinear(order, self._locate(pts))
         if order == 0:
-            return self.eval(pts)[:, None]
-        if self.kind == "constant":
-            return np.zeros((pts.shape[0], len(combos)))
-        if self.kind == "grid":
-            if order > 2:
-                raise NonDifferentiableField(
-                    f"grid fields provide derivatives up to order 2, not {order}"
-                )
-            table = self._trilinear(order, self._locate(pts))
-            return np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
-        jet, row = _taylor_jet(self._payload, pts, order)
-        if isinstance(jet, float):
-            return np.zeros((pts.shape[0], len(combos)))
-        cols = []
-        for combo in combos:
-            alpha = tuple(combo.count(k) for k in range(3))
-            scale = math.prod(math.factorial(a) for a in alpha)
-            cols.append(scale * jet[row[alpha]])
-        return np.stack(cols, axis=-1)
+            return table[:, None]
+        combos = itertools.combinations_with_replacement(range(3), order)
+        return np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
 
 
 class TensorField:
@@ -454,47 +498,54 @@ class TensorField:
     def expression(cls, comps) -> "TensorField":
         """Build from a mapping of component names to expression strings.
 
-        Missing components default to zero; names follow COMPONENT_ORDER.
+        Missing components default to zero; a name outside COMPONENT_ORDER
+        is refused.
         """
-        fields = {}
-        for name in COMPONENT_ORDER:
-            text = comps.get(name, "0")
-            fields[name] = ScalarField.expression(text)
-        return cls("expression", fields)
+        for name in comps:
+            if name not in COMPONENT_ORDER:
+                raise ConfigError(f"tensor component {name!r} is not one of "
+                                  f"{', '.join(COMPONENT_ORDER)}")
+        return cls.from_jets(_text_jets([comps.get(name, "0")
+                                         for name in COMPONENT_ORDER]))
 
     @classmethod
-    def from_sympy(cls, matrix: sp.Matrix) -> "TensorField":
-        """Build from a symmetric 3x3 sympy Matrix of expressions."""
-        return cls.expression({name: matrix[ij]
-                               for name, ij in _COMP_INDEX.items()})
+    def from_jets(cls, jets) -> "TensorField":
+        """The field whose ``jets(pts, order)`` are its six components' jets,
+        in COMPONENT_ORDER."""
+        return cls("expression", {name: ScalarField("expression", (jets, i))
+                                  for i, name in enumerate(COMPONENT_ORDER)})
 
     @classmethod
     def from_file(cls, path) -> "TensorField":
         fields, box = _read_grid_file(path, ncomp=6)
         return cls("grid", dict(zip(COMPONENT_ORDER, fields)), box=box)
 
-    def _symmetric(self, pts, derivative: str, shape: tuple) -> np.ndarray:
-        """(N, *shape, 3, 3) stack of each component's ``derivative``
-        (eval, grad or hess), written to both triangles.  A grid field's
-        components share one lattice: cells are located once."""
+    def _symmetric(self, pts, order: int) -> np.ndarray:
+        """(N, *(3,) * order, 3, 3) stack of each component's values (order
+        0), gradients (1) or Hessians (2), written to both triangles.  A grid
+        field's components share one lattice: cells are located once."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros((pts.shape[0],) + shape + (3, 3))
-        cells = self.components["a11"]._locate(pts) if self.kind == "grid" else None
-        for name, fld in self.components.items():
+        out = np.zeros((pts.shape[0],) + (3,) * order + (3, 3))
+        fields = list(self.components.values())
+        if self.kind == "grid":
+            cells = fields[0]._locate(pts)
+            values = [fld._trilinear(order, cells) for fld in fields]
+        else:
+            values = [s[:, _UNPACK[order]]
+                      for s in _derivative_stacks(fields, pts, order)]
+        for name, val in zip(self.components, values):
             i, j = _COMP_INDEX[name]
-            out[..., i, j] = out[..., j, i] = (
-                getattr(fld, derivative)(pts) if cells is None
-                else fld._trilinear(len(shape), cells))
+            out[..., i, j] = out[..., j, i] = val
         return out
 
     def eval(self, pts) -> np.ndarray:
-        return self._symmetric(pts, "eval", ())
+        return self._symmetric(pts, 0)
 
     def grad(self, pts) -> np.ndarray:
-        return self._symmetric(pts, "grad", (3,))
+        return self._symmetric(pts, 1)
 
     def hess(self, pts) -> np.ndarray:
-        return self._symmetric(pts, "hess", (3, 3))
+        return self._symmetric(pts, 2)
 
 
 class VectorField:
@@ -515,16 +566,22 @@ class VectorField:
 
     @classmethod
     def expression(cls, texts) -> "VectorField":
-        return cls([ScalarField.expression(t) for t in texts])
+        texts = list(texts)
+        jets = _text_jets(texts)
+        return cls([ScalarField("expression", (jets, i)) for i in range(len(texts))])
+
+    @classmethod
+    def from_jets(cls, jets) -> "VectorField":
+        """The field whose ``jets(pts, order)`` are its three components' jets."""
+        return cls([ScalarField("expression", (jets, i)) for i in range(3)])
 
     def eval(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.stack([c.eval(pts) for c in self.components], axis=-1)
+        return np.stack([s[:, 0] for s in _derivative_stacks(self.components, pts, 0)],
+                        axis=-1)
 
     def grad(self, pts) -> np.ndarray:
         """Velocity-gradient layout (N, i, c) = d_c v_i."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.stack([c.grad(pts) for c in self.components], axis=-2)
+        return np.stack(_derivative_stacks(self.components, pts, 1), axis=-2)
 
 
 def _read_grid_file(path, ncomp: int):

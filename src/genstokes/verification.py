@@ -1,12 +1,13 @@
 """Manufactured solutions, dimensional norms, and estimate diagnostics.
 
 Manufactured velocities are built divergence-free with zero wall trace; the
-forcing is derived symbolically from the strong form
+forcing of the strong form
 
     f = -div(D(v) A + A D(v)) + grad p,      A = mu1 I + mu2 B + mu3 B^{-1},
 
-on first use of ``MMSCase.f_exprs`` or ``MMSCase.f_field``, so a case built
-only for its coefficient field never pays for the symbolic derivation.
+is a jet function: at each evaluation it combines the truncated Taylor jets
+of v, p and B (``fields``), with B^{-1} = adj(B) / det(B) in the same
+arithmetic, so the forcing and A are exact up to rounding to any order.
 
 Error norms against exact solutions are integrated with quadrature one
 degree above the assembly rule.  Estimates carrying unspecified shape
@@ -24,15 +25,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import sympy as sp
 from scipy.special import roots_legendre
 
 from .assembly import SaddleSystem, _chunks, _in_order, assemble
 from .constitutive import (BoundAudit, MuTriple, _ratio_audit,
                            coefficient_derivatives)
-from .errors import MissingNormInput, NonDifferentiableExpression
+from .errors import MissingNormInput
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
-from .fields import COMPONENT_ORDER, ScalarField, TensorField, VectorField
+from .fields import (_COMP_INDEX, COMPONENT_ORDER, ScalarField, TensorField,
+                     VectorField, _derivative_stacks, _field_jets, _jet_derivative,
+                     _jet_mul, _jet_pow, _jet_sum, _taylor_tables)
 from .solver import SolveResult, minres_solve
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "ConvergenceTable",
     "DimNorm",
     "lambda1_box",
-    "mms_forcing",
     "make_classical_case",
     "make_anisotropic_case",
     "errors_against_exact",
@@ -50,10 +51,6 @@ __all__ = [
     "rk_evaluate",
     "rk_bracket",
 ]
-
-_X, _Y, _Z = sp.symbols("x y z")
-_SYMS = (_X, _Y, _Z)
-
 
 def lambda1_box(lx: float, ly: float, lz: float) -> float:
     """First Dirichlet Laplacian eigenvalue of the box."""
@@ -66,67 +63,75 @@ def lambda1_box(lx: float, ly: float, lz: float) -> float:
 
 @dataclass
 class MMSCase:
-    """Exact solution pair with derived forcing and coefficient fields."""
+    """Exact solution pair, as expression texts, with the coefficient field,
+    A and the forcing of the strong form."""
 
     name: str
-    v_exprs: tuple
-    p_expr: sp.Expr
+    v_texts: tuple
+    p_text: str
     mu: MuTriple
-    b_exprs: Optional[sp.Matrix]  # None means B = I
+    b_texts: Optional[dict]  # component name -> text; None means B = I
     b_field: TensorField = field(init=False)
     v_field: VectorField = field(init=False)
     p_field: ScalarField = field(init=False)
+    a_field: TensorField = field(init=False)
+    f_field: VectorField = field(init=False)
 
     def __post_init__(self):
-        if self.b_exprs is None:
-            self.b_field = TensorField.identity()
-        else:
-            self.b_field = TensorField.from_sympy(self.b_exprs)
-        self.v_field = VectorField.expression(self.v_exprs)
-        self.p_field = ScalarField.expression(self.p_expr)
-
-    @functools.cached_property
-    def f_exprs(self) -> tuple:
-        """Forcing of the strong form, derived on first use."""
-        return mms_forcing(self.v_exprs, self.p_expr, self.mu, self.b_exprs)
-
-    @functools.cached_property
-    def f_field(self) -> VectorField:
-        return VectorField.expression(self.f_exprs)
-
-    @property
-    def a_exprs(self) -> sp.Matrix:
-        return acal_matrix(self.mu, self.b_exprs)
+        self.b_field = (TensorField.identity() if self.b_texts is None
+                        else TensorField.expression(self.b_texts))
+        self.v_field = VectorField.expression(self.v_texts)
+        self.p_field = ScalarField.expression(self.p_text)
+        self.a_field = TensorField.from_jets(
+            functools.partial(_acal_jets, self.mu, self.b_field))
+        self.f_field = VectorField.from_jets(functools.partial(
+            _forcing_jets, self.v_field, self.p_field, self.a_field))
 
 
-def acal_matrix(mu: MuTriple, b_exprs: Optional[sp.Matrix]) -> sp.Matrix:
-    """Symbolic coefficient tensor mu1 I + mu2 B + mu3 B^{-1}."""
-    eye = sp.eye(3)
-    if b_exprs is None:
-        return (mu.mu1 + mu.mu2 + mu.mu3) * eye
-    det = sp.expand(b_exprs.det())
-    binv = b_exprs.adjugate().applyfunc(sp.expand) / det
-    return mu.mu1 * eye + mu.mu2 * b_exprs + mu.mu3 * binv
+def _symmetric_jets(tensor: TensorField, pts, order) -> list:
+    """The 3x3 nested list of a symmetric tensor field's component jets."""
+    jets = dict(zip((_COMP_INDEX[name] for name in tensor.components),
+                    _field_jets(tensor.components.values(), pts, order)))
+    return [[jets[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
 
 
-def mms_forcing(v_exprs, p_expr, mu: MuTriple, b_exprs=None) -> tuple:
-    """Forcing of the strong form for a given exact (v, p) and coefficients."""
-    try:
-        a = acal_matrix(mu, b_exprs)
-        gradv = sp.Matrix(3, 3, lambda i, j: sp.diff(v_exprs[i], _SYMS[j]))
-        d = (gradv + gradv.T) / 2
-        t = d * a + a * d
-        f = []
-        for i in range(3):
-            div_i = sum(sp.diff(t[i, j], _SYMS[j]) for j in range(3))
-            f.append(sp.diff(p_expr, _SYMS[i]) - div_i)
-    except Exception as exc:  # sympy failures surface as non-differentiability
-        raise NonDifferentiableExpression(str(exc)) from exc
-    return tuple(f)
+def _acal_jets(mu: MuTriple, b_field: TensorField, pts, order) -> list:
+    """Jets of A = mu1 I + mu2 B + mu3 adj(B) / det(B), in COMPONENT_ORDER."""
+    _, pairs = _taylor_tables(order)
+    b = _symmetric_jets(b_field, pts, order)
+
+    def cofactor(i, j):
+        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+        return _jet_sum(_jet_mul(b[i1][j1], b[i2][j2], pairs),
+                        -_jet_mul(b[i1][j2], b[i2][j1], pairs))
+
+    adj = {ij: cofactor(*ij) for ij in _COMP_INDEX.values()}
+    det = _jet_sum(*(_jet_mul(b[0][j], adj[min(0, j), max(0, j)], pairs)
+                     for j in range(3)))
+    inv_det = _jet_pow(det, -1.0, order, pairs)
+    return [_jet_sum(mu.mu1 * float(i == j), _jet_mul(mu.mu2, b[i][j], pairs),
+                     _jet_mul(mu.mu3, _jet_mul(adj[i, j], inv_det, pairs), pairs))
+            for i, j in map(_COMP_INDEX.get, COMPONENT_ORDER)]
 
 
-def divergence_expr(v_exprs) -> sp.Expr:
-    return sp.expand(sum(sp.diff(v_exprs[i], _SYMS[i]) for i in range(3)))
+def _forcing_jets(v_field: VectorField, p_field: ScalarField,
+                  a_field: TensorField, pts, order) -> list:
+    """Jets of f = grad p - div(D(v) A + A D(v)), from the ``order + 2``
+    jets of v and the ``order + 1`` jets of p and A."""
+    up = order + 1
+    _, pairs = _taylor_tables(up)
+    v = _field_jets(v_field.components, pts, up + 1)
+    (p,) = _field_jets([p_field], pts, up)
+    a = _symmetric_jets(a_field, pts, up)
+    grad = [[_jet_derivative(v[i], j, up + 1) for j in range(3)] for i in range(3)]
+    d = [[_jet_mul(0.5, _jet_sum(grad[i][j], grad[j][i]), pairs) for j in range(3)]
+         for i in range(3)]
+    da = [[_jet_sum(*(_jet_mul(d[i][k], a[k][j], pairs) for k in range(3)))
+           for j in range(3)] for i in range(3)]
+    return [_jet_sum(_jet_derivative(p, i, up),
+                     *(-_jet_derivative(_jet_sum(da[i][j], da[j][i]), j, up)
+                       for j in range(3)))
+            for i in range(3)]
 
 
 def boundary_trace_max(v_field: VectorField, box, n: int = 13) -> float:
@@ -142,27 +147,27 @@ def boundary_trace_max(v_field: VectorField, box, n: int = 13) -> float:
     return worst
 
 
-def _bubble_potential() -> sp.Expr:
-    b = _X * (1 - _X) * _Y * (1 - _Y) * _Z * (1 - _Z)
-    return b * b
+# v = (d_y psi, -d_x psi, 0) = 2 q Z (X (1 - 2y), Y (2x - 1), 0) for the
+# squared bubble psi = q^2, q = X Y Z, X = x (1 - x), Y = y (1 - y),
+# Z = z (1 - z); the texts share the subtrees 2 q Z, X and Y
+_BUBBLE = "(x*(1 - x))*(y*(1 - y))*(z*(1 - z))"
+_CURL_BUBBLE = (f"2*({_BUBBLE})*(z*(1 - z))*(x*(1 - x))*(1 - 2*y)",
+                f"2*({_BUBBLE})*(z*(1 - z))*(y*(1 - y))*(2*x - 1)",
+                "0")
 
 
 def make_classical_case() -> MMSCase:
     """Newtonian reduction (A = I): curl of a squared-bubble potential."""
-    psi = _bubble_potential()
-    v = (sp.diff(psi, _Y), -sp.diff(psi, _X), sp.Integer(0))
-    p = sp.cos(sp.pi * _X)
-    return MMSCase("classical", v, p, MuTriple(1.0, 0.0, 0.0), None)
+    return MMSCase("classical", _CURL_BUBBLE, "cos(pi*x)", MuTriple(1.0, 0.0, 0.0),
+                   None)
 
 
 def make_anisotropic_case() -> MMSCase:
     """Spatially varying unimodular shear B with a full coefficient triple."""
-    psi = _bubble_potential()
-    v = (sp.diff(psi, _Y), -sp.diff(psi, _X), sp.Integer(0))
-    p = sp.cos(sp.pi * _X)
-    s = sp.Rational(2, 5) * sp.sin(sp.pi * _X) * sp.sin(sp.pi * _Y) * sp.sin(sp.pi * _Z)
-    b = sp.Matrix([[1 + s**2, s, 0], [s, 1, 0], [0, 0, 1]])
-    return MMSCase("anisotropic", v, p, MuTriple(1.0, 1.0, 0.5), b)
+    s = "2/5*sin(pi*x)*sin(pi*y)*sin(pi*z)"
+    b = {"a11": f"1 + ({s})**2", "a22": "1", "a33": "1", "a12": s}
+    return MMSCase("anisotropic", _CURL_BUBBLE, "cos(pi*x)", MuTriple(1.0, 1.0, 0.5),
+                   b)
 
 
 SHIPPED_CASES = {
@@ -378,15 +383,11 @@ def derivative_lp(field_like, order: int, p: float, box,
     """Sampled L^p norm of the order-th derivative tensor of a field."""
     comps, mult = _field_components(field_like)
     pts, wts = _gauss_box(box, n_axis)
+    stacks = _derivative_stacks(comps, pts, order)
     if math.isinf(p):
-        worst = 0.0
-        for c in comps:
-            worst = max(worst, float(np.max(np.abs(c.derivative_stack(pts, order)))))
-        return worst
-    acc = 0.0
-    for c, m in zip(comps, mult):
-        stack = np.abs(c.derivative_stack(pts, order)) ** p
-        acc += m * float(wts @ np.sum(stack, axis=1))
+        return max(float(np.max(np.abs(s))) for s in stacks)
+    acc = sum(m * float(wts @ np.sum(np.abs(s) ** p, axis=1))
+              for s, m in zip(stacks, mult))
     return acc ** (1.0 / p)
 
 
@@ -474,13 +475,7 @@ def rk_evaluate(alpha: float, lambda1: float, a_norms: dict, f_norms: dict,
 def case_norm_suite(case: MMSCase, lambda1: float, box,
                     n_axis: int = 12) -> dict:
     """Coefficient and forcing norms reused across mesh levels of one case."""
-    if case.b_exprs is not None:
-        a_field = TensorField.from_sympy(case.a_exprs)
-    else:
-        a_field = TensorField.constant(
-            np.eye(3) * (case.mu.mu1 + case.mu.mu2 + case.mu.mu3)
-        )
-    f_field = case.f_field
+    a_field, f_field = case.a_field, case.f_field
     a_norms = {
         "w1inf": dim_norm(a_field, 1, math.inf, lambda1, box, n_axis).value,
         "d2_l3": derivative_lp(a_field, 2, 3.0, box, n_axis),

@@ -241,13 +241,17 @@ def test_solve_nan_forcing_exits_5(tmp_path, method):
     assert code == 5
 
 
-@pytest.mark.parametrize("text, node", [("I*x", "ImaginaryUnit"),
-                                        ("zoo", "ComplexInfinity"),
-                                        ("x>0.5", "StrictGreaterThan"),
-                                        ("Max(x,y)", "Max")])
+@pytest.mark.parametrize("text, node", [("I*x", "Name I"),
+                                        ("zoo", "Name zoo"),
+                                        ("oo", "Name oo"),
+                                        ("x>0.5", "Compare"),
+                                        ("Max(x,y)", "Call Max"),
+                                        ("x/0", "x / 0"),
+                                        ("x/(1-1)", "x / (1 - 1)")])
 def test_solve_expression_outside_grammar_exits_2(tmp_path, capsys, text, node):
-    # the grammar is the Taylor evaluator's node set: a complex constant, a
-    # comparison or another function is refused where the text is parsed
+    # the grammar is the Taylor evaluator's node set: another name, a
+    # comparison or another function is refused where the text is parsed,
+    # and so is a division by a constant zero
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
                  "--mesh", "2", "--f-expr", f"{text};0;0"])
     captured = capsys.readouterr()
@@ -441,10 +445,15 @@ _SOLVE = ["solve", "--mu", "1,0,0", "--mesh", "2"]
     (None, ["ellipticity", "--mu", "1,1,1", "--radius", "--eps", "nan"], "--eps"),
     (None, ["verify", "--seed", "-1"], "--seed"),
     (None, ["verify", "--trials", "0"], "--trials"),
+    (None, ["ellipticity", "--mu", "1,1,1", "--b-expr",
+            "a11=1; a22=1; a33=1; a21=0.9"], "a21"),
+    (None, ["ellipticity", "--mu", "1,1,1", "--b-expr",
+            "a11=1; a22=1; a33=1; a12=0.9; a12=0"], "a12"),
 ], ids=["config-choice", "config-unknown-key", "config-no-key", "solve-quad", "mms-quad",
         "samples", "mesh-text", "box-text", "meshes-text", "mesh-zero",
         "box-zero", "meshes-zero", "expression-code", "mu-nan", "eps-nan",
-        "seed-negative", "trials-zero"])
+        "seed-negative", "trials-zero", "b-expr-unknown-name",
+        "b-expr-repeated-name"])
 def test_refused_setting_exits_2(tmp_path, capsys, monkeypatch, config, argv,
                                  named):
     # refused where it enters: exit 2, the flag, key or node named, no

@@ -5,9 +5,9 @@ import is used, and every private constant, function or class at module
 level, and every private method or property in a class body, is referenced
 somewhere in the package.  Deleting a duplicate tends to leave one of these
 behind.  A third check
-keeps heavy scipy subpackages that no command needs off the import path of
-the CLI, a fourth keeps expression fields on one evaluator, and a fifth keeps
-text from being evaluated anywhere but behind the expression grammar.
+keeps sympy and heavy scipy subpackages that no command needs off the import
+path of the CLI, a fourth keeps expression fields on one evaluator, and a
+fifth keeps sympy out of the package and text from being evaluated anywhere.
 """
 
 import ast
@@ -90,12 +90,13 @@ def test_no_unreferenced_private_definitions():
 
 
 def test_cli_import_leaves_out_interpolate_and_optimize():
-    # scipy.interpolate (and the scipy.optimize it pulls in) cost every
-    # command a third of a second of start-up; grid fields do without them
+    # scipy.interpolate (and the scipy.optimize it pulls in) and sympy each
+    # cost every command a third of a second of start-up; grid fields do
+    # without the first two, and expressions are parsed without sympy
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = ("import sys, genstokes.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
+            "'sympy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -112,12 +113,14 @@ def test_no_lambdify_in_package():
 
 
 def test_text_reaches_python_eval_only_through_parse_expression():
-    # sympy.parse_expr runs its input through Python's eval; its one call is
-    # in parse_expression, behind the grammar's syntax check, and nothing
-    # else in the package evaluates text
+    # parse_expression reads text through ``ast`` and evaluates none of it;
+    # the package imports no sympy, whose parser runs text through Python's
+    # eval, and nothing else in it evaluates text
     texts = {path.name: path.read_text(encoding="utf-8")
              for path in sorted(SRC.glob("*.py"))}
-    assert sum(len(re.findall(r"\bparse_expr\b", t)) for t in texts.values()) == 1
+    importers = [name for name, text in texts.items()
+                 if re.search(r"^\s*(?:import|from)\s+sympy\b", text, re.M)]
+    assert importers == []
     evaluators = [f"{name}:{n}"
                   for name, text in texts.items()
                   for n, line in enumerate(text.splitlines(), 1)

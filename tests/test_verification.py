@@ -11,9 +11,9 @@ from conftest import traced_peak
 from genstokes import assembly, constitutive, verification
 from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple, coefficient_derivatives
-from genstokes.errors import MissingNormInput, NonDifferentiableExpression
+from genstokes.errors import ConfigError, MissingNormInput
 from genstokes.fem import TaylorHoodSpace, build_mesh
-from genstokes.fields import ScalarField, TensorField
+from genstokes.fields import COMPONENT_ORDER, ScalarField, TensorField
 from genstokes.solver import minres_solve
 from genstokes.verification import (
     audit_estimates,
@@ -23,18 +23,17 @@ from genstokes.verification import (
     case_norm_suite,
     derivative_lp,
     dim_norm,
-    divergence_expr,
     errors_against_exact,
     lambda1_box,
     make_anisotropic_case,
     make_classical_case,
-    mms_forcing,
+    MMSCase,
     rk_bracket,
     rk_evaluate,
     run_convergence,
 )
 
-_X, _Y, _Z = sp.symbols("x y z")
+_SYMS = sp.symbols("x y z")
 
 
 def fd4_second(fn, x, axis, h):
@@ -60,27 +59,93 @@ def fd4_first(fn, x, axis, h):
 # manufactured cases
 
 
+def _sympy_matrix(b_texts):
+    """The symmetric sympy matrix of a case's B texts (None: the identity)."""
+    if b_texts is None:
+        return sp.eye(3)
+    comps = {name: sp.sympify(b_texts.get(name, "0")) for name in COMPONENT_ORDER}
+    return sp.Matrix([[comps["a11"], comps["a12"], comps["a13"]],
+                      [comps["a12"], comps["a22"], comps["a23"]],
+                      [comps["a13"], comps["a23"], comps["a33"]]])
+
+
+def _sympy_forcing(case):
+    """Oracle: f = grad p - div(D(v) A + A D(v)) by sp.diff of the case's texts."""
+    v = [sp.sympify(t) for t in case.v_texts]
+    p = sp.sympify(case.p_text)
+    b = _sympy_matrix(case.b_texts)
+    mu = case.mu
+    a = mu.mu1 * sp.eye(3) + mu.mu2 * b + mu.mu3 * b.adjugate() / b.det()
+    gradv = sp.Matrix(3, 3, lambda i, j: sp.diff(v[i], _SYMS[j]))
+    t = (gradv + gradv.T) / 2 * a + a * (gradv + gradv.T) / 2
+    return [sp.diff(p, _SYMS[i]) - sum(sp.diff(t[i, j], _SYMS[j]) for j in range(3))
+            for i in range(3)]
+
+
 def test_shipped_cases_are_admissible():
     for make in (make_classical_case, make_anisotropic_case):
         case = make()
-        assert divergence_expr(case.v_exprs) == 0
+        v = [sp.sympify(t) for t in case.v_texts]
+        assert sp.expand(sum(sp.diff(v[i], _SYMS[i]) for i in range(3))) == 0
         assert boundary_trace_max(case.v_field, (1.0, 1.0, 1.0)) <= 1e-12
-        if case.b_exprs is not None:
-            assert sp.expand(case.b_exprs.det() - 1) == 0
+        if case.b_texts is not None:
+            assert sp.expand(_sympy_matrix(case.b_texts).det() - 1) == 0
+
+
+# B = F F^T with F = [[sqrt 2, g, h], [0, 1, k], [0, 0, 1]]: det B = 2, so the
+# adjugate / det path runs off the unimodular set
+_DET2_B = {"a11": "2 + (sin(pi*x)*y)**2 + (x*y*z/10)**2",
+           "a12": "sin(pi*x)*y + x*y*z/10*sin(pi*z)/5", "a13": "x*y*z/10",
+           "a22": "1 + (sin(pi*z)/5)**2", "a23": "sin(pi*z)/5", "a33": "1"}
+
+
+@pytest.mark.parametrize("make", [
+    make_classical_case, make_anisotropic_case,
+    lambda: MMSCase("det2", make_anisotropic_case().v_texts, "cos(pi*x)*y",
+                    MuTriple(1.0, 1.0, 0.5), _DET2_B),
+], ids=["classical", "anisotropic", "det2"])
+def test_forcing_matches_symbolic_oracle(make):
+    case = make()
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.0, 1.0, size=(200, 3))
+    want = np.stack([np.broadcast_to(sp.lambdify(_SYMS, f, "numpy")(*pts.T), len(pts))
+                     for f in _sympy_forcing(case)], axis=-1)
+    got = case.f_field.eval(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_det2_coefficient_matches_symbolic_oracle():
+    b = _sympy_matrix(_DET2_B)
+    assert sp.expand(b.det()) == 2
+    case = MMSCase("det2", make_anisotropic_case().v_texts, "0",
+                   MuTriple(0.5, 1.0, 2.0), _DET2_B)
+    a = 0.5 * sp.eye(3) + b + 2.0 * b.adjugate() / b.det()
+    pts = np.random.default_rng(12).uniform(0.0, 1.0, size=(50, 3))
+    got, got_h = case.a_field.eval(pts), case.a_field.hess(pts)
+    for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        want = sp.lambdify(_SYMS, a[i, j], "numpy")(*pts.T)
+        np.testing.assert_allclose(got[:, i, j], want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(got)))
+        for k in range(3):
+            for m in range(3):
+                d2 = sp.lambdify(_SYMS, sp.diff(a[i, j], _SYMS[k], _SYMS[m]), "numpy")
+                want = np.broadcast_to(d2(*pts.T), len(pts))
+                np.testing.assert_allclose(got_h[:, k, m, i, j], want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(got_h)))
 
 
 def test_zero_solution_zero_forcing():
-    from genstokes.constitutive import MuTriple
-
-    f = mms_forcing((sp.Integer(0),) * 3, sp.Integer(0), MuTriple(1.0, 1.0, 1.0))
-    assert all(e == 0 for e in f)
+    # v = 0 and p = 0 give f = 0 exactly, whatever A
+    case = MMSCase("zero", ("0", "0", "0"), "0", MuTriple(1.0, 1.0, 1.0), _DET2_B)
+    pts = np.random.default_rng(1).uniform(size=(20, 3))
+    assert np.array_equal(case.f_field.eval(pts), np.zeros((20, 3)))
 
 
 def test_classical_forcing_matches_fd_oracle():
     # A = I reduces the strong form to f = -lap v + grad p
     case = make_classical_case()
     v = case.v_field
-    p = ScalarField.expression(case.p_expr)
+    p = case.p_field
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.15, 0.85, size=(100, 3))
     got = case.f_field.eval(pts)
@@ -104,7 +169,7 @@ def test_anisotropic_forcing_matches_unexpanded_form():
     # f = -mu1 lap v - mu2 div(D B + B D) - mu3 div(D Binv + Binv D) + grad p
     case = make_anisotropic_case()
     v = case.v_field
-    p = ScalarField.expression(case.p_expr)
+    p = case.p_field
     mu = case.mu
     b = case.b_field
     rng = np.random.default_rng(3)
@@ -143,33 +208,33 @@ def test_anisotropic_forcing_matches_unexpanded_form():
 
 
 def test_forcing_derived_on_first_use(monkeypatch):
+    # building a case evaluates no jets; one forcing evaluation runs the
+    # forcing's jet function once for all three components
     import genstokes.verification as verification
 
     calls = []
+    forcing_jets = verification._forcing_jets
 
     def counting(*args):
-        calls.append(args)
-        return mms_forcing(*args)
+        calls.append(args[-1])
+        return forcing_jets(*args)
 
-    monkeypatch.setattr(verification, "mms_forcing", counting)
+    monkeypatch.setattr(verification, "_forcing_jets", counting)
     case = make_anisotropic_case()
-    assert calls == []  # building the case derives no forcing
     case.b_field.eval(np.array([[0.3, 0.4, 0.5]]))
     assert calls == []
-    f = case.f_field
-    assert len(calls) == 1
-    assert case.f_field is f
-    assert case.f_exprs == mms_forcing(case.v_exprs, case.p_expr, case.mu,
-                                       case.b_exprs)
-    assert len(calls) == 1
+    case.f_field.eval(np.array([[0.3, 0.4, 0.5]]))
+    assert calls == [0]
+    case.f_field.components[1].grad(np.array([[0.3, 0.4, 0.5]]))
+    assert calls == [0, 1]
 
 
 def test_forcing_rejects_bad_expressions():
-    from genstokes.constitutive import MuTriple
-
-    with pytest.raises(NonDifferentiableExpression):
-        mms_forcing((object(), sp.Integer(0), sp.Integer(0)), sp.Integer(0),
-                    MuTriple(1.0, 0.0, 0.0))
+    # a text outside the grammar is refused where the case is built
+    with pytest.raises(ConfigError, match="Name q"):
+        MMSCase("bad", ("q", "0", "0"), "0", MuTriple(1.0, 0.0, 0.0), None)
+    with pytest.raises(ConfigError, match="a21"):
+        MMSCase("bad", ("0", "0", "0"), "0", MuTriple(1.0, 1.0, 0.0), {"a21": "1"})
 
 
 # ---------------------------------------------------------------------------
