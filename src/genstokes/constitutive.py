@@ -1,7 +1,10 @@
 """Constitutive operator A(B) = mu1 I + mu2 B + mu3 B^{-1} and its norm audits.
 
-A and its first and second derivatives come from one product rule over the
-jets (values and derivatives, each evaluated once) of mu, B and B^{-1}.
+The derivatives of B^{-1} and A come from one formula, the truncated Taylor
+jets (``fields``) of B^{-1} = adj(B) / det(B) and A, which holds to any
+order and for any determinant; the audits and the manufactured coefficient
+read the same jets.  Values of B^{-1}, and so of A, come from the
+Cayley-Hamilton inverse, which refuses ill-conditioned samples.
 
 The audits compare sampled sup-norms (max-abs-entry for tensors) against the
 explicit constants of the constitutive regularity estimates; inequalities
@@ -18,9 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .fields import ScalarField, TensorField
-from .tensors import (SymTensor3, ch_inverse_batch, d2_inverse_batch,
-                      d_inverse_batch, unimodular_batch)
+from .fields import (_COMP_INDEX, _UNPACK, COMPONENT_ORDER, ScalarField,
+                     TensorField, _field_jets, _jet_mul, _jet_pow, _jet_stack,
+                     _jet_sum, _taylor_tables)
+from .tensors import SymTensor3, ch_inverse_batch, unimodular_batch
 
 __all__ = [
     "MuTriple",
@@ -90,17 +94,11 @@ def g_eval(mu: MuTriple, lam: float) -> float:
 
 def _mu_fields(mu) -> tuple:
     """Normalize a mu specification to three ScalarFields."""
-    if isinstance(mu, MuTriple):
-        return tuple(ScalarField.constant(v) for v in mu.as_tuple())
-    fields = []
-    for item in mu:
-        if isinstance(item, ScalarField):
-            fields.append(item)
-        else:
-            fields.append(ScalarField.constant(float(item)))
+    fields = tuple(m if isinstance(m, ScalarField) else ScalarField.constant(float(m))
+                   for m in (mu.as_tuple() if isinstance(mu, MuTriple) else mu))
     if len(fields) != 3:
         raise ValueError("mu must provide exactly three components")
-    return tuple(fields)
+    return fields
 
 
 def mu_values(mu, pts) -> tuple:
@@ -108,45 +106,46 @@ def mu_values(mu, pts) -> tuple:
     return tuple(f.eval(pts) for f in _mu_fields(mu))
 
 
-def acal_samples(mu_vals, bvals: np.ndarray) -> np.ndarray:
-    """A = mu1 I + mu2 B + mu3 B^{-1} from sampled ``mu_values`` and B (N, 3, 3)."""
-    return _acal_jet([[m] for m in mu_vals],
-                     [[bvals], [ch_inverse_batch(bvals)]])[0]
+def acal_samples(mu_vals, bvals: np.ndarray, binv=None) -> np.ndarray:
+    """A = mu1 I + mu2 B + mu3 B^{-1} from sampled ``mu_values`` and B (N, 3, 3);
+    ``binv`` is B^{-1} there, computed here when not given."""
+    m1, m2, m3 = (m[:, None, None] for m in mu_vals)
+    binv = ch_inverse_batch(bvals) if binv is None else binv
+    return m1 * np.eye(3) + m2 * bvals + m3 * binv
 
 
-# I and its (zero) derivatives, broadcast against the sample axis
-_IDENTITY_JET = [np.eye(3)[None], np.zeros((1,) * 4), np.zeros((1,) * 5)]
+def _symmetric_jets(tensor: TensorField, pts, order) -> dict:
+    """{(i, j): jet of T_ij} for all nine entries of a symmetric tensor field."""
+    jets = dict(zip((_COMP_INDEX[name] for name in tensor.components),
+                    _field_jets(tensor.components.values(), pts, order)))
+    return {(i, j): jets[min(i, j), max(i, j)] for i in range(3) for j in range(3)}
 
 
-def _acal_jet(mu_jets, t_jets) -> list:
-    """[A, dA, d2A] of A = mu1 I + mu2 B + mu3 B^{-1} by the product rule,
-    as deep as the given jets.
+def _coefficient_jets(mu_jets, b: dict, order) -> tuple:
+    """The jets of B^{-1} = adj(B) / det(B) and of A = mu1 I + mu2 B +
+    mu3 B^{-1}, each {(i, j): jet} over the upper triangle, from the jets
+    of the mu_k and the ``_symmetric_jets`` of B."""
+    _, pairs = _taylor_tables(order)
 
-    ``mu_jets`` holds [mu_k, grad mu_k, hess mu_k] per k, of shapes (N,),
-    (N, 3), (N, 3, 3); ``t_jets`` holds [T, dT, d2T] for T = B and B^{-1},
-    of shapes (N, 3, 3), (N, 3, 3, 3), (N, 3, 3, 3, 3), derivatives indexed
-    [n, k, i, j] = d_k T_ij and [n, k, l, i, j] = d_k d_l T_ij.
-    """
-    order = len(t_jets[0]) - 1
-    jet = [None] * (order + 1)
+    def cofactor(i, j):
+        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+        return _jet_sum(_jet_mul(b[i1, j1], b[i2, j2], pairs),
+                        -_jet_mul(b[i1, j2], b[i2, j1], pairs))
 
-    def add(n, term):
-        if jet[n] is None:
-            jet[n] = term
-        else:
-            jet[n] += term
+    adj = {ij: cofactor(*ij) for ij in _COMP_INDEX.values()}
+    det = _jet_sum(*(_jet_mul(b[0, j], adj[0, j], pairs) for j in range(3)))
+    inv_det = _jet_pow(det, -1.0, order, pairs)
+    inv = {ij: _jet_mul(adj[ij], inv_det, pairs) for ij in adj}
+    m1, m2, m3 = mu_jets
+    return inv, {(i, j): _jet_sum(m1 if i == j else 0.0, _jet_mul(m2, b[i, j], pairs),
+                                  _jet_mul(m3, inv[i, j], pairs)) for i, j in inv}
 
-    for m, t in zip(mu_jets, [_IDENTITY_JET, *t_jets]):
-        add(0, m[0][:, None, None] * t[0])
-        if order >= 1:
-            add(1, m[1][:, :, None, None] * t[0][:, None])
-            add(1, m[0][:, None, None, None] * t[1])
-        if order >= 2:
-            g = m[1][:, :, None, None, None]
-            add(2, m[2][..., None, None] * t[0][:, None, None])
-            add(2, g * t[1][:, None] + np.swapaxes(g, 1, 2) * t[1][:, :, None])
-            add(2, m[0][:, None, None, None, None] * t[2])
-    return jet
+
+def _acal_jets(mu, b: TensorField, pts, order) -> list:
+    """Jets of A in COMPONENT_ORDER: a jet function for ``TensorField.from_jets``."""
+    _, a = _coefficient_jets(_field_jets(_mu_fields(mu), pts, order),
+                             _symmetric_jets(b, pts, order), order)
+    return [a[_COMP_INDEX[name]] for name in COMPONENT_ORDER]
 
 
 def acal_values(mu, b: TensorField, pts) -> np.ndarray:
@@ -185,27 +184,33 @@ def coefficient_derivatives(mu, b: TensorField, pts, bvals, binv=None,
     B^{-1} and A at the samples ``pts``, where B takes the values ``bvals``;
     ``binv`` is B^{-1} there, computed here when not given.
 
-    Returns (mu_jets, b_jet, binv_jet, a_jet), shaped as in :func:`_acal_jet`.
-    d(B^{-1}) is the formula for det B = 1, so every sample of a varying B
-    must be unimodular; if one is not, None comes back before anything is
-    evaluated.  A constant B has zero derivatives, and so does its inverse
-    by that formula, whatever its determinant.
+    Returns (mu_jets, b_jet, binv_jet, a_jet): [mu_k, grad mu_k, hess mu_k]
+    per k, of shapes (N,), (N, 3), (N, 3, 3), and [T, dT, d2T] for T = B,
+    B^{-1} and A, of shapes (N, 3, 3), (N, 3, 3, 3) indexed [n, k, i, j] =
+    d_k T_ij and (N, 3, 3, 3, 3) indexed [n, k, l, i, j] = d_k d_l T_ij.
+    The derivatives come from one pass of jets at ``order``.  The audited
+    bounds on them hold for det B = 1, so every sample of a varying B must
+    be unimodular; if one is not, None comes back before anything is
+    evaluated.  A constant B has zero derivatives, whatever its determinant.
     """
     if order and b.kind != "constant" and not unimodular_batch(bvals).all():
         return None
     if binv is None:
         binv = ch_inverse_batch(bvals)
-    derivatives = ("eval", "grad", "hess")[:order + 1]
-    mu_jets = [[getattr(f, d)(pts) for d in derivatives] for f in _mu_fields(mu)]
-    b_jet, binv_jet = [bvals], [binv]
-    if order >= 1:
-        b_jet.append(b.grad(pts))
-        binv_jet.append(d_inverse_batch(bvals[:, None], b_jet[1]))
-    if order >= 2:
-        b_jet.append(b.hess(pts))
-        binv_jet.append(d2_inverse_batch(bvals[:, None, None], b_jet[1][:, :, None],
-                                         b_jet[1][:, None, :], b_jet[2]))
-    return mu_jets, b_jet, binv_jet, _acal_jet(mu_jets, [b_jet, binv_jet])
+    n = len(pts)
+    mu_j = _field_jets(_mu_fields(mu), pts, order)
+    mu_jets = [[_jet_stack(m, n, d, order)[:, _UNPACK[d]] for d in range(order + 1)]
+               for m in mu_j]
+    jets = ([bvals], [binv], [acal_samples([m[0] for m in mu_jets], bvals, binv)])
+    if order:
+        b_j = _symmetric_jets(b, pts, order)
+        for jet, t in zip(jets, (b_j, *_coefficient_jets(mu_j, b_j, order))):
+            for d in range(1, order + 1):
+                jet.append(np.empty((n,) + (3,) * d + (3, 3)))
+                for i, j in _COMP_INDEX.values():
+                    jet[d][..., i, j] = jet[d][..., j, i] = (
+                        _jet_stack(t[i, j], n, d, order)[:, _UNPACK[d]])
+    return (mu_jets, *jets)
 
 
 def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0) -> list:

@@ -13,14 +13,16 @@ Three representations share one evaluation interface:
 * ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
   with second-order finite-difference derivatives (one-sided at the faces)
   tabulated per node at construction; values and derivatives are
-  interpolated trilinearly at points clipped to the box.
+  interpolated trilinearly at points clipped to the box.  The same tables
+  give a grid field's jets up to order 2, so ``derivative_stack`` and the
+  coefficient jets read grids and expressions alike.
 
 Grid file format (plain text): a header line ``nx ny nz Lx Ly Lz`` with the
 node counts per axis, then ``nx*ny*nz`` whitespace-separated records in
 C order over (ix, iy, iz) -- z index fastest.  One number per record for a
 scalar field, six (``a11 a22 a33 a12 a13 a23``) for a symmetric tensor.
-A file that does not parse, or whose box is not finite and positive,
-raises ConfigError.
+A file that does not parse, has fewer than 2 nodes on an axis or no
+records, or whose box is not finite and positive, raises ConfigError.
 
 Fields are read-only after construction; concurrent evaluation is safe.
 """
@@ -151,13 +153,18 @@ def parse_expression(text: str) -> list:
 
 
 @functools.lru_cache(maxsize=None)
+def _multi_indices(degree: int) -> tuple:
+    """(combo, alpha, alpha!) for each multi-index of ``degree``, in
+    derivative-stack order (combinations_with_replacement of the axes)."""
+    return tuple((combo, alpha, math.prod(map(math.factorial, alpha)))
+                 for combo in itertools.combinations_with_replacement(range(3), degree)
+                 for alpha in [tuple(combo.count(k) for k in range(3))])
+
+
+@functools.lru_cache(maxsize=None)
 def _taylor_tables(order: int):
     """({alpha: row}, and per output row the (i, j) rows of its factor pairs)."""
-    monos = [
-        tuple(combo.count(k) for k in range(3))
-        for deg in range(order + 1)
-        for combo in itertools.combinations_with_replacement(range(3), deg)
-    ]
+    monos = [alpha for deg in range(order + 1) for _, alpha, _ in _multi_indices(deg)]
     row = {a: i for i, a in enumerate(monos)}
     pairs = [[] for _ in monos]
     for i, a in enumerate(monos):
@@ -308,43 +315,41 @@ def _text_jets(texts):
 
 
 def _field_jets(fields, pts, order) -> list:
-    """The ``order`` jet at ``pts`` of each constant or expression field;
-    fields that share a jet function run it once."""
+    """The ``order`` jet at the (N, 3) ``pts`` of each field; fields that
+    share a jet function run it once, and grid fields on one lattice locate
+    the points once."""
     runs, out = {}, []
     for fld in fields:
         if fld.kind == "constant":
             out.append(np.float64(fld._payload))
-            continue
-        fn, i = fld._payload
-        if fn not in runs:
-            runs[fn] = fn(pts, order)
-        out.append(runs[fn][i])
+        elif fld.kind == "grid":
+            lattice = (fld._payload.shape, fld.box)
+            if lattice not in runs:
+                runs[lattice] = fld._locate(pts)
+            out.append(fld._grid_jet(runs[lattice], order))
+        else:
+            fn, i = fld._payload
+            if fn not in runs:
+                runs[fn] = fn(pts, order)
+            out.append(runs[fn][i])
     return out
+
+
+def _jet_stack(jet, n: int, degree: int, order: int) -> np.ndarray:
+    """The derivative stack (n, n_multi) of degree ``degree`` of an
+    ``order`` jet at n points: column alpha is alpha! times its c_alpha."""
+    multi = _multi_indices(degree)
+    if isinstance(jet, float):
+        return np.full((n, len(multi)), jet if degree == 0 else 0.0)
+    row, _ = _taylor_tables(order)
+    return np.stack([scale * jet[row[alpha]] for _, alpha, scale in multi], axis=-1)
 
 
 def _derivative_stacks(fields, pts, order: int) -> list:
-    """Each field's ``derivative_stack(pts, order)``; fields that share a jet
-    function run it once."""
+    """Each field's ``derivative_stack(pts, order)``, from one ``_field_jets``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    combos = list(itertools.combinations_with_replacement(range(3), order))
-    jets = iter(_field_jets([f for f in fields if f.kind != "grid"], pts, order))
-    row, _ = _taylor_tables(order)
-    out = []
-    for fld in fields:
-        if fld.kind == "grid":
-            out.append(fld.derivative_stack(pts, order))
-            continue
-        jet = next(jets)
-        if isinstance(jet, float):
-            out.append(np.full((pts.shape[0], len(combos)), jet if order == 0 else 0.0))
-            continue
-        cols = []  # column alpha is alpha! times the jet's c_alpha
-        for combo in combos:
-            alpha = tuple(combo.count(k) for k in range(3))
-            scale = math.prod(math.factorial(a) for a in alpha)
-            cols.append(scale * jet[row[alpha]])
-        out.append(np.stack(cols, axis=-1))
-    return out
+    return [_jet_stack(jet, pts.shape[0], order, order)
+            for jet in _field_jets(fields, pts, order)]
 
 
 class ScalarField:
@@ -456,18 +461,23 @@ class ScalarField:
         fields support order <= 2; expressions any order, by truncated
         Taylor arithmetic (column alpha is alpha! times the jet's c_alpha).
         """
-        if self.kind != "grid":
-            return _derivative_stacks([self], pts, order)[0]
+        return _derivative_stacks([self], pts, order)[0]
+
+    def _grid_jet(self, cells, order: int) -> np.ndarray:
+        """The ``order`` jet of the tables interpolated in ``cells``: row
+        alpha is the entry d^alpha (the Hessian's [k, l] with k <= l) over
+        alpha!, so a derivative stack gives back the tables' entries."""
         if order > 2:
             raise NonDifferentiableField(
                 f"grid fields provide derivatives up to order 2, not {order}"
             )
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        table = self._trilinear(order, self._locate(pts))
-        if order == 0:
-            return table[:, None]
-        combos = itertools.combinations_with_replacement(range(3), order)
-        return np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
+        row, _ = _taylor_tables(order)
+        jet = np.empty((len(row), cells[0].shape[0]))
+        for degree in range(order + 1):
+            table = self._trilinear(degree, cells)
+            for combo, alpha, scale in _multi_indices(degree):
+                jet[row[alpha]] = table[(slice(None),) + combo] / scale
+        return jet
 
 
 class TensorField:
@@ -593,7 +603,14 @@ def _read_grid_file(path, ncomp: int):
                 raise ConfigError("header must be 'nx ny nz Lx Ly Lz'")
             shape = tuple(int(v) for v in header[:3])
             box = tuple(float(v) for v in header[3:])
-            data = np.loadtxt(fh, dtype=float, ndmin=2)
+            if min(shape) < 2:
+                raise ConfigError(f"header {' '.join(header)!r}: node counts "
+                                  f"must be at least 2")
+            # the first line that holds more than a comment
+            first = next((line for line in fh if line.split("#", 1)[0].strip()), None)
+            if first is None:
+                raise ConfigError(f"header {' '.join(header)!r} has no records after it")
+            data = np.loadtxt(itertools.chain([first], fh), dtype=float, ndmin=2)
         if ncomp == 1 and data.shape[1] != 1:
             data = data.reshape(-1, 1)
         if data.shape != (math.prod(shape), ncomp):

@@ -2,9 +2,11 @@
 
 Componentwise arithmetic on small immutable values: principal invariants,
 the Cayley-Hamilton inverse, the symmetrization operator S(M), the product
-operator S(M)A + A S(M), and the analytic first and second derivatives of
-the inverse of a unimodular tensor.  Eigenvalues come from LAPACK
-(``np.linalg.eigvalsh``), NaN for a matrix with a non-finite entry.
+operator S(M)A + A S(M), and the paper's analytic first and second
+derivatives of the inverse of a unimodular tensor (``verify`` checks them;
+the coefficient derivatives are ``constitutive``'s jets).  Eigenvalues come
+from LAPACK (``np.linalg.eigvalsh``), NaN for a matrix with a non-finite
+entry.
 
 Each stacked formula has one vectorized kernel over (..., 3, 3) arrays
 (``eig_sym3_batch``, ``ch_inverse_batch``, ``d_inverse_batch``,

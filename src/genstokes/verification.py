@@ -6,8 +6,9 @@ forcing of the strong form
     f = -div(D(v) A + A D(v)) + grad p,      A = mu1 I + mu2 B + mu3 B^{-1},
 
 is a jet function: at each evaluation it combines the truncated Taylor jets
-of v, p and B (``fields``), with B^{-1} = adj(B) / det(B) in the same
-arithmetic, so the forcing and A are exact up to rounding to any order.
+of v and p (``fields``) with those of A (``constitutive``, from B^{-1} =
+adj(B) / det(B) in the same arithmetic), so the forcing and A are exact up
+to rounding to any order.
 
 Error norms against exact solutions are integrated with quadrature one
 degree above the assembly rule.  Estimates carrying unspecified shape
@@ -28,13 +29,13 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .assembly import SaddleSystem, _chunks, _in_order, assemble
-from .constitutive import (BoundAudit, MuTriple, _ratio_audit,
-                           coefficient_derivatives)
+from .constitutive import (BoundAudit, MuTriple, _acal_jets, _ratio_audit,
+                           _symmetric_jets, coefficient_derivatives)
 from .errors import MissingNormInput
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
-from .fields import (_COMP_INDEX, COMPONENT_ORDER, ScalarField, TensorField,
-                     VectorField, _derivative_stacks, _field_jets, _jet_derivative,
-                     _jet_mul, _jet_pow, _jet_sum, _taylor_tables)
+from .fields import (COMPONENT_ORDER, ScalarField, TensorField, VectorField,
+                     _derivative_stacks, _field_jets, _jet_derivative, _jet_mul,
+                     _jet_sum, _taylor_tables)
 from .solver import SolveResult, minres_solve
 
 __all__ = [
@@ -88,32 +89,6 @@ class MMSCase:
             _forcing_jets, self.v_field, self.p_field, self.a_field))
 
 
-def _symmetric_jets(tensor: TensorField, pts, order) -> list:
-    """The 3x3 nested list of a symmetric tensor field's component jets."""
-    jets = dict(zip((_COMP_INDEX[name] for name in tensor.components),
-                    _field_jets(tensor.components.values(), pts, order)))
-    return [[jets[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
-
-
-def _acal_jets(mu: MuTriple, b_field: TensorField, pts, order) -> list:
-    """Jets of A = mu1 I + mu2 B + mu3 adj(B) / det(B), in COMPONENT_ORDER."""
-    _, pairs = _taylor_tables(order)
-    b = _symmetric_jets(b_field, pts, order)
-
-    def cofactor(i, j):
-        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
-        return _jet_sum(_jet_mul(b[i1][j1], b[i2][j2], pairs),
-                        -_jet_mul(b[i1][j2], b[i2][j1], pairs))
-
-    adj = {ij: cofactor(*ij) for ij in _COMP_INDEX.values()}
-    det = _jet_sum(*(_jet_mul(b[0][j], adj[min(0, j), max(0, j)], pairs)
-                     for j in range(3)))
-    inv_det = _jet_pow(det, -1.0, order, pairs)
-    return [_jet_sum(mu.mu1 * float(i == j), _jet_mul(mu.mu2, b[i][j], pairs),
-                     _jet_mul(mu.mu3, _jet_mul(adj[i, j], inv_det, pairs), pairs))
-            for i, j in map(_COMP_INDEX.get, COMPONENT_ORDER)]
-
-
 def _forcing_jets(v_field: VectorField, p_field: ScalarField,
                   a_field: TensorField, pts, order) -> list:
     """Jets of f = grad p - div(D(v) A + A D(v)), from the ``order + 2``
@@ -126,7 +101,7 @@ def _forcing_jets(v_field: VectorField, p_field: ScalarField,
     grad = [[_jet_derivative(v[i], j, up + 1) for j in range(3)] for i in range(3)]
     d = [[_jet_mul(0.5, _jet_sum(grad[i][j], grad[j][i]), pairs) for j in range(3)]
          for i in range(3)]
-    da = [[_jet_sum(*(_jet_mul(d[i][k], a[k][j], pairs) for k in range(3)))
+    da = [[_jet_sum(*(_jet_mul(d[i][k], a[k, j], pairs) for k in range(3)))
            for j in range(3)] for i in range(3)]
     return [_jet_sum(_jet_derivative(p, i, up),
                      *(-_jet_derivative(_jet_sum(da[i][j], da[j][i]), j, up)

@@ -195,18 +195,29 @@ _RECORDS = "1 1 1 0 0 0\n" * 8
     "2 2 2 nan 1 1\n" + _RECORDS,
     "2 2 2 1 inf 1\n" + _RECORDS,
     "2 2 2 1 1 0\n" + _RECORDS,
-], ids=["record", "count", "negative-count", "nan-box", "inf-box", "zero-box"])
+    "2 2 0 1 1 1\n",  # a zero node count and no records
+    "2 1 2 1 1 1\n" + "1 1 1 0 0 0\n" * 4,  # one node on an axis
+    "2 2 2 1 1 1\n",  # a header and no records
+    "2 2 2 1 1 1\n \n\n# a comment is not a record\n",
+], ids=["record", "count", "negative-count", "nan-box", "inf-box", "zero-box",
+        "zero-count", "one-node", "no-records", "blank-or-comment-records"])
 def test_malformed_grid_file_exits_2(tmp_path, capsys, command, text):
     grid = tmp_path / "bad.txt"
     grid.write_text(text)
     mesh = ["--mesh", "2"] if command == "solve" else []
-    code = main(["--out", str(tmp_path), command, "--mu", "1,1,1", *mesh,
-                 "--b-grid", str(grid)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # refused before numpy could warn
+        code = main(["--out", str(tmp_path), command, "--mu", "1,1,1", *mesh,
+                     "--b-grid", str(grid)])
     captured = capsys.readouterr()
     assert code == 2
     assert "configuration error" in captured.err
     assert str(grid) in captured.err
     assert "Traceback" not in captured.out + captured.err
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in captured.err
+    if text.startswith("2 2 0") or text.startswith("2 1"):
+        assert text.splitlines()[0] in captured.err  # the refused header
 
 
 def test_solve_direct_method(tmp_path):

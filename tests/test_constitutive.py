@@ -17,9 +17,11 @@ from genstokes.constitutive import (
 )
 from genstokes.errors import DomainError, SingularTensor
 from genstokes.fields import ScalarField, TensorField
-from genstokes.tensors import SymTensor3, eig_sym3, unimodular_batch
+from genstokes.tensors import (SymTensor3, d2_inverse_batch, d_inverse_batch,
+                               eig_sym3, unimodular_batch)
 
 from test_tensors import random_spd
+from test_verification import _DET2_B
 
 
 def grid_points(n, box=(1.0, 1.0, 1.0)):
@@ -143,20 +145,11 @@ def test_audit_shipped_fields_16cubed():
             assert by_id[key].ratio is not None and math.isfinite(by_id[key].ratio)
 
 
-def test_audit_bounds_needs_no_symbolic_differentiation(monkeypatch):
-    # field derivatives come from the Taylor pass; once the fields exist the
-    # audits neither differentiate nor lambdify anything
-    import sympy
-
+def test_audit_bounds_audits_derivatives_of_every_shipped_field():
+    # under a varying mu2 too, every shipped field gets the derivative audits
     fields = shipped_smooth_fields()
     mu = (ScalarField.constant(1.0), ScalarField.expression("1 + 0.1*x*y"),
           ScalarField.constant(1.0))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("symbolic work inside audit_bounds")
-
-    monkeypatch.setattr(sympy, "diff", refuse)
-    monkeypatch.setattr(sympy, "lambdify", refuse)
     for fld in fields.values():
         ids = {a.id for a in audit_bounds(mu, fld, grid_points(4))}
         assert {"d_acal_linf", "d2_acal_l3"} <= ids
@@ -197,7 +190,7 @@ def _central_differences(f, pts, h):
 
 
 def test_acal_derivatives_match_central_differences():
-    # the product rule's dA and d2A, and the audits read from them, against
+    # the jets' dA and d2A, and the audits read from them, against
     # finite differences of A itself, with every mu_k varying
     mu = (ScalarField.expression("1 + 0.5*sin(pi*x)*y"),
           ScalarField.expression("0.8 + 0.2*cos(pi*z)*x"),
@@ -242,3 +235,21 @@ def test_audit_bounds_evaluates_each_field_once(monkeypatch):
     assert calls.count("b.eval") == 1
     assert calls.count("ch_inverse_batch") == 1
     assert max(calls.count(c) for c in set(calls)) == 1
+
+
+def test_inverse_jets_match_the_unimodular_formulas():
+    # the paper's dB^{-1} and d2B^{-1} for det B = 1 as the oracle of the
+    # jets of adj(B) / det(B)
+    pts = grid_points(8)
+    mu = MuTriple(1.0, 1.0, 1.0)
+    for name, fld in shipped_smooth_fields().items():
+        _, (b, db, d2b), (_, dinv, d2inv), _ = coefficient_derivatives(
+            mu, fld, pts, fld.eval(pts), order=2)
+        want = d_inverse_batch(b[:, None], db)
+        want2 = d2_inverse_batch(b[:, None, None], db[:, :, None], db[:, None, :], d2b)
+        assert np.max(np.abs(dinv - want)) <= 1e-13 * np.max(np.abs(want)), name
+        assert np.max(np.abs(d2inv - want2)) <= 1e-13 * np.max(np.abs(want2)), name
+    # off the unimodular set the audited bounds do not apply: no derivatives
+    det2 = TensorField.expression(_DET2_B)
+    assert not unimodular_batch(det2.eval(pts)).any()
+    assert coefficient_derivatives(mu, det2, pts, det2.eval(pts), order=2) is None

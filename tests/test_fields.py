@@ -45,7 +45,7 @@ def test_expression_rejects_unknown_names():
         parse_expression("x, y")
 
 
-def test_expression_syntax_is_checked_before_sympy_evaluates_it(monkeypatch):
+def test_expression_code_is_refused_by_its_syntax_node_and_never_run(monkeypatch):
     # the text is parsed by ``ast`` and never run: code in it is refused by
     # its syntax node before anything could evaluate it
     import os
@@ -354,6 +354,25 @@ def test_derivative_stack_unsupported_node(expr):
     text, node = expr
     with pytest.raises(ConfigError, match=node):
         ScalarField.expression(text)
+
+
+@pytest.mark.parametrize("shape, nan_node", [((2, 3, 4), False), ((5, 4, 6), True)])
+def test_grid_derivative_stack_is_the_upper_triangle_bitwise(shape, nan_node):
+    # a grid field's derivative stacks come from its jets, which are built
+    # from the same interpolated tables as eval, grad and hess
+    rng = np.random.default_rng(sum(shape))
+    box = (1.0, 0.7, 1.3)
+    values = rng.standard_normal(shape)
+    if nan_node:
+        values[1, 2, 3] = np.nan
+    fld = ScalarField.grid(values, box)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, size=(300, 3)) * box,
+                          rng.uniform(-0.5, 1.5, size=(100, 3)) * box])
+    for order, table in enumerate((fld.eval(pts), fld.grad(pts), fld.hess(pts))):
+        combos = itertools.combinations_with_replacement(range(3), order)
+        want = np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
+        assert fld.derivative_stack(pts, order).tobytes() == want.tobytes()
+    assert np.isnan(fld.eval(pts)).any() == nan_node
 
 
 def test_derivative_stack_grid_order_limit():
