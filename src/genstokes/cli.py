@@ -336,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("ellipticity", parents=[common],
                         help="classify and evaluate positivity")
     pe.add_argument("--mu", type=_MU, required=True, help="mu1,mu2,mu3")
-    pe.add_argument("--b-grid", "--b-field", dest="b_grid",
-                    help="tensor grid field file")
-    pe.add_argument("--b-expr", help="a11=expr;a12=expr;... components")
+    b_source = pe.add_mutually_exclusive_group()
+    b_source.add_argument("--b-grid", "--b-field", dest="b_grid",
+                          help="tensor grid field file")
+    b_source.add_argument("--b-expr", help="a11=expr;a12=expr;... components")
     pe.add_argument("--box", type=_BOX, default="1,1,1", help="box edge lengths")
     pe.add_argument("--samples", type=_COUNT, default=16,
                     help="sample divisions per axis")
@@ -354,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mesh", type=_MESH, default="4", help="divisions nx[,ny,nz]")
     ps.add_argument("--box", type=_BOX, default="1,1,1",
                     help="edge lengths Lx[,Ly,Lz]")
-    ps.add_argument("--b-grid", "--b-field", dest="b_grid",
-                    help="tensor grid field file")
-    ps.add_argument("--b-expr", help="a11=expr;... components")
+    b_source = ps.add_mutually_exclusive_group()
+    b_source.add_argument("--b-grid", "--b-field", dest="b_grid",
+                          help="tensor grid field file")
+    b_source.add_argument("--b-expr", help="a11=expr;... components")
     ps.add_argument("--f-expr", help="fx;fy;fz forcing expressions")
     ps.add_argument("--quad", type=_COUNT, default=3,
                     help="quadrature points per direction")

@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .fields import (_COMP_INDEX, _UNPACK, COMPONENT_ORDER, ScalarField,
-                     TensorField, _field_jets, _jet_mul, _jet_pow, _jet_stack,
-                     _jet_sum, _taylor_tables)
+from .fields import (_COMP_INDEX, COMPONENT_ORDER, ScalarField, TensorField,
+                     _field_jets, _jet_array, _jet_mul, _jet_pow, _jet_sum,
+                     _symmetric_stack, _taylor_tables)
 from .tensors import SymTensor3, ch_inverse_batch, unimodular_batch
 
 __all__ = [
@@ -114,17 +114,10 @@ def acal_samples(mu_vals, bvals: np.ndarray, binv=None) -> np.ndarray:
     return m1 * np.eye(3) + m2 * bvals + m3 * binv
 
 
-def _symmetric_jets(tensor: TensorField, pts, order) -> dict:
-    """{(i, j): jet of T_ij} for all nine entries of a symmetric tensor field."""
-    jets = dict(zip((_COMP_INDEX[name] for name in tensor.components),
-                    _field_jets(tensor.components.values(), pts, order)))
-    return {(i, j): jets[min(i, j), max(i, j)] for i in range(3) for j in range(3)}
-
-
 def _coefficient_jets(mu_jets, b: dict, order) -> tuple:
     """The jets of B^{-1} = adj(B) / det(B) and of A = mu1 I + mu2 B +
     mu3 B^{-1}, each {(i, j): jet} over the upper triangle, from the jets
-    of the mu_k and the ``_symmetric_jets`` of B."""
+    of the mu_k and the ``TensorField.jets`` of B."""
     _, pairs = _taylor_tables(order)
 
     def cofactor(i, j):
@@ -144,7 +137,7 @@ def _coefficient_jets(mu_jets, b: dict, order) -> tuple:
 def _acal_jets(mu, b: TensorField, pts, order) -> list:
     """Jets of A in COMPONENT_ORDER: a jet function for ``TensorField.from_jets``."""
     _, a = _coefficient_jets(_field_jets(_mu_fields(mu), pts, order),
-                             _symmetric_jets(b, pts, order), order)
+                             b.jets(pts, order), order)
     return [a[_COMP_INDEX[name]] for name in COMPONENT_ORDER]
 
 
@@ -199,17 +192,12 @@ def coefficient_derivatives(mu, b: TensorField, pts, bvals, binv=None,
         binv = ch_inverse_batch(bvals)
     n = len(pts)
     mu_j = _field_jets(_mu_fields(mu), pts, order)
-    mu_jets = [[_jet_stack(m, n, d, order)[:, _UNPACK[d]] for d in range(order + 1)]
-               for m in mu_j]
+    mu_jets = [[_jet_array(m, n, d, order) for d in range(order + 1)] for m in mu_j]
     jets = ([bvals], [binv], [acal_samples([m[0] for m in mu_jets], bvals, binv)])
     if order:
-        b_j = _symmetric_jets(b, pts, order)
+        b_j = b.jets(pts, order)
         for jet, t in zip(jets, (b_j, *_coefficient_jets(mu_j, b_j, order))):
-            for d in range(1, order + 1):
-                jet.append(np.empty((n,) + (3,) * d + (3, 3)))
-                for i, j in _COMP_INDEX.values():
-                    jet[d][..., i, j] = jet[d][..., j, i] = (
-                        _jet_stack(t[i, j], n, d, order)[:, _UNPACK[d]])
+            jet.extend(_symmetric_stack(t, n, d, order) for d in range(1, order + 1))
     return (mu_jets, *jets)
 
 
@@ -299,13 +287,10 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0) -> list:
     db_l3 = _lp_norm(dbvals, 3.0, volume)
     d2b_l3 = _lp_norm(d2b, 3.0, volume)
     audits.append(_ratio_audit("binv_l3", _lp_norm(binv, 3.0, volume), b_l6**2))
-    audits.append(_ratio_audit(
-        "d_binv_l3", _lp_norm(dbinv, 3.0, volume), b_l6 * db_l6
-    ))
-    audits.append(_ratio_audit(
-        "d2_binv_l3", _lp_norm(d2binv, 3.0, volume),
-        db_l6**2 + sup_b * d2b_l3,
-    ))
+    dbinv_l3 = _lp_norm(dbinv, 3.0, volume)
+    d2binv_l3 = _lp_norm(d2binv, 3.0, volume)
+    audits.append(_ratio_audit("d_binv_l3", dbinv_l3, b_l6 * db_l6))
+    audits.append(_ratio_audit("d2_binv_l3", d2binv_l3, db_l6**2 + sup_b * d2b_l3))
     d2mu_l3 = [_lp_norm(m[2], 3.0, volume) for m in mu_jets]
     rhs_no_c = (
         d2mu_l3[0]
@@ -313,8 +298,8 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0) -> list:
         + sup_dmu[1] * db_l3
         + sup_mu[1] * db_l3
         + d2mu_l3[2] * sup_binv
-        + sup_dmu[2] * _lp_norm(dbinv, 3.0, volume)
-        + sup_mu[2] * _lp_norm(d2binv, 3.0, volume)
+        + sup_dmu[2] * dbinv_l3
+        + sup_mu[2] * d2binv_l3
     )
     audits.append(_ratio_audit("d2_acal_l3", _lp_norm(d2a, 3.0, volume), rhs_no_c))
     audits.append(_ratio_audit("binv_l2", _lp_norm(binv, 2.0, volume), b_l4**2))

@@ -1,21 +1,22 @@
 """Spatial scalar and tensor fields over a box domain.
 
-Three representations share one evaluation interface:
+Every field is a jet function ``(pts, order) -> jets``, giving the truncated
+Taylor expansions (Taylor-mode automatic differentiation) of the fields that
+share it, such as a vector's or tensor's components, and an index into that
+list.  ``eval``, ``grad``, ``hess`` and ``derivative_stack`` each read one
+call of it, so ``hess`` is the order-2 derivative stack written to both
+triangles and is symmetric for every field.  The jet functions are:
 
-* ``constant`` -- a single value everywhere,
-* ``expression`` -- a jet function ``(pts, order) -> jets`` gives the
-  truncated Taylor expansions (Taylor-mode automatic differentiation) of
-  the fields that share it, such as a vector's components; ``eval``,
-  ``grad``, ``hess`` and ``derivative_stack`` read one such pass.  For text
-  it is a pass over the tape of ``parse_expression``, which reads the text
-  with ``ast`` (nothing in it is run) and refuses, with ConfigError, any
-  node outside the grammar (README, "Expression grammar"),
-* ``grid`` -- values sampled on a regular lattice over [0,Lx]x[0,Ly]x[0,Lz],
-  with second-order finite-difference derivatives (one-sided at the faces)
-  tabulated per node at construction; values and derivatives are
-  interpolated trilinearly at points clipped to the box.  The same tables
-  give a grid field's jets up to order 2, so ``derivative_stack`` and the
-  coefficient jets read grids and expressions alike.
+* ``_constant_jets`` -- a value everywhere; its jet is that float,
+* ``_text_jets`` -- a pass over the tape of ``parse_expression``, which
+  reads text with ``ast`` (nothing in it is run) and refuses, with
+  ConfigError, any node outside the grammar (README, "Expression grammar"),
+* ``_grid_jets`` -- values sampled on a regular lattice over
+  [0,Lx]x[0,Ly]x[0,Lz], up to order 2.  Each node holds the derivative
+  stacks of degree 0, 1 and 2: second-order finite differences (one-sided
+  at the faces), and the Hessian's upper triangle only.  A call locates
+  each point, clipped to the box, once and interpolates every component's
+  stacks trilinearly together.
 
 Grid file format (plain text): a header line ``nx ny nz Lx Ly Lz`` with the
 node counts per axis, then ``nx*ny*nz`` whitespace-separated records in
@@ -314,25 +315,79 @@ def _text_jets(texts):
     return jets
 
 
+def _constant_jets(values):
+    """The jet function of constant fields, one per value: at every order a
+    constant's jet is its value, a float."""
+    values = [np.float64(v) for v in values]
+    return lambda pts, order: values
+
+
+def _grid_jets(values, box):
+    """The jet function, up to order 2, of the fields sampled at the nodes of
+    a regular lattice over ``box`` = (Lx, Ly, Lz); ``values`` is (nx, ny, nz,
+    n_fields).
+
+    Each node holds each field's derivative stacks of degree 0, 1 and 2:
+    the value, its second-order finite differences (one-sided at the faces),
+    and the upper triangle d_l (d_k f), k <= l, of the differences of those.
+    A call locates each point, clipped to the box, in its cell once and
+    interpolates every field's rows together; the cell search, weights and
+    summation order are ``scipy.interpolate.RegularGridInterpolator``'s
+    linear method, so the results are its results bit for bit."""
+    if values.ndim != 4 or min(values.shape[:3]) < 2:
+        raise ConfigError("grid fields need a 3-d array with >= 2 nodes per axis")
+    if len(box) != 3 or not all(math.isfinite(b) and b > 0 for b in box):
+        raise ConfigError(f"grid box edges must be finite and positive, got {box}")
+    shape = values.shape[:3]
+    axes = [np.linspace(0.0, b, n) for b, n in zip(box, shape)]
+
+    def diff(data, k):  # two-node axes can only support first-order edges
+        return np.gradient(data, axes[k], axis=k, edge_order=2 if shape[k] >= 3 else 1)
+
+    # table[field, row, node], rows in a jet's order; a non-finite node value
+    # gives non-finite differences, which the positivity checks refuse, so
+    # numpy need not warn about them first
+    table = np.empty((values.shape[3], 10, math.prod(shape)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        grads = [diff(values, k) for k in range(3)]
+        hess = [diff(grads[k], l) for (k, l), _, _ in _multi_indices(2)]
+        for row, stack in enumerate([values, *grads, *hess]):
+            table[:, row] = stack.reshape(-1, values.shape[3]).T
+    table.flags.writeable = False
+    # row alpha of a jet is d^alpha f / alpha!, which is 1 below degree 2
+    scale = np.array([s for d in range(3) for _, _, s in _multi_indices(d)], float)
+    ny, nz = shape[1:]
+
+    def jets(pts, order):
+        if order > 2:
+            raise NonDifferentiableField(
+                f"grid fields provide derivatives up to order 2, not {order}")
+        base, fracs = 0, []
+        for k, axis in enumerate(axes):
+            p = np.clip(pts[:, k], 0.0, box[k])
+            i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, shape[k] - 2)
+            fracs.append((p - axis[i]) / (axis[i + 1] - axis[i]))
+            base = base * shape[k] + i
+        rows = len(_taylor_tables(order)[0])
+        out = np.zeros((table.shape[0], rows, len(base)))
+        for corner in itertools.product((0, 1), repeat=3):
+            wx, wy, wz = (f if c else 1 - f for c, f in zip(corner, fracs))
+            term = np.take(table[:, :rows], base + (corner[0] * ny + corner[1]) * nz
+                           + corner[2], axis=-1)
+            term *= wx * wy * wz
+            out += term
+        if order == 2:
+            out /= scale[:, None]
+        return list(out)
+
+    return jets
+
+
 def _field_jets(fields, pts, order) -> list:
     """The ``order`` jet at the (N, 3) ``pts`` of each field; fields that
-    share a jet function run it once, and grid fields on one lattice locate
-    the points once."""
-    runs, out = {}, []
-    for fld in fields:
-        if fld.kind == "constant":
-            out.append(np.float64(fld._payload))
-        elif fld.kind == "grid":
-            lattice = (fld._payload.shape, fld.box)
-            if lattice not in runs:
-                runs[lattice] = fld._locate(pts)
-            out.append(fld._grid_jet(runs[lattice], order))
-        else:
-            fn, i = fld._payload
-            if fn not in runs:
-                runs[fn] = fn(pts, order)
-            out.append(runs[fn][i])
-    return out
+    share a jet function run it once."""
+    runs = {fn: fn(pts, order) for fn in dict.fromkeys(fld.jets for fld in fields)}
+    return [runs[fld.jets][fld.index] for fld in fields]
 
 
 def _jet_stack(jet, n: int, degree: int, order: int) -> np.ndarray:
@@ -345,6 +400,22 @@ def _jet_stack(jet, n: int, degree: int, order: int) -> np.ndarray:
     return np.stack([scale * jet[row[alpha]] for _, alpha, scale in multi], axis=-1)
 
 
+def _jet_array(jet, n: int, degree: int, order: int) -> np.ndarray:
+    """The values (n,), gradients (n, 3) or Hessians (n, 3, 3), for degree
+    0, 1 or 2, of an ``order`` jet at n points; a Hessian is symmetric."""
+    return _jet_stack(jet, n, degree, order)[:, _UNPACK[degree]]
+
+
+def _symmetric_stack(t: dict, n: int, degree: int, order: int) -> np.ndarray:
+    """(n, *(3,) * degree, 3, 3) stack of the ``_jet_array`` of each entry of
+    a symmetric tensor with ``order`` jets ``t`` = {(i, j): jet}, read from
+    the upper triangle and written to both triangles."""
+    out = np.empty((n,) + (3,) * degree + (3, 3))
+    for i, j in _COMP_INDEX.values():
+        out[..., i, j] = out[..., j, i] = _jet_array(t[i, j], n, degree, order)
+    return out
+
+
 def _derivative_stacks(fields, pts, order: int) -> list:
     """Each field's ``derivative_stack(pts, order)``, from one ``_field_jets``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -352,106 +423,52 @@ def _derivative_stacks(fields, pts, order: int) -> list:
             for jet in _field_jets(fields, pts, order)]
 
 
-class ScalarField:
-    """Scalar field with constant, expression or grid representation."""
+def _field_arrays(fields, pts, degree: int) -> list:
+    """Each field's values, gradients or Hessians (``_jet_array``) at ``pts``."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return [_jet_array(jet, pts.shape[0], degree, degree)
+            for jet in _field_jets(fields, pts, degree)]
 
-    def __init__(self, kind, payload, box=None):
-        self.kind = kind
-        self._payload = payload
-        self.box = box  # (Lx, Ly, Lz) for grid fields
-        if kind == "grid":
-            self._build_grid_tables()
+
+class ScalarField:
+    """Scalar field: jet ``index`` of the jet function ``jets``; ``box`` is a
+    grid field's (Lx, Ly, Lz)."""
+
+    def __init__(self, jets, index: int = 0, box=None):
+        self.jets = jets
+        self.index = index
+        self.box = box
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def constant(cls, value: float) -> "ScalarField":
-        return cls("constant", float(value))
+        return cls(_constant_jets([value]))
 
     @classmethod
     def expression(cls, text) -> "ScalarField":
-        return cls("expression", (_text_jets([text]), 0))
+        return cls(_text_jets([text]))
 
     @classmethod
     def grid(cls, values: np.ndarray, box) -> "ScalarField":
-        values = np.array(values, dtype=float)
-        if values.ndim != 3 or min(values.shape) < 2:
-            raise ConfigError("grid fields need a 3-d array with >= 2 nodes per axis")
         box = tuple(float(b) for b in box)
-        if len(box) != 3 or not all(math.isfinite(b) and b > 0 for b in box):
-            raise ConfigError(f"grid box edges must be finite and positive, got {box}")
-        return cls("grid", values, box=box)
+        return cls(_grid_jets(np.asarray(values, dtype=float)[..., None], box), box=box)
 
     @classmethod
     def from_file(cls, path) -> "ScalarField":
-        return _read_grid_file(path, ncomp=1)[0][0]
-
-    # -- helpers ------------------------------------------------------------
-    def _build_grid_tables(self):
-        axes = [np.linspace(0.0, b, n) for b, n in zip(self.box, self._payload.shape)]
-
-        def grad_arrays(data):
-            # second-order central differences, one-sided at the faces;
-            # two-node axes can only support first-order edges.
-            return np.stack([np.gradient(data, axes[k], axis=k,
-                                         edge_order=2 if data.shape[k] >= 3 else 1)
-                             for k in range(3)], axis=-1)
-
-        # a non-finite node value gives non-finite differences, which the
-        # positivity checks refuse; numpy need not warn about them first
-        with np.errstate(invalid="ignore", over="ignore"):
-            grads = grad_arrays(self._payload)
-            hess = np.stack([grad_arrays(grads[..., k]) for k in range(3)], axis=-2)
-        # one row per node: values, d_k f, and [k, l] = d_l (d_k f)
-        self._tables = tuple(t.reshape(self._payload.size, *t.shape[3:])
-                             for t in (self._payload, grads, hess))
-        for table in self._tables:
-            table.flags.writeable = False
-        self._grid_axes = axes
-
-    def _locate(self, pts: np.ndarray):
-        """The cell of each of the (N, 3) ``pts`` clipped to the box: the flat
-        index of its lowest node, and the point's fractions along the axes."""
-        shape = self._payload.shape
-        base, fracs = 0, []
-        for k, axis in enumerate(self._grid_axes):
-            p = np.clip(pts[:, k], 0.0, self.box[k])
-            i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, shape[k] - 2)
-            fracs.append((p - axis[i]) / (axis[i + 1] - axis[i]))
-            base = base * shape[k] + i
-        return base, fracs
-
-    def _trilinear(self, order: int, cells) -> np.ndarray:
-        """Table ``order`` (values, gradients, Hessians) interpolated in the
-        ``cells = self._locate(pts)``.  The cell search, weights and
-        summation order are ``scipy.interpolate.RegularGridInterpolator``'s
-        linear method, so the results are its results bit for bit."""
-        (base, fracs), table = cells, self._tables[order]
-        ny, nz = self._payload.shape[1:]
-        out = np.zeros((base.shape[0],) + table.shape[1:])
-        for corner in itertools.product((0, 1), repeat=3):
-            wx, wy, wz = (f if c else 1 - f for c, f in zip(corner, fracs))
-            rows = table[base + (corner[0] * ny + corner[1]) * nz + corner[2]]
-            rows *= (wx * wy * wz).reshape((-1,) + (1,) * (table.ndim - 1))
-            out += rows
-        return out
+        jets, box = _read_grid_file(path, ncomp=1)
+        return cls(jets, box=box)
 
     # -- evaluation ---------------------------------------------------------
-    def _derivative(self, pts, order: int) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "grid":
-            return self._trilinear(order, self._locate(pts))
-        return _derivative_stacks([self], pts, order)[0][:, _UNPACK[order]]
-
     def eval(self, pts) -> np.ndarray:
-        return self._derivative(pts, 0)
+        return _field_arrays([self], pts, 0)[0]
 
     def grad(self, pts) -> np.ndarray:
         """First derivatives, shape (N, 3)."""
-        return self._derivative(pts, 1)
+        return _field_arrays([self], pts, 1)[0]
 
     def hess(self, pts) -> np.ndarray:
         """Second derivatives, shape (N, 3, 3)."""
-        return self._derivative(pts, 2)
+        return _field_arrays([self], pts, 2)[0]
 
     def derivative_stack(self, pts, order: int) -> np.ndarray:
         """All distinct derivatives of the given order, shape (N, n_multi).
@@ -463,42 +480,29 @@ class ScalarField:
         """
         return _derivative_stacks([self], pts, order)[0]
 
-    def _grid_jet(self, cells, order: int) -> np.ndarray:
-        """The ``order`` jet of the tables interpolated in ``cells``: row
-        alpha is the entry d^alpha (the Hessian's [k, l] with k <= l) over
-        alpha!, so a derivative stack gives back the tables' entries."""
-        if order > 2:
-            raise NonDifferentiableField(
-                f"grid fields provide derivatives up to order 2, not {order}"
-            )
-        row, _ = _taylor_tables(order)
-        jet = np.empty((len(row), cells[0].shape[0]))
-        for degree in range(order + 1):
-            table = self._trilinear(degree, cells)
-            for combo, alpha, scale in _multi_indices(degree):
-                jet[row[alpha]] = table[(slice(None),) + combo] / scale
-        return jet
-
 
 class TensorField:
     """Symmetric 3x3 tensor field over the box.
 
     Evaluation returns full (N, 3, 3) symmetric stacks; derivative layouts
     are ``grad -> (N, 3, 3, 3)`` indexed [n, k, i, j] = d_k B_ij and
-    ``hess -> (N, 3, 3, 3, 3)`` indexed [n, k, l, i, j].
+    ``hess -> (N, 3, 3, 3, 3)`` indexed [n, k, l, i, j].  ``kind`` labels
+    the field "constant", "expression" or "grid".
     """
 
-    def __init__(self, kind, components, box=None):
+    def __init__(self, kind, jets, box=None):
         self.kind = kind
-        self.components = components  # dict name -> ScalarField
+        # the six components' jets, in COMPONENT_ORDER, are those of ``jets``
+        self.components = {name: ScalarField(jets, i, box)
+                           for i, name in enumerate(COMPONENT_ORDER)}
         self.box = box
 
     @classmethod
     def constant(cls, value) -> "TensorField":
         if not isinstance(value, SymTensor3):
             value = SymTensor3.from_matrix(np.asarray(value, dtype=float))
-        return cls("constant", {name: ScalarField.constant(getattr(value, name))
-                                for name in COMPONENT_ORDER})
+        return cls("constant", _constant_jets([getattr(value, name)
+                                               for name in COMPONENT_ORDER]))
 
     @classmethod
     def identity(cls) -> "TensorField":
@@ -522,31 +526,21 @@ class TensorField:
     def from_jets(cls, jets) -> "TensorField":
         """The field whose ``jets(pts, order)`` are its six components' jets,
         in COMPONENT_ORDER."""
-        return cls("expression", {name: ScalarField("expression", (jets, i))
-                                  for i, name in enumerate(COMPONENT_ORDER)})
+        return cls("expression", jets)
 
     @classmethod
     def from_file(cls, path) -> "TensorField":
-        fields, box = _read_grid_file(path, ncomp=6)
-        return cls("grid", dict(zip(COMPONENT_ORDER, fields)), box=box)
+        return cls("grid", *_read_grid_file(path, ncomp=6))
 
-    def _symmetric(self, pts, order: int) -> np.ndarray:
-        """(N, *(3,) * order, 3, 3) stack of each component's values (order
-        0), gradients (1) or Hessians (2), written to both triangles.  A grid
-        field's components share one lattice: cells are located once."""
+    def jets(self, pts, order) -> dict:
+        """{(i, j): jet} of all nine entries at the (N, 3) ``pts``."""
+        upper = dict(zip(_COMP_INDEX.values(),
+                         _field_jets(self.components.values(), pts, order)))
+        return {(i, j): upper[min(i, j), max(i, j)] for i in range(3) for j in range(3)}
+
+    def _symmetric(self, pts, degree: int) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros((pts.shape[0],) + (3,) * order + (3, 3))
-        fields = list(self.components.values())
-        if self.kind == "grid":
-            cells = fields[0]._locate(pts)
-            values = [fld._trilinear(order, cells) for fld in fields]
-        else:
-            values = [s[:, _UNPACK[order]]
-                      for s in _derivative_stacks(fields, pts, order)]
-        for name, val in zip(self.components, values):
-            i, j = _COMP_INDEX[name]
-            out[..., i, j] = out[..., j, i] = val
-        return out
+        return _symmetric_stack(self.jets(pts, degree), pts.shape[0], degree, degree)
 
     def eval(self, pts) -> np.ndarray:
         return self._symmetric(pts, 0)
@@ -578,24 +572,24 @@ class VectorField:
     def expression(cls, texts) -> "VectorField":
         texts = list(texts)
         jets = _text_jets(texts)
-        return cls([ScalarField("expression", (jets, i)) for i in range(len(texts))])
+        return cls([ScalarField(jets, i) for i in range(len(texts))])
 
     @classmethod
     def from_jets(cls, jets) -> "VectorField":
         """The field whose ``jets(pts, order)`` are its three components' jets."""
-        return cls([ScalarField("expression", (jets, i)) for i in range(3)])
+        return cls([ScalarField(jets, i) for i in range(3)])
 
     def eval(self, pts) -> np.ndarray:
-        return np.stack([s[:, 0] for s in _derivative_stacks(self.components, pts, 0)],
-                        axis=-1)
+        return np.stack(_field_arrays(self.components, pts, 0), axis=-1)
 
     def grad(self, pts) -> np.ndarray:
         """Velocity-gradient layout (N, i, c) = d_c v_i."""
-        return np.stack(_derivative_stacks(self.components, pts, 1), axis=-2)
+        return np.stack(_field_arrays(self.components, pts, 1), axis=-2)
 
 
 def _read_grid_file(path, ncomp: int):
-    """The ``ncomp`` component grid fields of a grid file, and its box."""
+    """The ``_grid_jets`` of the ``ncomp`` component fields of a grid file,
+    and its box."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
@@ -618,8 +612,7 @@ def _read_grid_file(path, ncomp: int):
                 f"expected {math.prod(shape)} records of {ncomp} values, "
                 f"got shape {data.shape}"
             )
-        values = data.reshape(shape + (ncomp,))
-        return [ScalarField.grid(values[..., i], box) for i in range(ncomp)], box
+        return _grid_jets(data.reshape(shape + (ncomp,)), box), box
     except ConfigError as exc:  # a malformed header or record count, or a refused box
         raise ConfigError(f"{path}: {exc}") from None
     except (OSError, ValueError) as exc:  # unreadable text, numbers or node counts

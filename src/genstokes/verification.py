@@ -30,7 +30,7 @@ from scipy.special import roots_legendre
 
 from .assembly import SaddleSystem, _chunks, _in_order, assemble
 from .constitutive import (BoundAudit, MuTriple, _acal_jets, _ratio_audit,
-                           _symmetric_jets, coefficient_derivatives)
+                           coefficient_derivatives)
 from .errors import MissingNormInput
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
 from .fields import (COMPONENT_ORDER, ScalarField, TensorField, VectorField,
@@ -97,7 +97,7 @@ def _forcing_jets(v_field: VectorField, p_field: ScalarField,
     _, pairs = _taylor_tables(up)
     v = _field_jets(v_field.components, pts, up + 1)
     (p,) = _field_jets([p_field], pts, up)
-    a = _symmetric_jets(a_field, pts, up)
+    a = a_field.jets(pts, up)
     grad = [[_jet_derivative(v[i], j, up + 1) for j in range(3)] for i in range(3)]
     d = [[_jet_mul(0.5, _jet_sum(grad[i][j], grad[j][i]), pairs) for j in range(3)]
          for i in range(3)]

@@ -460,11 +460,18 @@ _SOLVE = ["solve", "--mu", "1,0,0", "--mesh", "2"]
             "a11=1; a22=1; a33=1; a21=0.9"], "a21"),
     (None, ["ellipticity", "--mu", "1,1,1", "--b-expr",
             "a11=1; a22=1; a33=1; a12=0.9; a12=0"], "a12"),
+    (None, ["ellipticity", "--mu", "1,1,1", "--b-grid", "F", "--b-expr", "a11=nan"],
+     "--b-expr: not allowed with argument --b-grid"),
+    (None, _SOLVE + ["--b-expr", "a11=1;a22=1;a33=1", "--b-field", "F"],
+     "--b-grid/--b-field: not allowed with argument --b-expr"),
+    ("b_grid = F", ["ellipticity", "--mu", "1,1,1", "--b-expr", "a11=1;a22=1;a33=1"],
+     "--b-expr: not allowed with argument --b-grid"),
 ], ids=["config-choice", "config-unknown-key", "config-no-key", "solve-quad", "mms-quad",
         "samples", "mesh-text", "box-text", "meshes-text", "mesh-zero",
         "box-zero", "meshes-zero", "expression-code", "mu-nan", "eps-nan",
         "seed-negative", "trials-zero", "b-expr-unknown-name",
-        "b-expr-repeated-name"])
+        "b-expr-repeated-name", "ellipticity-b-grid-and-b-expr",
+        "solve-b-expr-and-b-field", "config-b-grid-and-b-expr"])
 def test_refused_setting_exits_2(tmp_path, capsys, monkeypatch, config, argv,
                                  named):
     # refused where it enters: exit 2, the flag, key or node named, no

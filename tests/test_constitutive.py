@@ -16,7 +16,7 @@ from genstokes.constitutive import (
     shipped_smooth_fields,
 )
 from genstokes.errors import DomainError, SingularTensor
-from genstokes.fields import ScalarField, TensorField
+from genstokes.fields import ScalarField, TensorField, write_grid_file
 from genstokes.tensors import (SymTensor3, d2_inverse_batch, d_inverse_batch,
                                eig_sym3, unimodular_batch)
 
@@ -253,3 +253,30 @@ def test_inverse_jets_match_the_unimodular_formulas():
     det2 = TensorField.expression(_DET2_B)
     assert not unimodular_batch(det2.eval(pts)).any()
     assert coefficient_derivatives(mu, det2, pts, det2.eval(pts), order=2) is None
+
+
+def test_constant_b_has_zero_derivatives_and_a_varying_grid_must_be_unimodular(
+        tmp_path):
+    pts = grid_points(4)
+    mu = MuTriple(1.0, 1.0, 1.0)
+    const = TensorField.constant(SymTensor3.diag(2.0, 0.5, 3.0))  # det 3
+    _, (_, db, d2b), (_, dinv, d2inv), (_, da, d2a) = coefficient_derivatives(
+        mu, const, pts, const.eval(pts), order=2)
+    assert not any(t.any() for t in (db, d2b, dinv, d2inv, da, d2a))
+    # a grid B with det 2 at every node: refused before any jet is computed
+    values = np.zeros((3, 4, 3, 6))
+    values[..., :3] = [2.0, 1.0, 1.0]
+    values[..., 3] = 0.1 * np.linspace(0.0, 1.0, 3)[:, None, None]
+    write_grid_file(tmp_path / "b.txt", values, (1.0, 1.0, 1.0))
+    grid = TensorField.from_file(tmp_path / "b.txt")
+    bvals = grid.eval(pts)
+    orders, jets = [], grid.components["a11"].jets
+
+    def spy(p, order):
+        orders.append(order)
+        return jets(p, order)
+
+    for comp in grid.components.values():
+        comp.jets = spy
+    assert coefficient_derivatives(mu, grid, pts, bvals, order=2) is None
+    assert orders == []

@@ -191,8 +191,13 @@ def test_grid_evaluator_bitwise_equals_regular_grid_interpolator(shape, box,
     pts = np.concatenate([inside, nodes, faces, outside,
                           [[np.inf, -np.inf, 0.5 * box[2]]]])
     fld = ScalarField.grid(values, box)
+    want_val, want_grad, want_hess = _rgi_oracle(values, box, pts)
+    # hess is symmetric: the oracle's upper triangle d_l (d_k f), k <= l,
+    # mirrored, which holds every independent entry
+    want_hess = np.where(np.tri(3, dtype=bool), np.swapaxes(want_hess, 1, 2),
+                         want_hess)
     for got, want in zip((fld.eval(pts), fld.grad(pts), fld.hess(pts)),
-                         _rgi_oracle(values, box, pts)):
+                         (want_val, want_grad, want_hess)):
         assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(fld.eval(pts)).any() == nan_node
 
@@ -358,8 +363,8 @@ def test_derivative_stack_unsupported_node(expr):
 
 @pytest.mark.parametrize("shape, nan_node", [((2, 3, 4), False), ((5, 4, 6), True)])
 def test_grid_derivative_stack_is_the_upper_triangle_bitwise(shape, nan_node):
-    # a grid field's derivative stacks come from its jets, which are built
-    # from the same interpolated tables as eval, grad and hess
+    # a grid field's derivative stacks come from the jets that eval, grad
+    # and hess read, so hess is the order-2 stack mirrored: exactly symmetric
     rng = np.random.default_rng(sum(shape))
     box = (1.0, 0.7, 1.3)
     values = rng.standard_normal(shape)
@@ -372,6 +377,8 @@ def test_grid_derivative_stack_is_the_upper_triangle_bitwise(shape, nan_node):
         combos = itertools.combinations_with_replacement(range(3), order)
         want = np.stack([table[(slice(None),) + c] for c in combos], axis=-1)
         assert fld.derivative_stack(pts, order).tobytes() == want.tobytes()
+    hess = fld.hess(pts)
+    assert hess.tobytes() == np.swapaxes(hess, 1, 2).tobytes()
     assert np.isnan(fld.eval(pts)).any() == nan_node
 
 

@@ -6,8 +6,9 @@ level, and every private method or property in a class body, is referenced
 somewhere in the package.  Deleting a duplicate tends to leave one of these
 behind.  A third check
 keeps sympy and heavy scipy subpackages that no command needs off the import
-path of the CLI, a fourth keeps expression fields on one evaluator, and a
-fifth keeps sympy out of the package and text from being evaluated anywhere.
+path of the CLI, a fourth keeps expression fields on one evaluator, a
+fifth keeps sympy out of the package and text from being evaluated anywhere,
+and a sixth keeps the layout of a jet as arrays inside ``fields``.
 """
 
 import ast
@@ -126,3 +127,19 @@ def test_text_reaches_python_eval_only_through_parse_expression():
                   for n, line in enumerate(text.splitlines(), 1)
                   if re.search(r"sympify\(|(?<![\w.])(?<!def )(?:eval|exec)\(", line)]
     assert evaluators == []
+
+
+def test_jet_layout_is_named_only_in_fields():
+    # how a jet's rows become values, gradients and Hessians is decided in
+    # fields.py alone; other modules go through _jet_array and _symmetric_stack
+    layout = {"_UNPACK", "_HESS_INDEX", "_jet_stack"}
+    users = sorted(
+        f"{name} {node_name}"
+        for name, tree in _modules().items() if name != "fields.py"
+        for node in ast.walk(tree)
+        for node_name in [node.id if isinstance(node, ast.Name)
+                          else node.attr if isinstance(node, ast.Attribute)
+                          else node.name if isinstance(node, ast.alias) else None]
+        if node_name in layout
+    )
+    assert users == []
