@@ -16,8 +16,8 @@ its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
 keeps its basis gradients, Jacobian determinants and element matrix maps
 (``ElementGeometry.kuhn_tables``) once per shape, and refuses a mesh whose
 elements are not such translates when it is built.  Each space keeps the
-fixed CSR pattern of its assembled blocks and the slot of every element
-entry in it (``BlockPattern``).
+fixed CSR pattern of its assembled blocks, and finds where a chunk of
+element entries goes in it when the chunk is scattered (``BlockPattern``).
 """
 
 from __future__ import annotations
@@ -370,19 +370,20 @@ class ElementGeometry:
         gag = np.einsum("sqjm,tml,sqil->sqtij", g, basis, g)
         gg = np.einsum("sqjl,sqil->sqij", g, g)
         ag = np.einsum("tbl,sqil->sqtib", basis, g)        # (A g_i)_b
-        # axes (shape, q, t, i, a, j, b)
-        kel = 0.5 * w[:, :, None, None, None, None, None] * (
-            gag[:, :, :, :, None, :, None] * np.eye(3)[:, None, :]
-            + gg[:, :, None, :, None, :, None] * basis[:, None, :, None, :]
-            + g.transpose(0, 1, 3, 2)[:, :, None, None, :, :, None]
-            * ag[:, :, :, :, None, None, :]
-            + ag.transpose(0, 1, 2, 4, 3)[:, :, :, None, :, :, None]
-            * g[:, :, None, :, None, None, :]
-        )
         nq = w.shape[1]
-        velocity = kel.reshape(6, nq * 6, 30, 30)[:, :, _UPPER[0], _UPPER[1]]
+        velocity = np.empty((6, nq * 6, _UPPER[0].size))
+        for s in range(6):  # one shape at a time: kel is (q, t, i, a, j, b)
+            kel = 0.5 * w[s, :, None, None, None, None, None] * (
+                gag[s, :, :, :, None, :, None] * np.eye(3)[:, None, :]
+                + gg[s, :, None, :, None, :, None] * basis[:, None, :, None, :]
+                + g[s].transpose(0, 2, 1)[:, None, None, :, :, None]
+                * ag[s, :, :, :, None, None, :]
+                + ag[s].transpose(0, 1, 3, 2)[:, :, None, :, :, None]
+                * g[s, :, None, :, None, None, :]
+            )
+            velocity[s] = kel.reshape(nq * 6, 30, 30)[:, _UPPER[0], _UPPER[1]]
         divergence = -np.einsum("sq,qj,sqia->siaj", w, self.p1_vals, g)
-        tables = KuhnTables(np.ascontiguousarray(velocity), divergence.reshape(6, 120))
+        tables = KuhnTables(velocity, divergence.reshape(6, 120))
         for table in tables:
             table.setflags(write=False)
         return tables
@@ -438,54 +439,84 @@ class KuhnTables(NamedTuple):
     divergence: np.ndarray
 
 
+def _node_pairs(rows, cols, n_cols: int, group: int = 1 << 14) -> list:
+    """The distinct (row, column) node pairs that share an element, as sorted
+    keys ``r * n_cols + c``, dropped (-1) nodes left out.  The element rows
+    are sorted by node and cut between nodes into runs of about ``group``;
+    each run gives one array of the list, so no temporary spans every
+    element entry."""
+    flat = rows.ravel()
+    order = np.argsort(flat, kind="stable")
+    order = order[np.searchsorted(flat[order], 0):]
+    node = flat[order]
+    cuts = np.append(np.unique(np.searchsorted(node, node[::group])), node.size)
+    parts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        c = cols[order[lo:hi] // rows.shape[1]]
+        keys = np.sort((node[lo:hi, None] * n_cols + c)[c >= 0])
+        # by sorting: np.unique hashes, many times slower here
+        parts.append(keys[np.append(True, keys[1:] != keys[:-1])])
+    return parts
+
+
 class BlockPattern:
     """Fixed CSR pattern of a block assembled from element blocks.
 
     ``rows`` (nt, nr) and ``cols`` (nt, nc) are each element's row and column
     nodes in the block's node numbering, -1 for a dropped (wall) node.  A
-    node carries ``br`` rows (``bc`` columns), numbered ``br*node + a``.  The
-    entry of element ``e`` at local row ``(i, a)`` and column ``(j, b)``
-    belongs in ``data[base[e, i, j] + a*stride[e, i, j] + b]``; dropped
-    entries go to the slots from ``nnz`` on, which :meth:`matrix` leaves out.
-    Rows are sorted and free of duplicates.
+    node carries ``br`` rows (``bc`` columns), numbered ``br*node + a``.  Row
+    ``br*r + a`` holds the columns of the node pairs (r, c) in increasing c,
+    so the entry of element ``e`` at local row ``(i, a)`` and column
+    ``(j, b)`` belongs in ``data[indptr[br*r + a] + bc*k + b]``, with
+    r = rows[e, i] and k the rank of c = cols[e, j] among r's column nodes;
+    dropped entries go to the slots from ``nnz`` on, which :meth:`matrix`
+    leaves out.  The pattern keeps ``rows`` and ``cols`` and finds the slots
+    of a slice of elements when asked, so no table spans every element entry.
     """
 
     def __init__(self, rows, cols, n_rows: int, n_cols: int, br: int, bc: int):
-        nt, nr = rows.shape
-        nc = cols.shape[1]
+        self.rows, self.cols = rows.astype(np.int32), cols.astype(np.int32)
         self.br, self.bc = br, bc
         self.shape = (br * n_rows, bc * n_cols)
-        dropped = n_rows * n_cols
-        keys = rows[:, :, None] * n_cols + cols[:, None, :]
-        keys[(rows[:, :, None] < 0) | (cols[:, None, :] < 0)] = dropped
-        pairs, inverse = np.unique(keys.ravel(), return_inverse=True)
-        del keys
-        if pairs[-1] == dropped:
-            pairs = pairs[:-1]
-        node_row, node_col = np.divmod(pairs, n_cols)
-        degree = np.bincount(node_row, minlength=n_rows)
+        parts = _node_pairs(rows, cols, n_cols)
+        degree = sum((np.bincount(keys // n_cols, minlength=n_rows) for keys in parts),
+                     np.zeros(n_rows, np.int64))
+        self.max_degree = int(degree.max(initial=0))
         start = np.concatenate([[0], np.cumsum(degree)])
-        self.nnz = br * bc * pairs.size
-        # slot of component (0, 0) of each node pair, and the step per row component
-        row_start = start[node_row]
-        base = br * bc * row_start + bc * (np.arange(pairs.size) - row_start)
-        stride = bc * degree[node_row]
+        self.nnz = br * bc * int(start[-1])
         self.indptr = np.append(
             (br * bc * start[:-1, None] + np.arange(br) * bc * degree[:, None]).ravel(),
             self.nnz).astype(np.int32)
         self.indices = np.empty(self.nnz, dtype=np.int32)
-        for a in range(br):
-            self.indices[(base + a * stride)[:, None] + np.arange(bc)] = (
-                bc * node_col[:, None] + np.arange(bc))
-        self.base = np.append(base, self.nnz)[inverse].reshape(nt, nr, nc).astype(np.int32)
-        self.stride = np.append(stride, 0)[inverse].reshape(nt, nr, nc).astype(np.int32)
-        for table in (self.indptr, self.indices, self.base, self.stride):
+        for keys in parts:
+            node_row, node_col = np.divmod(keys, n_cols)
+            # slot of component (0, 0) of each node pair, and the step per row component
+            rank = np.arange(keys.size) - np.searchsorted(node_row, node_row)
+            base = br * bc * start[node_row] + bc * rank
+            stride = bc * degree[node_row]
+            for a in range(br):
+                self.indices[(base + a * stride)[:, None] + np.arange(bc)] = (
+                    bc * node_col[:, None] + np.arange(bc))
+        for table in (self.rows, self.cols, self.indptr, self.indices):
             table.setflags(write=False)
 
     def slots(self, sl: slice) -> np.ndarray:
         """(e, nr*br*nc*bc) data slots of the elements in ``sl``, local order."""
-        base = self.base[sl].astype(np.intp)[:, :, None, :, None]
-        stride = self.stride[sl].astype(np.intp)[:, :, None, :, None]
+        rows, cols = self.rows[sl, :, None], self.cols[sl, None, :]
+        keep = (rows >= 0) & (cols >= 0)
+        row = self.br * np.where(keep, rows, 0)
+        first = self.indptr[row].astype(np.intp)
+        last = self.indptr[row + 1].astype(np.intp) - self.bc
+        # the slot of each column node in row component 0: by bisection over
+        # the row's sorted columns, the last slot whose column is <= bc * c
+        target = self.bc * cols
+        slot = first
+        step = self.bc << max(self.max_degree - 1, 0).bit_length()
+        while (step := step >> 1) >= self.bc:
+            probe = np.minimum(slot + step, last)
+            slot = np.where(self.indices[probe] <= target, probe, slot)
+        base = np.where(keep, slot, self.nnz)[:, :, None, :, None]
+        stride = np.where(keep, last + self.bc - first, 0)[:, :, None, :, None]
         a = np.arange(self.br)[:, None, None]
         slots = base + a * stride + np.arange(self.bc)
         return slots.reshape(slots.shape[0], -1)

@@ -253,3 +253,30 @@ def test_geometry_memory_is_per_shape():
     assert traced_peak(lambda: space.geometry(4)) < 10e6
     geom = space.geometry(4)
     assert geom.grads.shape == (6, 64, 10, 3)
+
+
+def test_pattern_build_memory_budget():
+    # tracemalloc peak of the mesh-16 K pattern build: 45 MB, of which the
+    # kept indices are 28 MB; a whole-mesh np.unique of the element node
+    # pairs, with per-entry slot tables, peaked at 126 MB
+    space = TaylorHoodSpace(build_mesh(16, 16, 16, 1.0, 1.0, 1.0))
+    peak = traced_peak(lambda: space.pattern("K"))
+    assert peak <= 60 * 2**20, f"K pattern peak {peak / 2**20:.1f} MB > 60 MB"
+
+
+@pytest.mark.parametrize("block", ["K", "G", "F", "K_full"])
+def test_pattern_slots_hold_their_entries(block):
+    # every kept element entry's slot lies in the CSR row br*r + a at the
+    # column bc*c + b; dropped entries go past nnz
+    space = TaylorHoodSpace(build_mesh(3, 2, 2, 1.0, 1.5, 0.5))
+    pat = space.pattern(block)
+    slots = pat.slots(slice(0, space.mesh.n_tets)).reshape(
+        -1, pat.rows.shape[1], pat.br, pat.cols.shape[1], pat.bc)
+    row_of = np.repeat(np.arange(pat.shape[0]), np.diff(pat.indptr))
+    e, i, a, j, b = np.indices(slots.shape)
+    r, c = pat.rows[e, i], pat.cols[e, j]
+    kept = (r >= 0) & (c >= 0)
+    s = slots[kept]
+    assert np.array_equal(row_of[s], (pat.br * r + a)[kept])
+    assert np.array_equal(pat.indices[s], (pat.bc * c + b)[kept])
+    assert np.all(slots[~kept] >= pat.nnz)
