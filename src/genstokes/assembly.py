@@ -43,7 +43,11 @@ from .tensors import eig_sym3_batch
 __all__ = ["SaddleSystem", "assemble", "full_velocity_block", "korn_terms"]
 
 # Bytes of mirrored element matrices (900 doubles per element) in one chunk.
-_CHUNK_BYTES = 4 << 20
+# Measured on the mesh-8 solve-grid inputs, one BLAS thread: 1 MB against
+# 4 MB took the traced peak of an assembly whose patterns were built from
+# 23.9 to 11.1 MB, and mesh-16 assembly was no slower (2.06 against 2.20 s,
+# the least of three runs).
+_CHUNK_BYTES = 1 << 20
 # Quadrature points in one chunk of a pass that forms no element matrices
 # (error integration, the estimate audits).  Measured on the mesh-8
 # anisotropic MMS case, one BLAS thread: 8192 points held the two passes'

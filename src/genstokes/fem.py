@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidDimensions
 
@@ -255,6 +255,18 @@ class TaylorHoodSpace:
         return self._patterns[block]
 
 
+def _gauss_jacobi(n: int, a: int):
+    """The n-point Gauss rule for the weight (1 - x)^a on [-1, 1], a >= 1:
+    nodes and weights from the eigenpairs of the Jacobi matrix of the
+    Jacobi polynomials P_k^(a, 0) (Golub & Welsch 1969)."""
+    k = np.arange(n)
+    diag = -a**2 / ((2 * k + a) * (2 * k + a + 2))
+    k = k[1:]
+    off = 2 * k * (k + a) / ((2 * k + a) * np.sqrt((2 * k + a + 1) * (2 * k + a - 1)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (a + 1) / (a + 1) * v[0] ** 2
+
+
 @lru_cache(maxsize=8)
 def quad_tet(n: int):
     """Conical product rule on the reference tetrahedron.
@@ -262,9 +274,9 @@ def quad_tet(n: int):
     Returns (points (m, 3), weights (m,)); weights sum to 1/6 and the rule
     is exact for polynomials of total degree <= 2n - 1.
     """
-    xu, wu = roots_jacobi(n, 2.0, 0.0)
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
-    xw, ww = roots_legendre(n)
+    xu, wu = _gauss_jacobi(n, 2)
+    xv, wv = _gauss_jacobi(n, 1)
+    xw, ww = leggauss(n)
     u = 0.5 * (xu + 1.0)
     v = 0.5 * (xv + 1.0)
     w = 0.5 * (xw + 1.0)

@@ -6,7 +6,8 @@ with a block-diagonal SPD preconditioner.  The paper's coercivity sandwich
 spectrally equivalent to the vector Laplacian.  The P2 nodes of Kuhn mesh n
 are the lattice of Kuhn mesh 2n, where the P1 Laplacian stiffness is the
 7-point stencil, so the velocity block is preconditioned by a DST-I fast
-Poisson solve on that lattice, scaled by c = (alpha + ||A||_inf) / 2; the
+Poisson solve on that lattice (three products with each axis's sine matrix
+per transform), scaled by c = (alpha + ||A||_inf) / 2; the
 pressure block by the lumped P1 mass m / c.  The constant pressure spans the
 (consistent) null space; the gauge is fixed afterwards by projecting to zero
 m-weighted mean, so no gauge enters the iteration.  MINRES is one
@@ -28,9 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .assembly import SaddleSystem
 from .errors import FactorizationFailure, MaxIterations, ResidualTooLarge
@@ -115,6 +114,9 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     not finite and positive or SuperLU fails; the final full residual is
     checked against ``tol``.
     """
+    # imported here: only the direct route needs scipy.sparse.linalg
+    from scipy.sparse.linalg import splu
+
     _check_load(system.F)
     ni = system.n_interior
     if np.linalg.norm(system.F) == 0.0:
@@ -124,7 +126,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     a = sparse.bmat([[system.K, g0], [g0.T, None]], format="csc")
     b = np.concatenate([system.F, np.zeros(system.n_pressure - 1)])
     try:
-        lu = spla.splu(a)
+        lu = splu(a)
         factor_nnz = int(lu.L.nnz + lu.U.nnz)
     except (RuntimeError, SystemError, MemoryError) as exc:
         # SuperLU reports exhausted workspace ("Can't expand MemType") as
@@ -169,15 +171,24 @@ def _lattice_preconditioner(system: SaddleSystem):
         for axis, (m, hk) in enumerate(zip(shape, h))
     )
     c = 0.5 * (system.alpha + system.anorm_inf)
-    scale = (c * np.prod(h) * lam)[..., None]
-    axes = (0, 1, 2)
+    # DST-I along an axis of m points is the product with the symmetric sine
+    # matrix S, S_jk = sin(pi j k / (m + 1)), whose inverse is S / ((m + 1) / 2)
+    sines = [np.sin(np.pi * np.outer(k, k) / (k.size + 1))
+             for k in (np.arange(1, m + 1) for m in shape)]
+    scale = c * np.prod(h) * lam * np.prod([(m + 1) / 2 for m in shape])
+    n0, n1, n2 = shape
+
+    def sine_products(grid):
+        """S0 x S1 x S2 applied to each component of ``grid`` (3, n0, n1, n2)."""
+        grid = np.matmul(sines[0], grid.reshape(3, n0, n1 * n2))
+        grid = np.matmul(sines[1], grid.reshape(3 * n0, n1, n2))
+        return (grid.reshape(-1, n2) @ sines[2]).reshape(3, n0, n1, n2)
 
     def velocity(r):
-        grid = np.empty(shape + (3,))
-        grid.reshape(-1, 3)[lattice] = r.reshape(-1, 3)
-        grid = sfft.idstn(sfft.dstn(grid, type=1, axes=axes) / scale,
-                          type=1, axes=axes)
-        return grid.reshape(-1, 3)[lattice].ravel()
+        grid = np.empty((3, lattice.size))
+        grid[:, lattice] = r.reshape(-1, 3).T
+        grid = sine_products(sine_products(grid) / scale)
+        return grid.reshape(3, -1)[:, lattice].T.ravel()
 
     return velocity, c / system.m
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .assembly import SaddleSystem, _chunks, _in_order, assemble
 from .constitutive import (BoundAudit, MuTriple, _acal_jets, _ratio_audit,
@@ -332,7 +332,7 @@ class DimNorm:
 
 
 def _gauss_box(box, n_axis: int):
-    x, w = roots_legendre(n_axis)
+    x, w = leggauss(n_axis)
     pts = lattice_points([0.5 * (x + 1.0) * L for L in box])
     wts1 = [0.5 * L * w for L in box]
     wts = (

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .assembly import assemble, korn_terms
 from .constitutive import MuTriple, audit_bounds, g_eval, shipped_smooth_fields
@@ -63,6 +62,8 @@ def random_spd(rng, cond_max=1e4, unimodular=False) -> SymTensor3:
 
 def unimodular_path(rng, scale=0.5):
     """B(t) = e^{tC} B0 e^{tC^t} with trace-free C keeps det B(t) = det B0."""
+    from scipy.linalg import expm  # only the property suite needs scipy.linalg
+
     b0 = random_spd(rng, cond_max=100.0, unimodular=True)
     c = rng.standard_normal((3, 3)) * scale
     c -= np.trace(c) / 3.0 * np.eye(3)

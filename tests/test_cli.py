@@ -282,7 +282,7 @@ def test_solve_direct_factor_count_out_of_memory_exits_5(tmp_path, monkeypatch):
 
         U = L
 
-    monkeypatch.setattr("genstokes.solver.spla.splu", lambda a: Factor())
+    monkeypatch.setattr("scipy.sparse.linalg.splu", lambda a: Factor())
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
                  "--mesh", "2", "--method", "direct", "--f-expr", "0; 1; 0"])
     assert code == 5

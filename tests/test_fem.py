@@ -67,7 +67,7 @@ def test_mesh_determinism():
     assert np.array_equal(a.edges, b.edges)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_quadrature_monomial_exactness(n):
     pts, wts = quad_tet(n)
     assert wts.sum() == pytest.approx(1.0 / 6.0, rel=1e-14)

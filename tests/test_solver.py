@@ -76,7 +76,7 @@ def test_superlu_resource_errors_reported(small_system, monkeypatch, exc):
     def failing_splu(a):
         raise exc
 
-    monkeypatch.setattr("genstokes.solver.spla.splu", failing_splu)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", failing_splu)
     with pytest.raises(FactorizationFailure):
         solve(small_system)
 
@@ -91,7 +91,7 @@ def test_factor_count_out_of_memory_reported(small_system, monkeypatch):
 
         U = L
 
-    monkeypatch.setattr("genstokes.solver.spla.splu", lambda a: Factor())
+    monkeypatch.setattr("scipy.sparse.linalg.splu", lambda a: Factor())
     with pytest.raises(FactorizationFailure, match="618"):
         solve(small_system)
 
@@ -104,7 +104,7 @@ def test_zero_gauge_row_reported(small_system, solver, monkeypatch):
         raise AssertionError("factorized or iterated without a gauge")
 
     monkeypatch.setattr("genstokes.solver._minres", spy)
-    monkeypatch.setattr("genstokes.solver.spla.splu", spy)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
     broken = dataclasses.replace(small_system, m=np.zeros_like(small_system.m))
     with pytest.raises(FactorizationFailure, match="gauge"):
         solver(broken)
@@ -121,7 +121,7 @@ def test_non_finite_load_rejected_before_iterating(small_system, solver, bad,
         raise AssertionError("iterated on or factorized a non-finite load")
 
     monkeypatch.setattr("genstokes.solver._minres", spy)
-    monkeypatch.setattr("genstokes.solver.spla.splu", spy)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
     F = small_system.F.copy()
     F[5] = bad
     broken = dataclasses.replace(small_system, F=F)

@@ -93,11 +93,15 @@ def test_no_unreferenced_private_definitions():
 def test_cli_import_leaves_out_interpolate_and_optimize():
     # scipy.interpolate (and the scipy.optimize it pulls in) and sympy each
     # cost every command a third of a second of start-up; grid fields do
-    # without the first two, and expressions are parsed without sympy
+    # without the first two, and expressions are parsed without sympy.
+    # scipy.fft, scipy.special, scipy.linalg and scipy.sparse.linalg cost
+    # 15 MB of every run's memory: the preconditioner's sine transforms and
+    # the Gauss rules are numpy, and splu and expm are imported where used
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = ("import sys, genstokes.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
-            "'sympy') if m in sys.modules))")
+            "'sympy', 'scipy.fft', 'scipy.special', 'scipy.linalg', "
+            "'scipy.sparse.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
