@@ -185,8 +185,10 @@ def cmd_ellipticity(args) -> int:
     code = EXIT_OK
     if args.b_grid or args.b_expr:
         b = _tensor_field_from_args(args)
-        box = b.box if b.box else args.box
-        pts = cell_centres(box, args.samples)
+        if b.box and args.box and args.box != b.box:
+            raise ConfigError(f"--box {','.join(f'{v:g}' for v in args.box)} differs "
+                              f"from the grid file's box {','.join(f'{v:g}' for v in b.box)}")
+        pts = cell_centres(b.box or args.box or (1.0, 1.0, 1.0), args.samples)
         try:
             rep = alpha_field(mu, b, pts)
         except NotSPD as exc:
@@ -340,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     b_source.add_argument("--b-grid", "--b-field", dest="b_grid",
                           help="tensor grid field file")
     b_source.add_argument("--b-expr", help="a11=expr;a12=expr;... components")
-    pe.add_argument("--box", type=_BOX, default="1,1,1", help="box edge lengths")
+    pe.add_argument("--box", type=_BOX, default=None,
+                    help="box edge lengths (default: the grid file's, else 1,1,1)")
     pe.add_argument("--samples", type=_COUNT, default=16,
                     help="sample divisions per axis")
     pe.add_argument("--eps", type=_FINITE, default=0.0,

@@ -167,6 +167,8 @@ def _sup_entry(stack: np.ndarray) -> tuple:
 
 def _lp_norm(stack: np.ndarray, p: float, volume: float) -> float:
     """Sampled Lp norm; components of tensors are summed per convention."""
+    if not stack.any():  # the derivatives of a constant B: skip the powers
+        return 0.0
     flat = np.abs(stack.reshape(stack.shape[0], -1)) ** p
     return float((np.sum(np.mean(flat, axis=0)) * volume) ** (1.0 / p))
 

@@ -50,6 +50,19 @@ def test_ellipticity_alpha_over_grid(tmp_path, capsys):
     assert "alpha = 1.75" in out
 
 
+def test_ellipticity_grid_box_conflict_refused(tmp_path, capsys):
+    # a grid file carries its box; an explicit --box that differs is refused
+    # rather than ignored, and one that agrees is accepted
+    grid = tmp_path / "b.txt"
+    make_identity_grid(grid)
+    args = ["--out", str(tmp_path), "ellipticity", "--mu", "-2.5,4,0.25",
+            "--b-grid", str(grid)]
+    assert main(args + ["--box", "5,5,5"]) == 2
+    assert "differs from the grid file's box 1,1,1" in capsys.readouterr().err
+    assert main(args + ["--box", "1"]) == 0
+    assert "alpha = 1.75" in capsys.readouterr().out
+
+
 def test_ellipticity_non_spd_grid(tmp_path):
     grid = tmp_path / "bad.txt"
     make_identity_grid(grid, spd=False)
