@@ -186,8 +186,7 @@ def cmd_ellipticity(args) -> int:
     if args.b_grid or args.b_expr:
         b = _tensor_field_from_args(args)
         if b.box and args.box and args.box != b.box:
-            raise ConfigError(f"--box {','.join(f'{v:g}' for v in args.box)} differs "
-                              f"from the grid file's box {','.join(f'{v:g}' for v in b.box)}")
+            raise ConfigError(f"--box {args.box} differs from the grid file's box {b.box}")
         pts = cell_centres(b.box or args.box or (1.0, 1.0, 1.0), args.samples)
         try:
             rep = alpha_field(mu, b, pts)

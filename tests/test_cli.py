@@ -58,7 +58,7 @@ def test_ellipticity_grid_box_conflict_refused(tmp_path, capsys):
     args = ["--out", str(tmp_path), "ellipticity", "--mu", "-2.5,4,0.25",
             "--b-grid", str(grid)]
     assert main(args + ["--box", "5,5,5"]) == 2
-    assert "differs from the grid file's box 1,1,1" in capsys.readouterr().err
+    assert "differs from the grid file's box (1.0, 1.0, 1.0)" in capsys.readouterr().err
     assert main(args + ["--box", "1"]) == 0
     assert "alpha = 1.75" in capsys.readouterr().out
 
