@@ -20,6 +20,12 @@ into the fixed CSR pattern of the space (``TaylorHoodSpace.pattern``) in
 element order.  K is exactly symmetric, memory is linear in the mesh, and
 ``threads`` only computes chunks concurrently: the entries are bitwise
 independent of the thread count.
+
+Assembly keeps the entries as numpy arrays (``SaddleSystem.k_data`` and
+``g_data``) and loads no scipy module: the scipy matrices ``K`` and ``G``
+are formed over those arrays on first read, which is when a solve first
+imports scipy.sparse.  The property suite behind ``verify`` takes u^t K u
+from the entries (``SaddleSystem.energy``) and never forms K.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .constitutive import acal_samples, acal_values, mu_values
 from .ellipticity import (EllipticityReport, PositivitySamples, lambda_endpoints,
@@ -62,14 +68,16 @@ _SYM_ROWS, _SYM_COLS = (np.array(ix) for ix in zip(*SYM_PAIRS))
 class SaddleSystem:
     """Assembled sparse blocks of the constrained mixed problem.
 
-    K is the (interior-dof) velocity block, G the divergence block with
-    shape (n_interior, n_pressure), F the load vector, m the pressure gauge
-    weights.  ``alpha`` and ``anorm_inf`` are the extreme eigenvalues of the
-    coefficient tensor sampled at the assembly quadrature points.
+    ``k_data`` and ``g_data`` are the entries of K, the (interior-dof)
+    velocity block, and G, the divergence block with shape (n_interior,
+    n_pressure), on the space's patterns ``"K"`` and ``"G"``; F is the load
+    vector, m the pressure gauge weights.  ``alpha`` and ``anorm_inf`` are
+    the extreme eigenvalues of the coefficient tensor sampled at the
+    assembly quadrature points.
     """
 
-    K: sparse.csr_matrix
-    G: sparse.csr_matrix
+    k_data: np.ndarray
+    g_data: np.ndarray
     F: np.ndarray
     m: np.ndarray
     alpha: float
@@ -80,13 +88,30 @@ class SaddleSystem:
     quad_n: int
     f_l2: float
 
+    @cached_property
+    def K(self):
+        """The scipy CSR velocity block over ``k_data``, formed on first read."""
+        return self.space.pattern("K").matrix(self.k_data)
+
+    @cached_property
+    def G(self):
+        """The scipy CSR divergence block over ``g_data``, formed on first read."""
+        return self.space.pattern("G").matrix(self.g_data)
+
     @property
     def n_interior(self) -> int:
-        return self.K.shape[0]
+        return self.F.size
 
     @property
     def n_pressure(self) -> int:
-        return self.G.shape[1]
+        return self.m.size
+
+    def energy(self, u_int: np.ndarray) -> float:
+        """u^t K u of interior coefficients, from ``k_data`` and K's pattern
+        (forms no matrix)."""
+        pattern = self.space.pattern("K")
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        return float(self.k_data @ (u_int[rows] * u_int[pattern.indices]))
 
     def expand_velocity(self, u_int: np.ndarray) -> np.ndarray:
         """Interior coefficients -> full vector with zero walls."""
@@ -134,7 +159,7 @@ class _Chunk:
 
 def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
                    f: Optional[VectorField], full: bool, threads: int):
-    """Stream the elements once: (K, F, report, ||A||_inf, ||f||_L2).
+    """Stream the elements once: (K entries, F, report, ||A||_inf, ||f||_L2).
 
     ``full`` scatters into all velocity dofs instead of the interior ones.
     Raises NotSPD, then NotElliptic, then SingularTensor, each judged over
@@ -195,7 +220,7 @@ def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
         acal_values(mu, b_field, pts)
         raise SingularTensor("coefficient B is singular at a quadrature point")
     anorm = max(b.g_max for b in blocks)
-    return (k_pat.matrix(k_data), f_data[:f_pat.nnz], report, anorm,
+    return (k_data[:k_pat.nnz], f_data[:f_pat.nnz], report, anorm,
             float(np.sqrt(f_sq)))
 
 
@@ -215,8 +240,8 @@ def assemble(
     InvalidDimensions when the mesh is not a Kuhn box mesh.
     """
     geom = space.geometry(quad_n)
-    K, F, report, anorm, f_l2 = _velocity_pass(space, geom, mu, b_field, f,
-                                               False, threads)
+    k_data, F, report, anorm, f_l2 = _velocity_pass(space, geom, mu, b_field,
+                                                    f, False, threads)
     g_pat = space.pattern("G")
     g_data = g_pat.new_data()
     divergence = geom.kuhn_tables.divergence
@@ -226,7 +251,7 @@ def assemble(
     mel = np.einsum("eq,qj->ej", geom.wdet, geom.p1_vals)
     m_vec = np.bincount(mesh.tets.ravel(), mel.ravel(), minlength=space.n_pressure)
     return SaddleSystem(
-        K=K, G=g_pat.matrix(g_data), F=F, m=m_vec,
+        k_data=k_data, g_data=g_data[:g_pat.nnz], F=F, m=m_vec,
         alpha=report.alpha, anorm_inf=anorm, alpha_report=report,
         mesh=mesh, space=space, quad_n=quad_n, f_l2=f_l2,
     )
@@ -236,9 +261,9 @@ def full_velocity_block(space: TaylorHoodSpace, mu, b_field,
                         f: Optional[VectorField] = None, quad_n: int = 3):
     """(K_full, F_full): the velocity block and load over all velocity dofs,
     walls included, by the same pass as :func:`assemble`."""
-    K, F, *_ = _velocity_pass(space, space.geometry(quad_n), mu, b_field, f,
-                              True, 1)
-    return K, F
+    k_data, F, *_ = _velocity_pass(space, space.geometry(quad_n), mu, b_field,
+                                   f, True, 1)
+    return space.pattern("K_full").matrix(k_data), F
 
 
 def korn_terms(space: TaylorHoodSpace, u_full: np.ndarray, quad_n: int = 3):

@@ -18,6 +18,9 @@ keeps its basis gradients, Jacobian determinants and element matrix maps
 elements are not such translates when it is built.  Each space keeps the
 fixed CSR pattern of its assembled blocks, and finds where a chunk of
 element entries goes in it when the chunk is scattered (``BlockPattern``).
+The patterns and entries are numpy arrays: scipy enters only in
+``BlockPattern.matrix``, which imports scipy.sparse when a solve first
+forms a matrix, so meshing and assembly load no scipy module.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidDimensions
@@ -102,10 +104,6 @@ class BoxMesh:
         return self.tets.shape[0]
 
     @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
-
-    @property
     def box(self):
         return (self.lx, self.ly, self.lz)
 
@@ -120,24 +118,6 @@ class BoxMesh:
         tol = 1e-12 * max(self.box)
         box = np.array(self.box)
         return np.any((np.abs(pts) <= tol) | (np.abs(pts - box) <= tol), axis=1)
-
-    def boundary_vertex_mask(self) -> np.ndarray:
-        return self.on_walls(self.vertices)
-
-    def face_counts(self):
-        """(n_interior, n_boundary, max_share) over triangular faces."""
-        faces = {}
-        local_faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-        for tet in self.tets:
-            for lf in local_faces:
-                key = tuple(sorted(int(tet[i]) for i in lf))
-                faces[key] = faces.get(key, 0) + 1
-        counts = np.array(list(faces.values()))
-        return (
-            int(np.count_nonzero(counts == 2)),
-            int(np.count_nonzero(counts == 1)),
-            int(counts.max()),
-        )
 
 
 def lattice_points(axes) -> np.ndarray:
@@ -538,6 +518,11 @@ class BlockPattern:
         """Zeroed data array, with room for the dropped slots."""
         return np.zeros(self.nnz + self.bc)
 
-    def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+    def matrix(self, data: np.ndarray):
+        """The ``scipy.sparse.csr_matrix`` of ``data`` on this pattern,
+        sharing its memory.  The one place the package builds a scipy
+        matrix, and so where scipy.sparse is first imported."""
+        import scipy.sparse as sparse
+
         return sparse.csr_matrix((data[:self.nnz], self.indices, self.indptr),
                                  shape=self.shape)

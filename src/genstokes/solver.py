@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .assembly import SaddleSystem
 from .errors import FactorizationFailure, MaxIterations, ResidualTooLarge
@@ -114,7 +113,8 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     not finite and positive or SuperLU fails; the final full residual is
     checked against ``tol``.
     """
-    # imported here: only the direct route needs scipy.sparse.linalg
+    # imported here: only the direct route needs bmat and scipy.sparse.linalg
+    from scipy.sparse import bmat
     from scipy.sparse.linalg import splu
 
     _check_load(system.F)
@@ -123,7 +123,7 @@ def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
         return _zero_solution(system, {"method": "direct"})
     _check_gauge(system.m)
     g0 = system.G[:, 1:]
-    a = sparse.bmat([[system.K, g0], [g0.T, None]], format="csc")
+    a = bmat([[system.K, g0], [g0.T, None]], format="csc")
     b = np.concatenate([system.F, np.zeros(system.n_pressure - 1)])
     try:
         lu = splu(a)

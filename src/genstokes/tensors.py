@@ -19,7 +19,6 @@ safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +107,6 @@ class SymTensor3:
     def trace(self) -> float:
         return self.a11 + self.a22 + self.a33
 
-    def frobenius(self) -> float:
-        return math.sqrt(self.ddot(self))
-
     def max_abs(self) -> float:
         return max(
             abs(self.a11), abs(self.a22), abs(self.a33),
@@ -134,9 +130,6 @@ class EigenTriple:
     l1: float
     l2: float
     l3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.l1, self.l2, self.l3])
 
 
 def invariants(b: SymTensor3) -> Invariants3:

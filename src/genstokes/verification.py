@@ -109,19 +109,6 @@ def _forcing_jets(v_field: VectorField, p_field: ScalarField,
             for i in range(3)]
 
 
-def boundary_trace_max(v_field: VectorField, box, n: int = 13) -> float:
-    """Max |v| over a dense sampling of the six box faces."""
-    lin = [np.linspace(0, L, n) for L in box]
-    worst = 0.0
-    for axis, L in enumerate(box):
-        for val in (0.0, L):
-            axes = list(lin)
-            axes[axis] = np.array([val])
-            pts = lattice_points(axes)
-            worst = max(worst, float(np.max(np.abs(v_field.eval(pts)))))
-    return worst
-
-
 # v = (d_y psi, -d_x psi, 0) = 2 q Z (X (1 - 2y), Y (2x - 1), 0) for the
 # squared bubble psi = q^2, q = X Y Z, X = x (1 - x), Y = y (1 - y),
 # Z = z (1 - z); the texts share the subtrees 2 q Z, X and Y
@@ -556,18 +543,3 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
         "bounds": [b.as_dict() for b in bounds],
         "solver": dict(result.stats, residual=result.residual),
     }
-
-
-def ratio_blowup_guard(audit_seq, factor: float = 10.0):
-    """Check that no ratio diagnostic grows by more than ``factor`` between
-    consecutive refinement levels.  Returns a list of offending ids."""
-    offenders = []
-    for prev, cur in zip(audit_seq[:-1], audit_seq[1:]):
-        prev_map = {b["id"]: b for b in prev["bounds"] if "ratio" in b}
-        for b in cur["bounds"]:
-            if "ratio" not in b or b["id"] not in prev_map:
-                continue
-            r0 = prev_map[b["id"]]["ratio"]
-            if r0 > 0 and b["ratio"] > factor * r0:
-                offenders.append(b["id"])
-    return offenders

@@ -7,6 +7,11 @@ inversion, derivative formulas), the admissible-set classification against
 brute-force sign sampling, the discrete Korn identity, the coercivity
 sandwich of the assembled velocity block, and the explicit constitutive
 norm bounds.
+
+The suite runs on numpy alone: the sandwich takes u^t K u from the
+assembled entries (``SaddleSystem.energy``), and the unimodular paths take
+e^{tC} from a scaling-and-squaring Taylor exponential (``_expm``), so
+``verify`` loads no scipy module.
 """
 
 from __future__ import annotations
@@ -60,16 +65,33 @@ def random_spd(rng, cond_max=1e4, unimodular=False) -> SymTensor3:
     return SymTensor3.from_matrix(0.5 * (m + m.T))
 
 
+# Taylor degree of ``_expm`` on a matrix scaled to 1-norm at most 1/2: the
+# remainder is under 0.5^17 / 17! (2e-20) relative
+_EXPM_DEGREE = 16
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a of a small square matrix: the degree-``_EXPM_DEGREE`` Taylor
+    polynomial of a / 2^s, with s the least that makes its 1-norm at most
+    1/2, squared s times."""
+    s = max(0, math.frexp(float(np.abs(a).sum(axis=0).max()))[1] + 1)
+    x, eye = a / 2.0**s, np.eye(a.shape[0])
+    e = eye
+    for k in range(_EXPM_DEGREE, 0, -1):
+        e = eye + (x @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def unimodular_path(rng, scale=0.5):
     """B(t) = e^{tC} B0 e^{tC^t} with trace-free C keeps det B(t) = det B0."""
-    from scipy.linalg import expm  # only the property suite needs scipy.linalg
-
     b0 = random_spd(rng, cond_max=100.0, unimodular=True)
     c = rng.standard_normal((3, 3)) * scale
     c -= np.trace(c) / 3.0 * np.eye(3)
 
     def b_at(t):
-        e = expm(t * c)
+        e = _expm(t * c)
         return e @ b0.to_matrix() @ e.T
 
     b0m = b0.to_matrix()
@@ -233,12 +255,11 @@ def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
     worst_lo, worst_hi = 0.0, 0.0
     for mu, b, _label in coeff_choices:
         system = assemble(mesh, space, mu, b)
-        kmat = system.K
         for _ in range(trials):
-            ui = rng.standard_normal(kmat.shape[0])
+            ui = rng.standard_normal(system.n_interior)
             u = system.expand_velocity(ui)
             _, gg, _ = korn_terms(space, u)
-            energy = float(ui @ (kmat @ ui))
+            energy = system.energy(ui)
             worst_lo = max(worst_lo, system.alpha * gg - energy)
             worst_hi = max(worst_hi, energy - 2.0 * system.anorm_inf * gg)
     props.append(_prop("coercivity_lower", worst_lo < 1e-9,

@@ -23,7 +23,6 @@ from genstokes.tensors import SymTensor3, ch_inverse, d2_inverse, d_inverse
 from genstokes.verification import (
     make_anisotropic_case,
     make_classical_case,
-    ratio_blowup_guard,
     run_convergence,
 )
 
@@ -200,6 +199,21 @@ def test_criterion_8_mms_convergence(mms_tables):
     report(8, f"observed rates {rlines}")
 
 
+def _ratio_blowup_guard(audit_seq, factor: float = 10.0):
+    """Check that no ratio diagnostic grows by more than ``factor`` between
+    consecutive refinement levels.  Returns a list of offending ids."""
+    offenders = []
+    for prev, cur in zip(audit_seq[:-1], audit_seq[1:]):
+        prev_map = {b["id"]: b for b in prev["bounds"] if "ratio" in b}
+        for b in cur["bounds"]:
+            if "ratio" not in b or b["id"] not in prev_map:
+                continue
+            r0 = prev_map[b["id"]]["ratio"]
+            if r0 > 0 and b["ratio"] > factor * r0:
+                offenders.append(b["id"])
+    return offenders
+
+
 def test_criterion_9_ratio_diagnostics(mms_tables):
     ratio_ids = {"pressure_l2", "d2v_broken", "grad_p_broken",
                  "d3v_exact", "d2p_exact"}
@@ -208,7 +222,7 @@ def test_criterion_9_ratio_diagnostics(mms_tables):
             present = {b["id"] for b in audit["bounds"] if "ratio" in b}
             assert ratio_ids <= present, f"{name}: missing {ratio_ids - present}"
             assert "rk_k2" in audit["norms"]
-        offenders = ratio_blowup_guard(table.audits, factor=10.0)
+        offenders = _ratio_blowup_guard(table.audits, factor=10.0)
         assert not offenders, f"{name}: ratio blow-up in {offenders}"
     report(9, "ratio diagnostics emitted for all solves; no 10x blow-up")
 

@@ -344,6 +344,20 @@ def test_coercivity_sandwich_three_coefficients():
             energy = float(ui @ (system.K @ ui))
             assert energy >= system.alpha * gg * (1 - 1e-12)
             assert energy <= 2.0 * system.anorm_inf * gg * (1 + 1e-12)
+            # verify's sandwich takes u^t K u from the entries
+            assert system.energy(ui) == pytest.approx(energy, rel=1e-13)
+
+
+def test_blocks_are_formed_once_over_the_assembled_entries():
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    system = assemble(mesh, space, MuTriple(1.0, 1.0, 1.0),
+                      TensorField.constant(SymTensor3.diag(2.0, 0.5, 1.0)))
+    assert system.K is system.K and system.G is system.G
+    assert np.shares_memory(system.K.data, system.k_data)
+    assert np.shares_memory(system.G.data, system.g_data)
+    assert system.K.shape == (system.n_interior, system.n_interior)
+    assert system.G.shape == (system.n_interior, system.n_pressure)
 
 
 def test_korn_terms_builds_geometry_once(monkeypatch):

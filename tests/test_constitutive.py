@@ -20,7 +20,7 @@ from genstokes.fields import ScalarField, TensorField, write_grid_file
 from genstokes.tensors import (SymTensor3, d2_inverse_batch, d_inverse_batch,
                                eig_sym3, unimodular_batch)
 
-from test_tensors import random_spd
+from test_tensors import as_array, random_spd
 from test_verification import _DET2_B
 
 
@@ -73,8 +73,8 @@ def test_acal_spectral_commutation():
         b = random_spd(rng, cond_max=100.0)
         mu = MuTriple(*rng.uniform(0.1, 2.0, size=3))
         a = acal(mu, TensorField.constant(b), (0.0, 0.0, 0.0))
-        got = np.sort(eig_sym3(a).as_array())
-        want = np.sort([g_eval(mu, lam) for lam in eig_sym3(b).as_array()])
+        got = np.sort(as_array(eig_sym3(a)))
+        want = np.sort([g_eval(mu, lam) for lam in as_array(eig_sym3(b))])
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 

@@ -18,7 +18,7 @@ from genstokes.errors import DegenerateQuadratic, NotAdmissible, NotSPD
 from genstokes.fields import TensorField
 from genstokes.tensors import SymTensor3, eig_sym3_batch
 
-from test_tensors import random_spd
+from test_tensors import as_array, random_spd
 
 GOLDEN = math.sqrt(5.0)
 
@@ -230,7 +230,7 @@ def test_alpha_brute_force_constant_fields():
         rep = alpha_field(mu, TensorField.constant(b), pts)
         from genstokes.tensors import eig_sym3
 
-        brute = min(g_eval(mu, lam) for lam in eig_sym3(b).as_array())
+        brute = min(g_eval(mu, lam) for lam in as_array(eig_sym3(b)))
         assert rep.alpha == pytest.approx(brute, rel=1e-10)
 
 

@@ -44,9 +44,25 @@ def test_anisotropic_box_volume():
     assert _mesh_volume(mesh) == pytest.approx(3.0, rel=1e-12)
 
 
+def _face_counts(mesh):
+    """(n_interior, n_boundary, max_share) over triangular faces."""
+    faces = {}
+    local_faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    for tet in mesh.tets:
+        for lf in local_faces:
+            key = tuple(sorted(int(tet[i]) for i in lf))
+            faces[key] = faces.get(key, 0) + 1
+    counts = np.array(list(faces.values()))
+    return (
+        int(np.count_nonzero(counts == 2)),
+        int(np.count_nonzero(counts == 1)),
+        int(counts.max()),
+    )
+
+
 def test_face_conformity():
     mesh = build_mesh(3, 2, 2, 1.0, 1.0, 1.0)
-    interior, boundary, max_share = mesh.face_counts()
+    interior, boundary, max_share = _face_counts(mesh)
     assert max_share == 2
     # boundary faces: two triangles per cell face on the box surface
     expected_boundary = 2 * 2 * (3 * 2 + 3 * 2 + 2 * 2)
@@ -115,7 +131,7 @@ def test_p1_partition_of_unity():
 def test_taylor_hood_dof_counts():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
-    assert space.n_velocity == 3 * (mesh.n_vertices + mesh.n_edges)
+    assert space.n_velocity == 3 * (mesh.n_vertices + len(mesh.edges))
     assert space.n_pressure == mesh.n_vertices
 
 

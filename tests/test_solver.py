@@ -66,7 +66,7 @@ def test_solve_deterministic(small_system):
 
 def test_factorization_failure_reported(small_system):
     # with K = 0 the pinned block matrix is exactly singular in SuperLU
-    broken = dataclasses.replace(small_system, K=small_system.K * 0.0)
+    broken = dataclasses.replace(small_system, k_data=small_system.k_data * 0.0)
     with pytest.raises(FactorizationFailure, match="exactly singular"):
         solve(broken)
 
@@ -194,7 +194,7 @@ def test_lattice_preconditioner_inverts_fine_p1_stiffness():
     rows = np.repeat(fine.tets, 4, axis=1).ravel()
     cols = np.tile(fine.tets, (1, 4)).ravel()
     k1 = sparse.coo_matrix((kel.ravel(), (rows, cols))).tocsr()
-    inner = np.flatnonzero(~fine.boundary_vertex_mask())
+    inner = np.flatnonzero(~fine.on_walls(fine.vertices))
     h = np.array([0.25, 1.0 / 3.0, 0.0625])
     key = {tuple(k): i for i, k in
            enumerate(np.rint(fine.vertices[inner] / h).astype(int).tolist())}

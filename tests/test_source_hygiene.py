@@ -5,10 +5,11 @@ import is used, and every private constant, function or class at module
 level, and every private method or property in a class body, is referenced
 somewhere in the package.  Deleting a duplicate tends to leave one of these
 behind.  A third check
-keeps sympy and heavy scipy subpackages that no command needs off the import
-path of the CLI, a fourth keeps expression fields on one evaluator, a
-fifth keeps sympy out of the package and text from being evaluated anywhere,
-and a sixth keeps the layout of a jet as arrays inside ``fields``.
+keeps sympy and scipy off the import path of the CLI, and a fourth checks
+that only a solve loads scipy, and only the scipy it uses; a fifth keeps
+expression fields on one evaluator, a sixth keeps sympy out of the package
+and text from being evaluated anywhere, and a seventh keeps the layout of
+a jet as arrays inside ``fields``.
 """
 
 import ast
@@ -17,6 +18,9 @@ import pathlib
 import re
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "genstokes"
 
@@ -90,21 +94,63 @@ def test_no_unreferenced_private_definitions():
     assert orphans == []
 
 
+def _loaded_after(statements: str, *argv: str) -> list:
+    """The sympy and scipy modules a fresh interpreter holds after running
+    ``statements`` with ``argv`` as ``sys.argv[1:]``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys\n{statements}\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'sympy')))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
 def test_cli_import_leaves_out_interpolate_and_optimize():
     # scipy.interpolate (and the scipy.optimize it pulls in) and sympy each
     # cost every command a third of a second of start-up; grid fields do
     # without the first two, and expressions are parsed without sympy.
-    # scipy.fft, scipy.special, scipy.linalg and scipy.sparse.linalg cost
-    # 15 MB of every run's memory: the preconditioner's sine transforms and
-    # the Gauss rules are numpy, and splu and expm are imported where used
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = ("import sys, genstokes.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
-            "'sympy', 'scipy.fft', 'scipy.special', 'scipy.linalg', "
-            "'scipy.sparse.linalg') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # scipy.sparse costs 0.24 s and 22 MB, and only a solve needs it: it is
+    # imported where the first scipy matrix is formed
+    assert _loaded_after("import genstokes.cli") == []
+
+
+_MAIN = "from genstokes.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize("statements, argv, wanted", [
+    # the audits solve nothing, so they run on numpy alone
+    ("from genstokes.verifysuite import run_suite\nrun_suite(0, trials=2)",
+     (), "none"),
+    (_MAIN, ("ellipticity", "--mu", "1,1,1", "--b-grid", "{grid}",
+             "--samples", "4"), "none"),
+    ("from genstokes.assembly import assemble\n"
+     "from genstokes.constitutive import MuTriple\n"
+     "from genstokes.fem import TaylorHoodSpace, build_mesh\n"
+     "from genstokes.fields import TensorField\n"
+     "mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)\n"
+     "assemble(mesh, TaylorHoodSpace(mesh), MuTriple(1, 1, 1), "
+     "TensorField.identity())", (), "none"),
+    # MINRES applies K and G as scipy matrices; only the direct route
+    # needs scipy.sparse.linalg
+    (_MAIN, ("--out", "{out}", "solve", "--mu", "1,1,1", "--mesh", "2,2,2",
+             "--f-expr", "sin(pi*x); 0; 0"), "sparse"),
+], ids=["verify-suite", "ellipticity", "assemble", "solve"])
+def test_only_a_solve_loads_scipy(tmp_path, statements, argv, wanted):
+    from genstokes.fields import write_grid_file
+
+    grid = tmp_path / "b.txt"
+    # B = I on a 2x2x2 grid, components in COMPONENT_ORDER
+    write_grid_file(grid, np.tile([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (2, 2, 2, 1)),
+                    (1.0, 1.0, 1.0))
+    argv = [a.format(grid=grid, out=tmp_path) for a in argv]
+    loaded = _loaded_after(statements, *argv)
+    if wanted == "none":
+        assert loaded == []
+    else:
+        assert "scipy.sparse" in loaded
+        assert "scipy.sparse.linalg" not in loaded
+        assert not any(m.startswith("sympy") for m in loaded)
 
 
 def test_no_lambdify_in_package():

@@ -38,6 +38,11 @@ from genstokes.tensors import (
 
 # ---------------------------------------------------------------------------
 # oracles
+def as_array(ev) -> np.ndarray:
+    """The eigenvalues of an ``EigenTriple``, ascending."""
+    return np.array([ev.l1, ev.l2, ev.l3])
+
+
 
 
 def charpoly_oracle(m):
@@ -170,7 +175,7 @@ def test_eig_matches_jacobi_oracle():
     rng = np.random.default_rng(11)
     for _ in range(300):
         b = random_sym(rng, scale=3.0)
-        got = eig_sym3(b).as_array()
+        got = as_array(eig_sym3(b))
         want = jacobi_oracle(b.to_matrix())
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -180,21 +185,21 @@ def test_eig_charpoly_residual_contract():
     for _ in range(200):
         b = random_sym(rng, scale=5.0)
         inv = invariants(b)
-        tol = 1e-9 * (1.0 + b.frobenius() ** 3)
-        for lam in eig_sym3(b).as_array():
+        tol = 1e-9 * (1.0 + math.sqrt(b.ddot(b)) ** 3)
+        for lam in as_array(eig_sym3(b)):
             res = lam**3 - inv.i1 * lam**2 + inv.i2 * lam - inv.i3
             assert abs(res) <= tol
 
 
 def test_eig_degenerate_spectra():
     ev = eig_sym3(SymTensor3.diag(2.0, 2.0, 2.0))
-    assert np.allclose(ev.as_array(), 2.0)
+    assert np.allclose(as_array(ev), 2.0)
     # double eigenvalue reached through a rotation
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     m = (q * np.array([1.0, 1.0, 4.0])) @ q.T
     ev = eig_sym3(SymTensor3.from_matrix(0.5 * (m + m.T)))
-    assert np.max(np.abs(ev.as_array() - np.array([1.0, 1.0, 4.0]))) < 1e-9
+    assert np.max(np.abs(as_array(ev) - np.array([1.0, 1.0, 4.0]))) < 1e-9
 
 
 def test_eig_reconstruction_invariants():
@@ -214,7 +219,7 @@ def test_eig_batch_matches_scalar():
     mats = np.stack([random_sym(rng).to_matrix() for _ in range(50)])
     batch = eig_sym3_batch(mats)
     for k in range(50):
-        single = eig_sym3(SymTensor3.from_matrix(mats[k])).as_array()
+        single = as_array(eig_sym3(SymTensor3.from_matrix(mats[k])))
         assert np.max(np.abs(batch[k] - single)) < 1e-12
 
 
@@ -303,7 +308,7 @@ def test_eig_batch_non_finite_row_is_nan(entry, bad):
     got = eig_sym3_batch(mats)
     assert np.isnan(got[0]).all()
     assert np.array_equal(got[1], [0.5, 1.0, 2.0])
-    assert np.isnan(eig_sym3(SymTensor3.from_matrix(mats[0])).as_array()).all()
+    assert np.isnan(as_array(eig_sym3(SymTensor3.from_matrix(mats[0])))).all()
 
 
 def _stored(row):
@@ -326,7 +331,7 @@ def test_scalar_api_equals_batch_rows_bit_for_bit():
     d2 = d2_inverse_batch(spd, dbi, dbj, d2b)
     t = SymTensor3.from_matrix
     for k in range(n):
-        assert np.array_equal(eig_sym3(t(sym[k])).as_array(), eigs[k])
+        assert np.array_equal(as_array(eig_sym3(t(sym[k]))), eigs[k])
         assert np.array_equal(ch_inverse(t(spd[k])).to_matrix(), _stored(invs[k]))
         assert np.array_equal(d_inverse(t(spd[k]), t(dbi[k])).to_matrix(),
                               _stored(d1[k]))
@@ -556,3 +561,28 @@ def test_d2_inverse_matches_second_difference():
         ) / h**2
         got = d2_inverse(b0, db, db, d2b).to_matrix()
         assert np.max(np.abs(got - fd)) / max(np.max(np.abs(fd)), 1e-30) < 1e-4
+
+
+def test_verify_suite_exponential_matches_scipy_expm():
+    # verify's unimodular paths take e^{tC} from a numpy exponential, so
+    # that the suite loads no scipy; scipy's expm is the oracle
+    from genstokes.verifysuite import _expm
+
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        c = rng.standard_normal((3, 3)) * 0.5
+        c -= np.trace(c) / 3.0 * np.eye(3)
+        t = rng.uniform(-1.0, 1.0)
+        want = expm(t * c)
+        assert np.max(np.abs(_expm(t * c) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_verify_suite_unimodular_path_keeps_det():
+    from genstokes.verifysuite import unimodular_path as suite_path
+
+    rng = np.random.default_rng(79)
+    for _ in range(50):
+        b0, _, _, b_at = suite_path(rng)
+        det0 = np.linalg.det(b0.to_matrix())
+        for t in rng.uniform(-1.0, 1.0, size=4):
+            assert abs(np.linalg.det(b_at(t)) - det0) <= 1e-13 * abs(det0)

@@ -12,12 +12,11 @@ from genstokes import assembly, constitutive, verification
 from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple, coefficient_derivatives
 from genstokes.errors import ConfigError, MissingNormInput
-from genstokes.fem import TaylorHoodSpace, build_mesh
+from genstokes.fem import TaylorHoodSpace, build_mesh, lattice_points
 from genstokes.fields import COMPONENT_ORDER, ScalarField, TensorField
 from genstokes.solver import minres_solve
 from genstokes.verification import (
     audit_estimates,
-    boundary_trace_max,
     broken_h1_pressure,
     broken_h2_velocity,
     case_norm_suite,
@@ -82,12 +81,25 @@ def _sympy_forcing(case):
             for i in range(3)]
 
 
+def _boundary_trace_max(v_field, box, n: int = 13) -> float:
+    """Max |v| over a dense sampling of the six box faces."""
+    lin = [np.linspace(0, L, n) for L in box]
+    worst = 0.0
+    for axis, L in enumerate(box):
+        for val in (0.0, L):
+            axes = list(lin)
+            axes[axis] = np.array([val])
+            pts = lattice_points(axes)
+            worst = max(worst, float(np.max(np.abs(v_field.eval(pts)))))
+    return worst
+
+
 def test_shipped_cases_are_admissible():
     for make in (make_classical_case, make_anisotropic_case):
         case = make()
         v = [sp.sympify(t) for t in case.v_texts]
         assert sp.expand(sum(sp.diff(v[i], _SYMS[i]) for i in range(3))) == 0
-        assert boundary_trace_max(case.v_field, (1.0, 1.0, 1.0)) <= 1e-12
+        assert _boundary_trace_max(case.v_field, (1.0, 1.0, 1.0)) <= 1e-12
         if case.b_texts is not None:
             assert sp.expand(_sympy_matrix(case.b_texts).det() - 1) == 0
 
