@@ -15,11 +15,12 @@ so each element matrix is one row of a GEMM against its shape's table
 (``ElementGeometry.kuhn_tables``).  Assembly is one pass over fixed-size
 chunks of elements: each chunk evaluates B once, takes its eigenvalues
 (which give alpha and ||A||_inf), forms A, runs the six GEMMs for the 465
-upper-triangle entries of its element matrices, mirrors them, and adds them
-into the fixed CSR pattern of the space (``TaylorHoodSpace.pattern``) in
-element order.  K is exactly symmetric, memory is linear in the mesh, and
-``threads`` only computes chunks concurrently: the entries are bitwise
-independent of the thread count.
+upper-triangle entries of its element matrices, mirrors them, and integrates
+f against the basis.  K and G are added into the fixed CSR patterns of the
+space (``TaylorHoodSpace.pattern``) and F by interior dof number, chunk by
+chunk in element order.  K is exactly symmetric, memory is linear in the
+mesh, and ``threads`` only computes chunks concurrently: the entries are
+bitwise independent of the thread count.
 
 Assembly keeps the entries as numpy arrays (``SaddleSystem.k_data`` and
 ``g_data``) and loads no scipy module: the scipy matrices ``K`` and ``G``
@@ -42,11 +43,11 @@ from .constitutive import acal_samples, acal_values, mu_values
 from .ellipticity import (EllipticityReport, PositivitySamples, lambda_endpoints,
                           positivity_report, positivity_samples)
 from .errors import BCViolation, NotElliptic, SingularTensor
-from .fem import MIRROR, SYM_PAIRS, BoxMesh, ElementGeometry, TaylorHoodSpace
+from .fem import MIRROR, SYM_PAIRS, BoxMesh, TaylorHoodSpace
 from .fields import VectorField
 from .tensors import eig_sym3_batch
 
-__all__ = ["SaddleSystem", "assemble", "full_velocity_block", "korn_terms"]
+__all__ = ["SaddleSystem", "assemble", "korn_terms"]
 
 # Bytes of mirrored element matrices (900 doubles per element) in one chunk.
 # Measured on the mesh-8 solve-grid inputs, one BLAS thread: 1 MB against
@@ -151,23 +152,33 @@ class _Chunk:
     samples: PositivitySamples
     k_slots: np.ndarray
     k_vals: Optional[np.ndarray]  # None unless A was formed
-    f_slots: np.ndarray
+    f_dofs: np.ndarray
     f_vals: np.ndarray
     f_sq: float  # int |f|^2 over the chunk
+    g_slots: np.ndarray
     singular: bool
 
 
-def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
-                   f: Optional[VectorField], full: bool, threads: int):
-    """Stream the elements once: (K entries, F, report, ||A||_inf, ||f||_L2).
+def assemble(
+    mesh: BoxMesh,
+    space: TaylorHoodSpace,
+    mu,
+    b_field,
+    f: Optional[VectorField] = None,
+    quad_n: int = 3,
+    threads: int = 1,
+) -> SaddleSystem:
+    """Assemble the discrete saddle-point system in one pass over element chunks.
 
-    ``full`` scatters into all velocity dofs instead of the interior ones.
-    Raises NotSPD, then NotElliptic, then SingularTensor, each judged over
-    all quadrature points.
+    Raises NotSPD, then NotElliptic when the sampled positivity constant of
+    A(B) at the quadrature points is not strictly positive (NaN included),
+    then SingularTensor, each judged over all quadrature points; and
+    InvalidDimensions when the mesh is not a Kuhn box mesh.
     """
-    tables = geom.kuhn_tables.velocity
-    k_pat = space.pattern("K_full" if full else "K")
-    f_pat = space.pattern("F_full" if full else "F")
+    geom = space.geometry(quad_n)
+    velocity, divergence = geom.kuhn_tables
+    k_pat, g_pat = space.pattern("K"), space.pattern("G")
+    n_interior = k_pat.shape[0]
     if f is None:
         f = VectorField.zero()
     nq = geom.wdet.shape[1]
@@ -186,22 +197,27 @@ def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
                 singular = True
             else:
                 # (shape, cell, q*6) @ (shape, q*6, 465), back to element order
-                upper = np.matmul(a6.reshape(-1, 6, nq * 6).transpose(1, 0, 2), tables)
-                k_vals = upper.transpose(1, 0, 2).reshape(-1, tables.shape[2])[:, MIRROR]
+                upper = np.matmul(a6.reshape(-1, 6, nq * 6).transpose(1, 0, 2), velocity)
+                k_vals = upper.transpose(1, 0, 2).reshape(-1, upper.shape[2])[:, MIRROR]
         wdet = geom.wdet[sl]
         fv = f.eval(pts).reshape(-1, nq, 3)
         f_vals = np.einsum("eq,eqa,qi->eia", wdet, fv, geom.n2_vals, optimize=True)
-        return _Chunk(samples, k_pat.slots(sl), k_vals, f_pat.slots(sl),
-                      f_vals.reshape(len(wdet), -1),
-                      float(np.einsum("eq,eqa,eqa->", wdet, fv, fv)), singular)
+        # interior dof 3r + a of node r's component a; wall entries go past the end
+        dofs = 3 * space.interior_number[space.tet_nodes[sl]][:, :, None] + np.arange(3)
+        return _Chunk(samples, k_pat.slots(sl), k_vals,
+                      np.where(dofs >= 0, dofs, n_interior), f_vals,
+                      float(np.einsum("eq,eqa,eqa->", wdet, fv, fv)),
+                      g_pat.slots(sl), singular)
 
-    k_data, f_data = k_pat.new_data(), f_pat.new_data()
+    k_data, g_data, f_data = k_pat.new_data(), g_pat.new_data(), np.zeros(n_interior + 1)
     blocks, f_sq, singular = [], 0.0, False
-    for part in _in_order(chunk, _chunks(geom.wdet.shape[0]), threads):
+    for part in _in_order(chunk, _chunks(mesh.n_tets), threads):
         blocks.append(part.samples)
         if part.k_vals is not None:
             np.add.at(k_data, part.k_slots.ravel(), part.k_vals.ravel())
-        np.add.at(f_data, part.f_slots.ravel(), part.f_vals.ravel())
+        np.add.at(f_data, part.f_dofs.ravel(), part.f_vals.ravel())
+        np.add.at(g_data, part.g_slots.ravel(),
+                  np.tile(divergence.ravel(), len(part.g_slots) // 6))
         f_sq += part.f_sq
         singular |= part.singular
         del part  # let the next chunk reuse its memory
@@ -219,51 +235,14 @@ def _velocity_pass(space: TaylorHoodSpace, geom: ElementGeometry, mu, b_field,
         # name the first singular sample over all points, as one call would
         acal_values(mu, b_field, pts)
         raise SingularTensor("coefficient B is singular at a quadrature point")
-    anorm = max(b.g_max for b in blocks)
-    return (k_data[:k_pat.nnz], f_data[:f_pat.nnz], report, anorm,
-            float(np.sqrt(f_sq)))
-
-
-def assemble(
-    mesh: BoxMesh,
-    space: TaylorHoodSpace,
-    mu,
-    b_field,
-    f: Optional[VectorField] = None,
-    quad_n: int = 3,
-    threads: int = 1,
-) -> SaddleSystem:
-    """Assemble the discrete saddle-point system.
-
-    Raises NotElliptic when the sampled positivity constant of A(B) at the
-    quadrature points is not strictly positive (NaN included), and
-    InvalidDimensions when the mesh is not a Kuhn box mesh.
-    """
-    geom = space.geometry(quad_n)
-    k_data, F, report, anorm, f_l2 = _velocity_pass(space, geom, mu, b_field,
-                                                    f, False, threads)
-    g_pat = space.pattern("G")
-    g_data = g_pat.new_data()
-    divergence = geom.kuhn_tables.divergence
-    for sl in _chunks(mesh.n_tets):
-        vals = np.tile(divergence, ((sl.stop - sl.start) // 6, 1))
-        np.add.at(g_data, g_pat.slots(sl).ravel(), vals.ravel())
     mel = np.einsum("eq,qj->ej", geom.wdet, geom.p1_vals)
     m_vec = np.bincount(mesh.tets.ravel(), mel.ravel(), minlength=space.n_pressure)
     return SaddleSystem(
-        k_data=k_data, g_data=g_data[:g_pat.nnz], F=F, m=m_vec,
-        alpha=report.alpha, anorm_inf=anorm, alpha_report=report,
-        mesh=mesh, space=space, quad_n=quad_n, f_l2=f_l2,
+        k_data=k_data[:k_pat.nnz], g_data=g_data[:g_pat.nnz], F=f_data[:n_interior],
+        m=m_vec, alpha=report.alpha, anorm_inf=max(b.g_max for b in blocks),
+        alpha_report=report, mesh=mesh, space=space, quad_n=quad_n,
+        f_l2=float(np.sqrt(f_sq)),
     )
-
-
-def full_velocity_block(space: TaylorHoodSpace, mu, b_field,
-                        f: Optional[VectorField] = None, quad_n: int = 3):
-    """(K_full, F_full): the velocity block and load over all velocity dofs,
-    walls included, by the same pass as :func:`assemble`."""
-    k_data, F, *_ = _velocity_pass(space, space.geometry(quad_n), mu, b_field,
-                                   f, True, 1)
-    return space.pattern("K_full").matrix(k_data), F
 
 
 def korn_terms(space: TaylorHoodSpace, u_full: np.ndarray, quad_n: int = 3):

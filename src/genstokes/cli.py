@@ -149,6 +149,14 @@ def _tensor_field_from_args(args) -> TensorField:
     return TensorField.identity()
 
 
+def _box(args, b: TensorField) -> tuple:
+    """The box of a run: ``--box``, else the grid file's, else the unit
+    cube.  A ``--box`` that differs from the grid file's is refused."""
+    if b.box and args.box and args.box != b.box:
+        raise ConfigError(f"--box {args.box} differs from the grid file's box {b.box}")
+    return args.box or b.box or (1.0, 1.0, 1.0)
+
+
 def cmd_ellipticity(args) -> int:
     mu = args.mu
     report = {"mu": list(mu.as_tuple())}
@@ -185,9 +193,7 @@ def cmd_ellipticity(args) -> int:
     code = EXIT_OK
     if args.b_grid or args.b_expr:
         b = _tensor_field_from_args(args)
-        if b.box and args.box and args.box != b.box:
-            raise ConfigError(f"--box {args.box} differs from the grid file's box {b.box}")
-        pts = cell_centres(b.box or args.box or (1.0, 1.0, 1.0), args.samples)
+        pts = cell_centres(_box(args, b), args.samples)
         try:
             rep = alpha_field(mu, b, pts)
         except NotSPD as exc:
@@ -222,7 +228,7 @@ def cmd_solve(args) -> int:
     else:
         f = VectorField.zero()
 
-    mesh = build_mesh(*args.mesh, *args.box)
+    mesh = build_mesh(*args.mesh, *_box(args, b))
     space = TaylorHoodSpace(mesh)
     try:
         system = assemble(mesh, space, args.mu, b, f, quad_n=args.quad,
@@ -355,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="assemble and solve one problem")
     ps.add_argument("--mu", type=_MU, required=True, help="mu1,mu2,mu3")
     ps.add_argument("--mesh", type=_MESH, default="4", help="divisions nx[,ny,nz]")
-    ps.add_argument("--box", type=_BOX, default="1,1,1",
-                    help="edge lengths Lx[,Ly,Lz]")
+    ps.add_argument("--box", type=_BOX, default=None,
+                    help="edge lengths Lx[,Ly,Lz] (default: the grid file's, "
+                         "else 1,1,1)")
     b_source = ps.add_mutually_exclusive_group()
     b_source.add_argument("--b-grid", "--b-field", dest="b_grid",
                           help="tensor grid field file")

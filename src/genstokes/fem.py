@@ -16,8 +16,10 @@ its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
 keeps its basis gradients, Jacobian determinants and element matrix maps
 (``ElementGeometry.kuhn_tables``) once per shape, and refuses a mesh whose
 elements are not such translates when it is built.  Each space keeps the
-fixed CSR pattern of its assembled blocks, and finds where a chunk of
-element entries goes in it when the chunk is scattered (``BlockPattern``).
+fixed CSR patterns of its two assembled matrices, K and G, and finds where a
+chunk of element entries goes in them when the chunk is scattered
+(``BlockPattern``); the load vector needs no pattern, since its entries go
+to interior dof numbers (``TaylorHoodSpace.interior_number``).
 The patterns and entries are numpy arrays: scipy enters only in
 ``BlockPattern.matrix``, which imports scipy.sparse when a solve first
 forms a matrix, so meshing and assembly load no scipy module.
@@ -211,26 +213,26 @@ class TaylorHoodSpace:
             self._geometries[quad_n] = ElementGeometry(self.mesh, self, quad_n)
         return self._geometries[quad_n]
 
-    def pattern(self, block: str) -> "BlockPattern":
-        """The CSR pattern of one assembled block, built once.
+    @cached_property
+    def interior_number(self) -> np.ndarray:
+        """(n_scalar,) each node's number among the interior nodes, -1 on a
+        wall: component a of interior node r is interior dof 3r + a."""
+        keep = ~self.dirichlet_scalar
+        return np.where(keep, np.cumsum(keep) - 1, -1)
 
-        ``"K"``: interior velocity x interior velocity; ``"G"``: interior
-        velocity x pressure; ``"F"``: the interior load vector (one column);
-        ``"K_full"``, ``"F_full"``: the same over all velocity dofs.
-        """
+    def pattern(self, block: str) -> "BlockPattern":
+        """The CSR pattern of one assembled block, built once: ``"K"``,
+        interior velocity x interior velocity, or ``"G"``, interior velocity
+        x pressure."""
         if block not in self._patterns:
-            interior = not block.endswith("_full")
-            keep = ~self.dirichlet_scalar if interior else np.ones(self.n_scalar, bool)
-            number = np.where(keep, np.cumsum(keep) - 1, -1)
-            rows = number[self.tet_nodes]
-            n_rows = int(np.count_nonzero(keep))
-            nt = self.mesh.n_tets
-            if block.startswith("K"):
+            rows = self.interior_number[self.tet_nodes]
+            n_rows = int(np.count_nonzero(~self.dirichlet_scalar))
+            if block == "K":
                 pat = BlockPattern(rows, rows, n_rows, n_rows, 3, 3)
             elif block == "G":
                 pat = BlockPattern(rows, self.mesh.tets, n_rows, self.n_pressure, 3, 1)
             else:
-                pat = BlockPattern(rows, np.zeros((nt, 1), np.int64), n_rows, 1, 3, 1)
+                raise ValueError(f"no block {block!r}: the patterns are 'K' and 'G'")
             self._patterns[block] = pat
         return self._patterns[block]
 

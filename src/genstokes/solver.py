@@ -280,11 +280,12 @@ def minres_solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
     stop is not reached within ``_MAXITER`` iterations; the final full
     residual is checked against ``tol``.
     """
-    K, G, F = system.K, system.G, system.F
-    ni = system.n_interior
+    F = system.F
     _check_load(F)
     if np.linalg.norm(F) == 0.0:
         return _zero_solution(system, {"method": "minres", "iterations": 0})
+    K, G = system.K, system.G  # a zero load forms neither
+    ni = system.n_interior
     velocity, pressure_weight = _lattice_preconditioner(system)
     b = np.concatenate([F, np.zeros(system.n_pressure)])
     bnorm = np.linalg.norm(F)

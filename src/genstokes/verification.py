@@ -174,15 +174,14 @@ def _p1_values(geom, tets, pressure):
 
 
 def errors_against_exact(system: SaddleSystem, result: SolveResult,
-                         case: MMSCase, quad_n: Optional[int] = None,
-                         threads: int = 1):
+                         case: MMSCase, threads: int = 1):
     """(velocity H1 seminorm, velocity L2, pressure L2/R) errors.
 
-    Integrated with quadrature one degree above assembly unless overridden,
-    over element chunks.
+    Integrated with quadrature one degree above assembly, over element
+    chunks.
     """
     space = system.space
-    geom = space.geometry(quad_n or system.quad_n + 1)
+    geom = space.geometry(system.quad_n + 1)
     u = result.velocity.reshape(-1, 3)
 
     def velocity(sl):
@@ -245,9 +244,10 @@ class ConvergenceTable:
 
 
 def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
-                    threads: int = 1, box=(1.0, 1.0, 1.0),
-                    with_audits: bool = True) -> ConvergenceTable:
-    """Solve the case on a mesh sequence and tabulate errors and rates."""
+                    threads: int = 1, with_audits: bool = True) -> ConvergenceTable:
+    """Solve the case on a mesh sequence of the unit cube, on whose walls its
+    manufactured velocity vanishes, and tabulate errors and rates."""
+    box = (1.0, 1.0, 1.0)
     table = ConvergenceTable(case.name, list(divisions), [], [], [], [])
     case_norms = case_norm_suite(case, lambda1_box(*box), box) if with_audits else None
     for n in divisions:
@@ -276,11 +276,10 @@ def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
 # broken seminorms of discrete fields
 
 
-def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray,
+def broken_h2_velocity(space: TaylorHoodSpace, geom, u_full: np.ndarray,
                        threads: int = 1) -> float:
-    """Elementwise ||D^2 v_h||_{L^2}; second derivatives of quadratics are
-    constant per element."""
-    geom = space.geometry()
+    """Elementwise ||D^2 v_h||_{L^2} over the chunks of ``geom``; second
+    derivatives of quadratics are constant per element."""
     u = u_full.reshape(-1, 3)
     # multi-index convention: each distinct second derivative counted once
     w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
@@ -292,10 +291,10 @@ def broken_h2_velocity(space: TaylorHoodSpace, u_full: np.ndarray,
     return math.sqrt(float(_chunk_sums(geom, chunk, threads)))
 
 
-def broken_h1_pressure(space: TaylorHoodSpace, p_coeffs: np.ndarray,
+def broken_h1_pressure(space: TaylorHoodSpace, geom, p_coeffs: np.ndarray,
                        threads: int = 1) -> float:
-    """Elementwise ||grad p_h||_{L^2} for the piecewise-linear pressure."""
-    geom = space.geometry()
+    """Elementwise ||grad p_h||_{L^2} of the piecewise-linear pressure over
+    the chunks of ``geom``."""
 
     def chunk(sl):
         g = geom.p1_grad(p_coeffs[space.mesh.tets[sl]])
@@ -511,10 +510,10 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
     sup_da = _sup_da(mu, b_field, geom, threads)
     if sup_da is not None:  # sup |dA| completes ||A||_W1inf
         a_w1inf = math.sqrt(lam1) * anorm + sup_da
-        d2v = broken_h2_velocity(space, result.velocity, threads)
+        d2v = broken_h2_velocity(space, geom, result.velocity, threads)
         rhs_d2v = (1.0 / alpha) * (f_l2 + (1.0 / alpha) * a_w1inf * f_dual)
         bounds.append(_ratio_audit("d2v_broken", d2v, rhs_d2v))
-        gp = broken_h1_pressure(space, result.pressure, threads)
+        gp = broken_h1_pressure(space, geom, result.pressure, threads)
         bounds.append(_ratio_audit("grad_p_broken", gp, anorm * rhs_d2v))
 
     norms = {

@@ -104,8 +104,7 @@ def _prop(name, ok, detail) -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
-def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
-              field_samples: int = 8) -> dict:
+def run_suite(seed: int = 0, trials: int = 50) -> dict:
     """Run every property; returns {"seed", "properties", "all_pass"}."""
     rng = np.random.default_rng(seed)
     props = []
@@ -232,8 +231,8 @@ def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
     props.append(_prop("alpha_constant_brute_force", worst < 1e-10,
                        f"max rel err {worst:.2e}"))
 
-    # discrete Korn identity and coercivity sandwich on a small mesh
-    mesh = build_mesh(mesh_n, mesh_n, mesh_n, 1.0, 1.0, 1.0)
+    # discrete Korn identity and coercivity sandwich on the 3x3x3 unit-cube mesh
+    mesh = build_mesh(3, 3, 3, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
     worst = 0.0
     for _ in range(trials):
@@ -267,8 +266,9 @@ def run_suite(seed: int = 0, trials: int = 50, mesh_n: int = 3,
     props.append(_prop("coercivity_upper", worst_hi < 1e-9,
                        f"worst violation {worst_hi:.2e}"))
 
-    # explicit constitutive bounds on random constant fields + shipped fields
-    pts = cell_centres((1.0, 1.0, 1.0), field_samples)
+    # explicit constitutive bounds on random constant fields + shipped fields,
+    # at the centres of the 8^3 cells of the unit cube
+    pts = cell_centres((1.0, 1.0, 1.0), 8)
     n_fail = 0
     for _ in range(trials):
         b = TensorField.constant(random_spd(rng, unimodular=True))

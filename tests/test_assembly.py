@@ -5,7 +5,7 @@ import pytest
 from conftest import traced_peak
 from scipy.special import roots_legendre
 
-from genstokes.assembly import assemble, full_velocity_block, korn_terms
+from genstokes.assembly import assemble, korn_terms
 from genstokes.constitutive import MuTriple
 from genstokes.errors import (BCViolation, InvalidDimensions, NotElliptic,
                               SingularTensor)
@@ -80,15 +80,22 @@ def dense_velocity_block(mesh, space, a_of_x):
     return K
 
 
-def test_single_cell_dense_oracle_constant_diagonal():
-    mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
+def interior_block(space, K_dense):
+    """The dense matrix restricted to the interior (non-wall) velocity dofs."""
+    idx = space.interior_idx
+    return K_dense[np.ix_(idx, idx)]
+
+
+def test_dense_oracle_constant_diagonal():
+    # mesh 2: mesh 1 has a single interior node
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
     a_mat = np.diag([2.0, 0.5, 1.25])
-    b = TensorField.constant(SymTensor3.from_matrix(a_mat - np.eye(3) * 0.0))
+    b = TensorField.constant(SymTensor3.from_matrix(a_mat))
     # build A = B by choosing mu = (0, 1, 0)
-    K_full, _ = full_velocity_block(space, MuTriple(0.0, 1.0, 0.0), b)
+    system = assemble(mesh, space, MuTriple(0.0, 1.0, 0.0), b)
     K_dense = dense_velocity_block(mesh, space, lambda x: a_mat)
-    assert np.max(np.abs(K_full.toarray() - K_dense)) < 1e-12
+    assert np.max(np.abs(system.K.toarray() - interior_block(space, K_dense))) < 1e-12
 
 
 # a linear, full SPD tensor on [0,1]x[0,2]x[0,0.5] (diagonally dominant):
@@ -108,14 +115,10 @@ def test_dense_oracle_varying_full_tensor_all_shapes():
     mesh = build_mesh(2, 3, 2, 1.0, 2.0, 0.5)
     space = TaylorHoodSpace(mesh)
     b = TensorField.expression(VARYING_B)
-    K_full, _ = full_velocity_block(space, MuTriple(0.0, 1.0, 0.0), b)
-    K_dense = dense_velocity_block(mesh, space, varying_b_matrix)
-    assert np.max(np.abs(K_full.toarray() - K_dense)) < 1e-12
     system = assemble(mesh, space, MuTriple(0.0, 1.0, 0.0), b)
-    idx = space.interior_idx
-    assert np.max(np.abs(system.K.toarray() - K_dense[np.ix_(idx, idx)])) < 1e-12
+    K_dense = dense_velocity_block(mesh, space, varying_b_matrix)
+    assert np.max(np.abs(system.K.toarray() - interior_block(space, K_dense))) < 1e-12
     assert (system.K - system.K.T).count_nonzero() == 0
-    assert (K_full - K_full.T).count_nonzero() == 0
 
 
 def test_threads_bitwise_equal_over_several_chunks(monkeypatch):
@@ -170,40 +173,32 @@ def test_first_assemble_memory_budget():
 
 
 def test_newtonian_reduction_matches_double_strain_form():
-    # with A = I the block equals the assembled form of 2 int D(phi_i):D(phi_j)
-    mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
+    # with A = I the block equals the assembled form of 2 int D(phi_i):D(phi_j);
+    # mesh 2: mesh 1 has a single interior node
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
-    K_full, _ = full_velocity_block(space, MuTriple(1.0, 0.0, 0.0),
-                                    TensorField.identity())
+    system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
     n = space.n_velocity
     K_dense = np.zeros((n, n))
     ref_pts, ref_wts = duffy_rule()
+    eye = np.eye(3)
     for e in range(mesh.n_tets):
         verts = mesh.vertices[mesh.tets[e]]
         coef = barycentric_system(verts)
         const, grad_l = coef[:, 0], coef[:, 1:]
         edge = (verts[1:] - verts[0]).T
         vol = abs(np.linalg.det(edge)) / 6.0
-        nodes = space.tet_nodes[e]
+        dofs = (3 * space.tet_nodes[e][:, None] + np.arange(3)).ravel()
         phys = verts[0] + ref_pts @ edge.T
         for xq, wq in zip(phys, ref_wts):
             lam = const + grad_l @ xq
             _, grads = p2_eval(lam, grad_l)
             weight = wq * 6.0 * vol
-            for i in range(10):
-                for a in range(3):
-                    gw = np.zeros((3, 3))
-                    gw[a, :] = grads[i]
-                    dw = 0.5 * (gw + gw.T)
-                    for j in range(10):
-                        for b in range(3):
-                            gv = np.zeros((3, 3))
-                            gv[b, :] = grads[j]
-                            dv = 0.5 * (gv + gv.T)
-                            K_dense[3 * nodes[i] + a, 3 * nodes[j] + b] += (
-                                weight * 2.0 * np.tensordot(dv, dw)
-                            )
-    assert np.max(np.abs(K_full.toarray() - K_dense)) < 1e-12
+            # D(phi_i e_a) for the 30 pairs (i, a)
+            gw = np.einsum("ab,il->iabl", eye, grads).reshape(30, 3, 3)
+            d = 0.5 * (gw + gw.transpose(0, 2, 1))
+            K_dense[np.ix_(dofs, dofs)] += weight * 2.0 * np.einsum("imn,jmn->ij", d, d)
+    assert np.max(np.abs(system.K.toarray() - interior_block(space, K_dense))) < 1e-12
 
 
 def test_energy_equals_korn_combination():
@@ -258,19 +253,34 @@ def test_assembled_block_symmetry():
     assert np.max(np.abs(diff.toarray())) == 0.0
 
 
-def test_load_vector_partition_of_unity():
-    # integrating a constant vector against F reproduces int f exactly for
-    # polynomial f within the quadrature degree
-    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+def dense_load_vector(mesh, space, f_of_x):
+    """Brute-force F[(i, a)] = int f_a phi_i over all velocity dofs."""
+    F = np.zeros(space.n_velocity)
+    ref_pts, ref_wts = duffy_rule()
+    for e in range(mesh.n_tets):
+        verts = mesh.vertices[mesh.tets[e]]
+        coef = barycentric_system(verts)
+        const, grad_l = coef[:, 0], coef[:, 1:]
+        edge = (verts[1:] - verts[0]).T
+        vol = abs(np.linalg.det(edge)) / 6.0
+        dofs = (3 * space.tet_nodes[e][:, None] + np.arange(3)).ravel()
+        phys = verts[0] + ref_pts @ edge.T
+        for xq, wq in zip(phys, ref_wts):
+            vals, _ = p2_eval(const + grad_l @ xq, grad_l)
+            F[dofs] += wq * 6.0 * vol * np.outer(vals, f_of_x(xq)).ravel()
+    return F
+
+
+def test_load_vector_dense_oracle():
+    # polynomial f of degree 3: the degree-5 integrands are exact under both
+    # rules, so F matches the oracle on the interior dofs up to rounding
+    mesh = build_mesh(2, 3, 2, 1.0, 2.0, 0.5)
     space = TaylorHoodSpace(mesh)
     f = VectorField.expression(["x**2*y", "z**3", "x*y*z"])
-    _, F_full = full_velocity_block(space, MuTriple(1.0, 0.0, 0.0),
-                                    TensorField.identity(), f)
-    exact = np.array([1.0 / 6.0, 1.0 / 4.0, 1.0 / 8.0])  # integrals over unit cube
-    for a in range(3):
-        ones = np.zeros(space.n_velocity)
-        ones[a::3] = 1.0
-        assert float(ones @ F_full) == pytest.approx(exact[a], rel=1e-13)
+    system = assemble(mesh, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity(), f)
+    F_dense = dense_load_vector(
+        mesh, space, lambda x: np.array([x[0] ** 2 * x[1], x[2] ** 3, x[0] * x[1] * x[2]]))
+    np.testing.assert_allclose(system.F, F_dense[space.interior_idx], rtol=1e-13, atol=0.0)
 
 
 def test_zero_forcing_zero_load():

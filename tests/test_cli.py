@@ -15,12 +15,12 @@ from genstokes.solver import minres_solve, solve
 from genstokes.tensors import eig_sym3_batch
 
 
-def make_identity_grid(path, n=3, spd=True):
+def make_identity_grid(path, n=3, spd=True, box=(1.0, 1.0, 1.0)):
     values = np.zeros((n, n, n, 6))
     values[..., :3] = 1.0
     if not spd:
         values[1, 1, 1, 1] = -1.0  # one indefinite node
-    write_grid_file(path, values, (1.0, 1.0, 1.0))
+    write_grid_file(path, values, box)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,26 @@ def test_solve_writes_artifacts(tmp_path):
     assert vtk[3] == "DATASET UNSTRUCTURED_GRID"
     assert any(line.startswith("CELL_TYPES") for line in vtk)
     assert "24" in vtk
+
+
+def test_solve_box_follows_the_grid_file(tmp_path, capsys):
+    # the rule of ellipticity: --box defaults to the grid file's box, and an
+    # explicit --box that differs from it is refused, naming both boxes
+    grid = tmp_path / "b.txt"
+    make_identity_grid(grid, box=(2.0, 2.0, 2.0))
+    args = ["--out", str(tmp_path), "solve", "--mu", "1,0,0", "--mesh", "2",
+            "--b-grid", str(grid), "--f-expr", "1; 0; 0"]
+    assert main(args + ["--box", "1,1,1"]) == 2
+    assert ("--box (1.0, 1.0, 1.0) differs from the grid file's box (2.0, 2.0, 2.0)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
+    vtks = []
+    for box in ([], ["--box", "2"]):  # the default, and an equal box
+        assert main(args + box) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["lambda1"] == pytest.approx(3 * np.pi**2 / 4, rel=1e-15)
+        vtks.append((tmp_path / "solution.vtk").read_text())
+    assert vtks[0] == vtks[1]
 
 
 def test_solve_cell_alpha_is_min_over_cell_quadrature(tmp_path):

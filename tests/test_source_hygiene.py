@@ -131,11 +131,13 @@ _MAIN = "from genstokes.cli import main\nassert main(sys.argv[1:]) == 0"
      "mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)\n"
      "assemble(mesh, TaylorHoodSpace(mesh), MuTriple(1, 1, 1), "
      "TensorField.identity())", (), "none"),
+    # a zero load has the zero solution: MINRES forms no matrix for it
+    (_MAIN, ("--out", "{out}", "solve", "--mu", "1,1,1", "--mesh", "2,2,2"), "none"),
     # MINRES applies K and G as scipy matrices; only the direct route
     # needs scipy.sparse.linalg
     (_MAIN, ("--out", "{out}", "solve", "--mu", "1,1,1", "--mesh", "2,2,2",
              "--f-expr", "sin(pi*x); 0; 0"), "sparse"),
-], ids=["verify-suite", "ellipticity", "assemble", "solve"])
+], ids=["verify-suite", "ellipticity", "assemble", "zero-load-solve", "solve"])
 def test_only_a_solve_loads_scipy(tmp_path, statements, argv, wanted):
     from genstokes.fields import write_grid_file
 

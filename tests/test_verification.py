@@ -369,13 +369,14 @@ def test_broken_h2_exact_for_quadratic_field():
     # single entry 2, so the norm is 2 over the unit cube
     u = np.zeros(space.n_velocity)
     u[0::3] = space.scalar_nodes[:, 0] ** 2
-    assert broken_h2_velocity(space, u) == pytest.approx(2.0, rel=1e-12)
+    assert broken_h2_velocity(space, space.geometry(), u) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_broken_h1_pressure_linear_field():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     p = mesh.vertices[:, 0].copy()
-    assert broken_h1_pressure(TaylorHoodSpace(mesh), p) == pytest.approx(1.0, rel=1e-12)
+    space = TaylorHoodSpace(mesh)
+    assert broken_h1_pressure(space, space.geometry(), p) == pytest.approx(1.0, rel=1e-12)
 
 
 # case_norm_suite values of the sp.diff + lambdify implementation; the
@@ -476,6 +477,19 @@ def _solved(case, n):
     system = assemble(mesh, TaylorHoodSpace(mesh), case.mu, case.b_field,
                       case.f_field)
     return system, minres_solve(system)
+
+
+@pytest.mark.parametrize("quad_n", [2, 4])
+def test_audits_build_no_second_geometry(quad_n):
+    # the broken seminorms run over the assembly rule's geometry, as the
+    # other audit integrals do, so the audits cache no other rule's tables
+    case = make_anisotropic_case()
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    system = assemble(mesh, space, case.mu, case.b_field, case.f_field, quad_n=quad_n)
+    report = audit_estimates(system, minres_solve(system), case.mu, case.b_field)
+    assert {"d2v_broken", "grad_p_broken"} <= {b["id"] for b in report["bounds"]}
+    assert list(space._geometries) == [quad_n]
 
 
 @pytest.fixture(scope="module")
