@@ -10,7 +10,8 @@ scenario of ``ellipticity.classify`` it moves ``mu`` so that an endpoint of
 the admissible set approaches the range of B's eigenvalues (or, in scenario
 i, so that the double root of g approaches it), which drives alpha toward 0.
 
-Run from the repository root (a few minutes on two cores):
+Run from the repository root (about 8 minutes on two cores at the default
+meshes):
 
     PYTHONPATH=src python scripts/minres_sweep.py [--seed N] [--meshes 4,8,12]
 
@@ -42,7 +43,7 @@ from genstokes.fields import TensorField, VectorField  # noqa: E402
 from genstokes.solver import minres_solve  # noqa: E402
 
 # relative distance of the moving endpoint from B's eigenvalue range
-DELTAS = (1.0, 0.3, 0.1, 0.03)
+DELTAS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.001)
 
 
 def families(lmin: float, lmax: float):
@@ -69,6 +70,14 @@ def families(lmin: float, lmax: float):
     ]
 
 
+def shear_fields(seed: int):
+    """The benchmark's shear grid B for ``seed`` and its forcing f."""
+    with tempfile.TemporaryDirectory() as tmp:
+        b = TensorField.from_file(
+            write_inputs("solve-grid-8", seed, tmp)["b_grid"])
+    return b, VectorField.expression([c.strip() for c in F_EXPR.split(";")])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1301)
@@ -78,10 +87,7 @@ def main(argv=None) -> int:
 
     eigs = np.linalg.eigvalsh(shear_tensors(args.seed))
     lmin, lmax = float(eigs.min()), float(eigs.max())
-    with tempfile.TemporaryDirectory() as tmp:
-        b = TensorField.from_file(
-            write_inputs("solve-grid-8", args.seed, tmp)["b_grid"])
-    f = VectorField.expression([c.strip() for c in F_EXPR.split(";")])
+    b, f = shear_fields(args.seed)
     spaces = {}
     for n in meshes:
         mesh = build_mesh(n, n, n, 1.0, 1.0, 1.0)

@@ -9,7 +9,7 @@ on a 3-d box, with a symmetric coefficient tensor A = mu1 I + mu2 B
 left Cauchy-Green tensor in the viscoelastic application).  The package
 provides the pointwise tensor algebra, the positivity analysis that decides
 uniform ellipticity, a quadratic/linear mixed finite element discretization
-on structured tetrahedral meshes, MINRES and direct solvers, and
+on structured tetrahedral meshes, a preconditioned MINRES solver, and
 a verification layer (manufactured solutions, norm audits, diagnostics).
 """
 
@@ -26,7 +26,7 @@ from .ellipticity import (
 from .assembly import SaddleSystem, assemble, korn_terms
 from .fem import BoxMesh, TaylorHoodSpace, build_mesh
 from .fields import ScalarField, TensorField, VectorField
-from .solver import SolveResult, minres_solve, solve
+from .solver import SolveResult, minres_solve
 from .tensors import (
     EigenTriple,
     Invariants3,
@@ -58,7 +58,7 @@ __all__ = [
     "SaddleSystem", "assemble", "korn_terms",
     "BoxMesh", "TaylorHoodSpace", "build_mesh",
     "ScalarField", "TensorField", "VectorField",
-    "SolveResult", "minres_solve", "solve",
+    "SolveResult", "minres_solve",
     "EigenTriple", "Invariants3", "SymTensor3", "ch_inverse", "d2_inverse",
     "d_inverse", "eig_sym3", "invariants", "lop", "symmetrize",
     "ConvergenceTable", "DimNorm", "MMSCase", "dim_norm", "lambda1_box",

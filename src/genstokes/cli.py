@@ -52,7 +52,7 @@ from .errors import (
 )
 from .fem import TaylorHoodSpace, build_mesh, cell_centres
 from .fields import TensorField, VectorField
-from .solver import minres_solve, solve
+from .solver import minres_solve
 from .verification import (
     SHIPPED_CASES,
     audit_estimates,
@@ -93,19 +93,20 @@ def _write_report(path, report) -> None:
         fh.write("\n")
 
 
-def _flag_type(what, cast=float, ok=math.isfinite, counts=(1,),
+def _flag_type(what, cast=float, ok=math.isfinite, counts=(1,), distinct=False,
                shape=lambda vals: vals[0]):
     """An argparse ``type=``: comma-separated values, each converted by
     ``cast`` and kept by ``ok``, as many as ``counts`` allows (any number
-    when it is None), handed to ``shape``.  argparse names the option in
-    the message of a refused value."""
+    when it is None), none repeated if ``distinct``, handed to ``shape``.
+    argparse names the option in the message of a refused value."""
     def convert(text):
         try:
             vals = [cast(v) for v in text.split(",")]
         except ValueError:
             vals = []
         if (not vals or not all(ok(v) for v in vals)
-                or (counts is not None and len(vals) not in counts)):
+                or (counts is not None and len(vals) not in counts)
+                or (distinct and len(set(vals)) < len(vals))):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return shape(vals)
     return convert
@@ -118,8 +119,9 @@ def _triple(vals) -> tuple:
 _MU = _flag_type("three finite numbers mu1,mu2,mu3", counts=(3,),
                  shape=lambda vals: MuTriple(*vals))
 _COUNT = _flag_type("a whole number >= 1", int, lambda v: v >= 1)
-_COUNTS = _flag_type("comma-separated whole numbers >= 1", int, lambda v: v >= 1,
-                     counts=None, shape=list)
+# a repeated division count has no refinement to take a rate over
+_COUNTS = _flag_type("distinct comma-separated whole numbers >= 1", int,
+                     lambda v: v >= 1, counts=None, distinct=True, shape=list)
 _MESH = _flag_type("one or three whole numbers >= 1", int, lambda v: v >= 1,
                    counts=(1, 3), shape=_triple)
 _BOX = _flag_type("one or three finite positive numbers",
@@ -237,10 +239,7 @@ def cmd_solve(args) -> int:
         print(f"ellipticity precheck failed: {exc}")
         return EXIT_NOT_ELLIPTIC
     try:
-        if args.method == "direct":
-            result = solve(system, tol=args.tol)
-        else:
-            result = minres_solve(system, tol=args.tol)
+        result = minres_solve(system, tol=args.tol)
     except (FactorizationFailure, ResidualTooLarge, MaxIterations) as exc:
         print(f"solver failed: {exc}")
         return EXIT_SOLVER
@@ -371,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--f-expr", help="fx;fy;fz forcing expressions")
     ps.add_argument("--quad", type=_COUNT, default=3,
                     help="quadrature points per direction")
-    ps.add_argument("--method", choices=("minres", "direct"),
-                    default="minres")
     ps.add_argument("--tol", type=_POSITIVE, default=1e-10)
     ps.add_argument("--vtk", help="VTK output path")
     ps.add_argument("--report", help="JSON report path")

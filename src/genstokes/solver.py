@@ -1,6 +1,6 @@
-"""Iterative and direct solution of the assembled saddle-point system.
+"""Solution of the assembled saddle-point system.
 
-The default route is MINRES on the symmetric block system [[K, G], [G^t, 0]]
+The solve route is MINRES on the symmetric block system [[K, G], [G^t, 0]]
 with a block-diagonal SPD preconditioner.  The paper's coercivity sandwich
 ``alpha ||grad v||^2 <= a(v, v) <= 2 ||A||_inf ||grad v||^2`` makes K
 spectrally equivalent to the vector Laplacian.  The P2 nodes of Kuhn mesh n
@@ -15,11 +15,11 @@ hand-written pass that applies K and G from the assembled blocks (no copy of
 the KKT matrix).  It measures convergence in the preconditioner's norm, which
 drifts from the 2-norm under refinement, so it stops on the true 2-norm
 residual, checked every few iterations, a fixed factor under the requested
-tolerance; every method's final residual is gated at that tolerance.
+tolerance; the final residual is gated at that tolerance.
 
-The reference route factors the same block matrix with pressure dof 0
-pinned, [[K, G0], [G0^t, 0]] with G0 = G less its first column, with a
-sparse LU and polishes with one step of iterative refinement; the same
+``solve`` is the reference the tests check MINRES against, run by no
+command: a sparse LU of [[K, G0], [G0^t, 0]] (G0 = G less its first column:
+pressure dof 0 pinned) and one step of iterative refinement; the same
 projection then fixes the gauge.
 """
 
@@ -105,22 +105,22 @@ def _finish(system: SaddleSystem, u_int, p, tol, stats) -> SolveResult:
 
 
 def solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
-    """Sparse direct solve of [[K, G0], [G0^t, 0]], the block system with
-    pressure dof 0 pinned (G0 is G without its first column).
+    """Reference sparse direct solve of [[K, G0], [G0^t, 0]], the block
+    system with pressure dof 0 pinned (G0 is G without its first column).
 
     Raises ResidualTooLarge before factorizing when the load vector has a
     non-finite entry, and FactorizationFailure when the gauge weights m are
     not finite and positive or SuperLU fails; the final full residual is
     checked against ``tol``.
     """
-    # imported here: only the direct route needs bmat and scipy.sparse.linalg
-    from scipy.sparse import bmat
-    from scipy.sparse.linalg import splu
-
     _check_load(system.F)
     ni = system.n_interior
     if np.linalg.norm(system.F) == 0.0:
         return _zero_solution(system, {"method": "direct"})
+    # imported past the zero load: only a factorization needs them
+    from scipy.sparse import bmat
+    from scipy.sparse.linalg import splu
+
     _check_gauge(system.m)
     g0 = system.G[:, 1:]
     a = bmat([[system.K, g0], [g0.T, None]], format="csc")
@@ -271,7 +271,7 @@ def _minres(apply_a, b, precond, residual, target):
 
 
 def minres_solve(system: SaddleSystem, tol: float = 1e-10) -> SolveResult:
-    """Block-preconditioned MINRES on [[K, G], [G^t, 0]] (the default route).
+    """Block-preconditioned MINRES on [[K, G], [G^t, 0]] (the solve route).
 
     One MINRES pass on the operator x -> [K u + G p, G^t u], applied from
     the blocks, stops once the true relative residual is at most

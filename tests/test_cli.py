@@ -11,7 +11,7 @@ from genstokes import cli, verification
 from genstokes.cli import main
 from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, write_grid_file
-from genstokes.solver import minres_solve, solve
+from genstokes.solver import minres_solve
 from genstokes.tensors import eig_sym3_batch
 
 
@@ -107,7 +107,7 @@ def test_solve_writes_artifacts(tmp_path):
     apriori = [b for b in report["bounds"]
                if b["id"] == "velocity_gradient_apriori"][0]
     assert apriori["satisfied"] is True
-    assert report["solver"]["method"] == "minres"  # the default
+    assert report["solver"]["method"] == "minres"  # the one route
     assert report["solver"]["iterations"] > 0
     vtk = (tmp_path / "solution.vtk").read_text().splitlines()
     assert vtk[0] == "# vtk DataFile Version 3.0"
@@ -253,35 +253,33 @@ def test_malformed_grid_file_exits_2(tmp_path, capsys, command, text):
         assert text.splitlines()[0] in captured.err  # the refused header
 
 
-def test_solve_direct_method(tmp_path):
-    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", "direct", "--tol", "1e-9",
-                 "--f-expr", "0; 1; 0"])
-    assert code == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["solver"]["method"] == "direct"
-    assert "factor_nnz" in report["solver"]
-
-
 def test_solve_unknown_method_exits_2(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", "uzawa"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "invalid choice: 'uzawa'" in captured.err
-    assert "Traceback" not in captured.out + captured.err
+    # solve has one route, MINRES; --method is gone, as a flag with any
+    # value and as a config line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = direct\n")
+    for head, tail in [([], ["--method", "direct"]), ([], ["--method", "minres"]),
+                       (["--config", str(cfg)], [])]:
+        code = main(["--out", str(tmp_path), *head, "solve", "--mu", "1,0,0",
+                     "--mesh", "2", *tail])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--method" in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_help_returns_0(capsys):
     assert main(["solve", "--help"]) == 0
-    assert "--method" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--tol" in out
+    assert "--method" not in out
 
 
-@pytest.mark.parametrize("method", ["minres", "direct"])
-def test_solve_nan_forcing_exits_5(tmp_path, method):
-    # a NaN load is refused before the solver iterates or factorizes
+def test_solve_nan_forcing_exits_5(tmp_path):
+    # a NaN load is refused before the solver iterates
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", method, "--f-expr", "nan; 0; 0"])
+                 "--mesh", "2", "--f-expr", "nan; 0; 0"])
     assert code == 5
 
 
@@ -305,37 +303,17 @@ def test_solve_expression_outside_grammar_exits_2(tmp_path, capsys, text, node):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_solve_direct_factor_count_out_of_memory_exits_5(tmp_path, monkeypatch):
-    # counting the factor copies it out of SuperLU's storage, which can
-    # run out of memory after the factorization itself succeeded
-    class Factor:
-        @property
-        def L(self):
-            raise MemoryError("Unable to allocate 618. MiB")
-
-        U = L
-
-    monkeypatch.setattr("scipy.sparse.linalg.splu", lambda a: Factor())
-    code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", "direct", "--f-expr", "0; 1; 0"])
-    assert code == 5
-
-
-@pytest.mark.parametrize("method, solver", [("minres", minres_solve),
-                                            ("direct", solve)],
-                         ids=["minres", "direct"])
-def test_solve_tol_gates_final_residual(tmp_path, monkeypatch, method, solver):
+def test_solve_tol_gates_final_residual(tmp_path, monkeypatch):
     # --tol reaches the solver, whose final residual gate it is
     seen = {}
 
     def spy(system, **kwargs):
         seen.update(kwargs)
-        return solver(system, **kwargs)
+        return minres_solve(system, **kwargs)
 
-    monkeypatch.setattr(f"genstokes.cli.{solver.__name__}", spy)
+    monkeypatch.setattr("genstokes.cli.minres_solve", spy)
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0",
-                 "--mesh", "2", "--method", method, "--tol", "1e-12",
-                 "--f-expr", "0; 1; 0"])
+                 "--mesh", "2", "--tol", "1e-12", "--f-expr", "0; 1; 0"])
     assert seen["tol"] == 1e-12
     assert code in (0, 5)
     if code == 0:
@@ -471,7 +449,7 @@ _SOLVE = ["solve", "--mu", "1,0,0", "--mesh", "2"]
 
 
 @pytest.mark.parametrize("config, argv, named", [
-    ("method = uzawa", _SOLVE, "--method"),
+    ("case = uzawa", ["mms", "--meshes", "2"], "--case"),
     ("methdo = direct", _SOLVE, "--methdo"),
     ("= direct", _SOLVE, "run.cfg:1: expected key = value"),
     (None, _SOLVE + ["--quad", "0"], "--quad"),
@@ -484,6 +462,8 @@ _SOLVE = ["solve", "--mu", "1,0,0", "--mesh", "2"]
     (None, ["solve", "--mu", "1,0,0", "--mesh", "0"], "--mesh"),
     (None, _SOLVE + ["--box", "0"], "--box"),
     (None, ["mms", "--meshes", "0"], "--meshes"),
+    (None, ["mms", "--meshes", "2,2"], "--meshes"),
+    (None, ["mms", "--meshes", "2,4,4"], "--meshes"),
     (None, _SOLVE + ["--f-expr", "open('F','w').close() or x; 0; 0"], "BoolOp"),
     (None, ["ellipticity", "--mu", "nan,1,1"], "--mu"),
     (None, ["ellipticity", "--mu", "1,1,1", "--radius", "--eps", "nan"], "--eps"),
@@ -501,7 +481,8 @@ _SOLVE = ["solve", "--mu", "1,0,0", "--mesh", "2"]
      "--b-expr: not allowed with argument --b-grid"),
 ], ids=["config-choice", "config-unknown-key", "config-no-key", "solve-quad", "mms-quad",
         "samples", "mesh-text", "box-text", "meshes-text", "mesh-zero",
-        "box-zero", "meshes-zero", "expression-code", "mu-nan", "eps-nan",
+        "box-zero", "meshes-zero", "meshes-repeated", "meshes-repeated-last",
+        "expression-code", "mu-nan", "eps-nan",
         "seed-negative", "trials-zero", "b-expr-unknown-name",
         "b-expr-repeated-name", "ellipticity-b-grid-and-b-expr",
         "solve-b-expr-and-b-field", "config-b-grid-and-b-expr"])
@@ -524,19 +505,18 @@ def test_refused_setting_exits_2(tmp_path, capsys, monkeypatch, config, argv,
 
 @pytest.mark.parametrize("key, value", [
     ("quad", "0"), ("mesh", "2,2"), ("box", "nan"), ("tol", "0"),
-    ("mu", "1,1"), ("threads", "0"), ("method", "uzawa"), ("radius", "maybe"),
+    ("mu", "1,1"), ("threads", "0"), ("case", "uzawa"), ("radius", "maybe"),
 ])
 def test_config_value_is_checked_like_its_flag(tmp_path, capsys, key, value):
     # a config line is the subcommand's option --key=value
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    command = "ellipticity" if key == "radius" else "solve"
-    flag_code = main(["--out", str(tmp_path), command, "--mu", "1,0,0",
-                      f"--{key}={value}"])
+    command = {"radius": "ellipticity", "case": "mms"}.get(key, "solve")
+    mu = [] if command == "mms" else ["--mu", "1,0,0"]
+    flag_code = main(["--out", str(tmp_path), command, *mu, f"--{key}={value}"])
     flag_err = capsys.readouterr().err.splitlines()[-1]
     code = main(["--config", str(cfg), "--out", str(tmp_path), command,
-                 "--mu", "1,0,0"] if key != "mu" else
-                ["--config", str(cfg), "--out", str(tmp_path), command])
+                 *(mu if key != "mu" else [])])
     err = capsys.readouterr().err.splitlines()[-1]
     assert code == flag_code == 2
     assert err == flag_err and f"--{key}" in err

@@ -116,6 +116,14 @@ def test_cli_import_leaves_out_interpolate_and_optimize():
 
 
 _MAIN = "from genstokes.cli import main\nassert main(sys.argv[1:]) == 0"
+# a zero-load system: no forcing
+_ASSEMBLE = ("from genstokes.assembly import assemble\n"
+             "from genstokes.constitutive import MuTriple\n"
+             "from genstokes.fem import TaylorHoodSpace, build_mesh\n"
+             "from genstokes.fields import TensorField\n"
+             "mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)\n"
+             "system = assemble(mesh, TaylorHoodSpace(mesh), MuTriple(1, 1, 1), "
+             "TensorField.identity())\n")
 
 
 @pytest.mark.parametrize("statements, argv, wanted", [
@@ -124,20 +132,17 @@ _MAIN = "from genstokes.cli import main\nassert main(sys.argv[1:]) == 0"
      (), "none"),
     (_MAIN, ("ellipticity", "--mu", "1,1,1", "--b-grid", "{grid}",
              "--samples", "4"), "none"),
-    ("from genstokes.assembly import assemble\n"
-     "from genstokes.constitutive import MuTriple\n"
-     "from genstokes.fem import TaylorHoodSpace, build_mesh\n"
-     "from genstokes.fields import TensorField\n"
-     "mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)\n"
-     "assemble(mesh, TaylorHoodSpace(mesh), MuTriple(1, 1, 1), "
-     "TensorField.identity())", (), "none"),
-    # a zero load has the zero solution: MINRES forms no matrix for it
+    (_ASSEMBLE, (), "none"),
+    # a zero load has the zero solution: MINRES forms no matrix for it,
+    # and the reference LU returns it before it imports bmat and splu
     (_MAIN, ("--out", "{out}", "solve", "--mu", "1,1,1", "--mesh", "2,2,2"), "none"),
-    # MINRES applies K and G as scipy matrices; only the direct route
+    (_ASSEMBLE + "from genstokes.solver import solve\nsolve(system)", (), "none"),
+    # MINRES applies K and G as scipy matrices; only the reference LU
     # needs scipy.sparse.linalg
     (_MAIN, ("--out", "{out}", "solve", "--mu", "1,1,1", "--mesh", "2,2,2",
              "--f-expr", "sin(pi*x); 0; 0"), "sparse"),
-], ids=["verify-suite", "ellipticity", "assemble", "zero-load-solve", "solve"])
+], ids=["verify-suite", "ellipticity", "assemble", "zero-load-solve",
+        "zero-load-reference-solve", "solve"])
 def test_only_a_solve_loads_scipy(tmp_path, statements, argv, wanted):
     from genstokes.fields import write_grid_file
 
