@@ -16,17 +16,20 @@ so each element matrix is one row of a GEMM against its shape's table
 chunks of elements: each chunk evaluates B once, takes its eigenvalues
 (which give alpha and ||A||_inf), forms A, runs the six GEMMs for the 465
 upper-triangle entries of its element matrices, mirrors them, and integrates
-f against the basis.  K and G are added into the fixed CSR patterns of the
-space (``TaylorHoodSpace.pattern``) and F by interior dof number, chunk by
-chunk in element order.  K is exactly symmetric, memory is linear in the
-mesh, and ``threads`` only computes chunks concurrently: the entries are
-bitwise independent of the thread count.
+f against the basis.  K and G are added into the fixed patterns of the
+space (``TaylorHoodSpace.pattern``: K in 3x3 node blocks, G in scalar
+rows) and F by interior dof number, chunk by chunk in element order.  Each
+chunk's quadrature points are formed from the per-shape tables when it is
+computed (``ElementGeometry.quadrature``).  K is exactly symmetric, memory
+is linear in the mesh, and ``threads`` only computes chunks concurrently:
+the entries are bitwise independent of the thread count.
 
 Assembly keeps the entries as numpy arrays (``SaddleSystem.k_data`` and
 ``g_data``) and loads no scipy module: the scipy matrices ``K`` and ``G``
-are formed over those arrays on first read, which is when a solve first
-imports scipy.sparse.  The property suite behind ``verify`` takes u^t K u
-from the entries (``SaddleSystem.energy``) and never forms K.
+are formed over those arrays on first read (K a BSR matrix with 3x3
+blocks, G a CSR matrix), which is when a solve first imports
+scipy.sparse.  The property suite behind ``verify`` takes u^t K u from the
+entries (``SaddleSystem.energy``) and never forms K.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class SaddleSystem:
 
     @cached_property
     def K(self):
-        """The scipy CSR velocity block over ``k_data``, formed on first read."""
+        """The scipy BSR velocity block (3x3 node blocks) over ``k_data``,
+        formed on first read."""
         return self.space.pattern("K").matrix(self.k_data)
 
     @cached_property
@@ -108,11 +112,13 @@ class SaddleSystem:
         return self.m.size
 
     def energy(self, u_int: np.ndarray) -> float:
-        """u^t K u of interior coefficients, from ``k_data`` and K's pattern
-        (forms no matrix)."""
+        """u^t K u of interior coefficients, from ``k_data`` and K's node
+        pattern (forms no matrix)."""
         pattern = self.space.pattern("K")
-        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-        return float(self.k_data @ (u_int[rows] * u_int[pattern.indices]))
+        rows = np.repeat(np.arange(pattern.indptr.size - 1), np.diff(pattern.indptr))
+        u = u_int.reshape(-1, 3)
+        ku = np.einsum("kab,kb->ka", self.k_data.reshape(-1, 3, 3), u[pattern.indices])
+        return float(np.vdot(u[rows], ku))
 
     def expand_velocity(self, u_int: np.ndarray) -> np.ndarray:
         """Interior coefficients -> full vector with zero walls."""
@@ -181,11 +187,11 @@ def assemble(
     n_interior = k_pat.shape[0]
     if f is None:
         f = VectorField.zero()
-    nq = geom.wdet.shape[1]
+    nq = geom.nq
     endpoints = lambda_endpoints(mu)
 
     def chunk(sl: slice) -> _Chunk:
-        pts = geom.points[sl].reshape(-1, 3)
+        pts, wdet = geom.quadrature(sl)
         bvals = b_field.eval(pts)
         mvals = mu_values(mu, pts)
         samples = positivity_samples(mvals, eig_sym3_batch(bvals), pts, endpoints)
@@ -199,7 +205,6 @@ def assemble(
                 # (shape, cell, q*6) @ (shape, q*6, 465), back to element order
                 upper = np.matmul(a6.reshape(-1, 6, nq * 6).transpose(1, 0, 2), velocity)
                 k_vals = upper.transpose(1, 0, 2).reshape(-1, upper.shape[2])[:, MIRROR]
-        wdet = geom.wdet[sl]
         fv = f.eval(pts).reshape(-1, nq, 3)
         f_vals = np.einsum("eq,eqa,qi->eia", wdet, fv, geom.n2_vals, optimize=True)
         # interior dof 3r + a of node r's component a; wall entries go past the end
@@ -222,8 +227,11 @@ def assemble(
         singular |= part.singular
         del part  # let the next chunk reuse its memory
 
-    pts = geom.flat_points
-    report = positivity_report(mu, pts, blocks)
+    def point(i):  # quadrature point i, element-major
+        e, q = divmod(i, nq)
+        return geom.quadrature(slice(e, e + 1))[0][q]
+
+    report = positivity_report(mu, point, blocks)
     if not report.alpha > 0.0:
         raise NotElliptic(
             f"coefficient not uniformly positive: alpha = {report.alpha:.6g} "
@@ -233,10 +241,11 @@ def assemble(
         )
     if singular:
         # name the first singular sample over all points, as one call would
-        acal_values(mu, b_field, pts)
+        acal_values(mu, b_field, geom.flat_points)
         raise SingularTensor("coefficient B is singular at a quadrature point")
-    mel = np.einsum("eq,qj->ej", geom.wdet, geom.p1_vals)
-    m_vec = np.bincount(mesh.tets.ravel(), mel.ravel(), minlength=space.n_pressure)
+    mel = np.einsum("sq,qj->sj", geom.shape_wdet, geom.p1_vals)
+    m_vec = np.bincount(mesh.tets.ravel(), np.tile(mel, (mesh.n_tets // 6, 1)).ravel(),
+                        minlength=space.n_pressure)
     return SaddleSystem(
         k_data=k_data[:k_pat.nnz], g_data=g_data[:g_pat.nnz], F=f_data[:n_interior],
         m=m_vec, alpha=report.alpha, anorm_inf=max(b.g_max for b in blocks),
@@ -257,10 +266,11 @@ def korn_terms(space: TaylorHoodSpace, u_full: np.ndarray, quad_n: int = 3):
     if np.any(u_full[space.dirichlet_mask] != 0.0):
         raise BCViolation("coefficient vector nonzero on Dirichlet dofs")
     geom = space.geometry(quad_n)
+    wdet = geom.weights(slice(None))
     gv = geom.p2_grad(u_full.reshape(-1, 3)[space.tet_nodes])
     dv = 0.5 * (gv + np.swapaxes(gv, -1, -2))
-    dd = float(np.einsum("eq,eqac,eqac->", geom.wdet, dv, dv))
-    gg = float(np.einsum("eq,eqac,eqac->", geom.wdet, gv, gv))
+    dd = float(np.einsum("eq,eqac,eqac->", wdet, dv, dv))
+    gg = float(np.einsum("eq,eqac,eqac->", wdet, gv, gv))
     div = np.einsum("eqaa->eq", gv)
-    div2 = float(np.einsum("eq,eq->", geom.wdet, div * div))
+    div2 = float(np.einsum("eq,eq->", wdet, div * div))
     return dd, gg, div2

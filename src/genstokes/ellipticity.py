@@ -259,11 +259,12 @@ def positivity_samples(mu_vals, eigs: np.ndarray, pts: np.ndarray,
 _TIE_RTOL = 1e-12
 
 
-def positivity_report(mu, pts: np.ndarray, blocks) -> EllipticityReport:
+def positivity_report(mu, point, blocks) -> EllipticityReport:
     """The report over consecutive blocks of :class:`PositivitySamples`.
 
     alpha is the least g; the minimizer is the first sample whose g lies
-    within a relative 1e-12 of it.
+    within a relative 1e-12 of it, and ``point(i)`` gives the coordinates
+    of sample i.
     """
     g_min = np.concatenate([b.g_min for b in blocks])
     lam_min = np.concatenate([b.lam_min for b in blocks])
@@ -282,7 +283,7 @@ def positivity_report(mu, pts: np.ndarray, blocks) -> EllipticityReport:
         positive=alpha > 0.0,
         scenario=scenario,
         interval_set=lam_set,
-        minimizer_point=tuple(pts[n_idx]),
+        minimizer_point=tuple(point(n_idx)),
         minimizer_eigenvalue=float(lam_min[n_idx]),
         margin=margin,
         alpha_samples=g_min,
@@ -299,7 +300,7 @@ def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     eigs = eig_sym3_batch(b.eval(pts))  # (N, 3) ascending
     samples = positivity_samples(mu_values(mu, pts), eigs, pts, lambda_endpoints(mu))
-    return positivity_report(mu, pts, [samples])
+    return positivity_report(mu, pts.__getitem__, [samples])
 
 
 def _inf_g(mu: MuTriple, lo: float, hi: float) -> float:

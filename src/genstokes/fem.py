@@ -13,13 +13,16 @@ for total degree <= 2n - 1 with n points per direction.
 
 Every element of a Kuhn mesh is a translate of one of the six tetrahedra of
 its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
-keeps its basis gradients, Jacobian determinants and element matrix maps
-(``ElementGeometry.kuhn_tables``) once per shape, and refuses a mesh whose
-elements are not such translates when it is built.  Each space keeps the
-fixed CSR patterns of its two assembled matrices, K and G, and finds where a
-chunk of element entries goes in them when the chunk is scattered
-(``BlockPattern``); the load vector needs no pattern, since its entries go
-to interior dof numbers (``TaylorHoodSpace.interior_number``).
+keeps its basis gradients, Jacobian determinants, quadrature points and
+weights, and element matrix maps (``ElementGeometry.kuhn_tables``) once per
+shape, forms a chunk's points from its cells' corners when asked, and
+refuses a mesh whose elements are not such translates when it is built.
+Each space keeps the fixed patterns of its two assembled matrices, with one
+column index per node pair: K in 3x3 node blocks (BSR), G in scalar rows
+(CSR).  It finds where a chunk of element entries goes in them when the
+chunk is scattered (``BlockPattern``); the load vector needs no pattern,
+since its entries go to interior dof numbers
+(``TaylorHoodSpace.interior_number``).
 The patterns and entries are numpy arrays: scipy enters only in
 ``BlockPattern.matrix``, which imports scipy.sparse when a solve first
 forms a matrix, so meshing and assembly load no scipy module.
@@ -221,16 +224,17 @@ class TaylorHoodSpace:
         return np.where(keep, np.cumsum(keep) - 1, -1)
 
     def pattern(self, block: str) -> "BlockPattern":
-        """The CSR pattern of one assembled block, built once: ``"K"``,
-        interior velocity x interior velocity, or ``"G"``, interior velocity
-        x pressure."""
+        """The pattern of one assembled block, built once: ``"K"``, interior
+        velocity x interior velocity in 3x3 node blocks (BSR), or ``"G"``,
+        interior velocity x pressure (CSR)."""
         if block not in self._patterns:
             rows = self.interior_number[self.tet_nodes]
             n_rows = int(np.count_nonzero(~self.dirichlet_scalar))
             if block == "K":
-                pat = BlockPattern(rows, rows, n_rows, n_rows, 3, 3)
+                pat = BlockPattern(rows, rows, n_rows, n_rows, 3, 3, "bsr")
             elif block == "G":
-                pat = BlockPattern(rows, self.mesh.tets, n_rows, self.n_pressure, 3, 1)
+                pat = BlockPattern(rows, self.mesh.tets, n_rows, self.n_pressure, 3, 1,
+                                   "csr")
             else:
                 raise ValueError(f"no block {block!r}: the patterns are 'K' and 'G'")
             self._patterns[block] = pat
@@ -311,11 +315,15 @@ class ElementGeometry:
     """Geometric tables shared by assembly and error integration.
 
     Element ``e`` is a translate of Kuhn shape ``e % 6`` (checked here, else
-    InvalidDimensions), so the Jacobian's tables are kept per shape: the
-    physical P2 basis gradients ``grads`` (6, nq, 10, 3), ``p1_grads``
-    (6, 4, 3) and ``detj`` (6,).  ``points`` (ne, nq, 3) and ``wdet``
-    (ne, nq) are per element.  The methods apply the shape tables to
-    per-element coefficients.
+    InvalidDimensions), so every table is kept per shape: the physical P2
+    basis gradients ``grads`` (6, nq, 10, 3), ``p1_grads`` (6, 4, 3),
+    ``detj`` (6,), the quadrature points ``shape_points`` (6, nq, 3) from
+    the cell's corner and the weights times |det J| ``shape_wdet`` (6, nq).
+    Beside them only each cell's corner, ``origins`` (ne / 6, 3), is kept;
+    :meth:`quadrature` forms the points and weights of a chunk of elements
+    (:meth:`weights` the weights alone), and nothing is stored per element
+    and quadrature point.  The methods
+    apply the shape tables to per-element coefficients.
 
     The tables are read-only: ``TaylorHoodSpace.geometry`` hands one instance
     to every caller.  Neither the mesh nor the space is kept, so a space that
@@ -339,14 +347,16 @@ class ElementGeometry:
             e = int(np.flatnonzero(off)[0])
             raise InvalidDimensions(f"element {e} is not a translate of Kuhn shape {e % 6}: "
                                     f"its Jacobian differs from element {e % 6}'s")
+        self.n_tets, self.nq = nt, self.ref_wts.size
         self.detj = np.linalg.det(jac[:6])
         # grad_x phi = Jinv^T grad_ref phi; the rows of Jinv are the
         # gradients of barycentric coordinates 1-3
         self.p1_grads = np.einsum("id,sdc->sic", _DL, np.linalg.inv(jac[:6]))
         self.grads = np.einsum("qid,sdc->sqic", n2_grads, self.p1_grads[:, 1:])
-        self.points = np.einsum("qd,ecd->eqc", ref_pts, jac)
-        self.points += mesh.vertices[mesh.tets[:, 0]][:, None, :]
-        self.wdet = np.tile(self.ref_wts * np.abs(self.detj)[:, None], (nt // 6, 1))
+        # every tet of a cell starts at the cell's corner, its origin
+        self.shape_points = np.einsum("qd,scd->sqc", ref_pts, jac[:6])
+        self.origins = mesh.vertices[mesh.tets[::6, 0]]
+        self.shape_wdet = self.ref_wts * np.abs(self.detj)[:, None]
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
@@ -355,7 +365,7 @@ class ElementGeometry:
     def kuhn_tables(self) -> "KuhnTables":
         """The per-shape element maps, built on first use."""
         g = self.grads   # (shape, q, i, 3)
-        w = self.ref_wts * np.abs(self.detj)[:, None]    # (shape, q)
+        w = self.shape_wdet    # (shape, q)
         basis = np.zeros((6, 3, 3))
         for t, (r, c) in enumerate(SYM_PAIRS):
             basis[t, r, c] = basis[t, c, r] = 1.0
@@ -382,9 +392,29 @@ class ElementGeometry:
             table.setflags(write=False)
         return tables
 
+    def weights(self, sl: slice) -> np.ndarray:
+        """The quadrature weights times |det J| (e, nq) of the elements in ``sl``."""
+        e = range(self.n_tets)[sl]
+        return self.shape_wdet[np.arange(e.start, e.stop, e.step) % 6]
+
+    def quadrature(self, sl: slice):
+        """The quadrature points (e * nq, 3), element-major, and the
+        :meth:`weights` of the elements in ``sl``: each element's shape
+        points translated to its cell's origin."""
+        e = range(self.n_tets)[sl]
+        e = np.arange(e.start, e.stop, e.step)
+        pts = self.shape_points[e % 6] + self.origins[e // 6][:, None, :]
+        return pts.reshape(-1, 3), self.weights(sl)
+
     @property
     def flat_points(self) -> np.ndarray:
-        return self.points.reshape(-1, 3)
+        """Every element's quadrature points, formed on each read."""
+        return self.quadrature(slice(None))[0]
+
+    @property
+    def wdet(self) -> np.ndarray:
+        """Every element's quadrature weights (ne, nq), formed on each read."""
+        return self.weights(slice(None))
 
     def integrate_constant(self, values: np.ndarray) -> float:
         """Integrate a field that is constant on each element, given (ne,)."""
@@ -455,63 +485,71 @@ def _node_pairs(rows, cols, n_cols: int) -> list:
 
 
 class BlockPattern:
-    """Fixed CSR pattern of a block assembled from element blocks.
+    """Fixed pattern of a block assembled from element blocks, by node pairs.
 
     ``rows`` (nt, nr) and ``cols`` (nt, nc) are each element's row and column
-    nodes in the block's node numbering, -1 for a dropped (wall) node.  A
-    node carries ``br`` rows (``bc`` columns), numbered ``br*node + a``.  Row
-    ``br*r + a`` holds the columns of the node pairs (r, c) in increasing c,
-    so the entry of element ``e`` at local row ``(i, a)`` and column
-    ``(j, b)`` belongs in ``data[indptr[br*r + a] + bc*k + b]``, with
-    r = rows[e, i] and k the rank of c = cols[e, j] among r's column nodes;
-    dropped entries go to the slots from ``nnz`` on, which :meth:`matrix`
-    leaves out.  The pattern keeps ``rows`` and ``cols`` and finds the slots
-    of a slice of elements when asked, so no table spans every element entry.
+    nodes in the block's node numbering, -1 for a dropped (wall) node.  Node
+    row r holds the column nodes ``indices[indptr[r]:indptr[r + 1]]`` of the
+    distinct node pairs (r, c) that share an element, in increasing c: one
+    int32 per node pair.  A node pair carries a ``br`` x ``bc`` block of
+    entries, row ``br*r + a`` and column ``bc*c + b``.  ``layout`` orders the
+    entries in ``data``:
+
+    * ``"bsr"``: pair k's block is ``data[br*bc*k:][:br*bc]``, row-major, and
+      :meth:`matrix` is a ``scipy.sparse.bsr_matrix``;
+    * ``"csr"``: scalar row ``br*r + a`` holds the blocks' row a in turn,
+      and :meth:`matrix` is a ``scipy.sparse.csr_matrix``.
+
+    :meth:`slots` places a slice of elements' entries; dropped entries go to
+    the slots from ``nnz`` on, which :meth:`matrix` leaves out.  The pattern
+    keeps ``rows`` and ``cols`` and finds the slots when asked, so no table
+    spans every element entry.
     """
 
-    def __init__(self, rows, cols, n_rows: int, n_cols: int, br: int, bc: int):
+    def __init__(self, rows, cols, n_rows: int, n_cols: int, br: int, bc: int,
+                 layout: str):
         self.rows, self.cols = rows.astype(np.int32), cols.astype(np.int32)
-        self.br, self.bc = br, bc
+        self.br, self.bc, self.layout = br, bc, layout
         self.shape = (br * n_rows, bc * n_cols)
         parts = _node_pairs(rows, cols, n_cols)
         degree = sum((np.bincount(keys // n_cols, minlength=n_rows) for keys in parts),
                      np.zeros(n_rows, np.int64))
         self.max_degree = int(degree.max(initial=0))
-        start = np.concatenate([[0], np.cumsum(degree)])
-        self.nnz = br * bc * int(start[-1])
-        self.indptr = np.append(
-            (br * bc * start[:-1, None] + np.arange(br) * bc * degree[:, None]).ravel(),
-            self.nnz).astype(np.int32)
-        self.indices = np.empty(self.nnz, dtype=np.int32)
-        for keys in parts:
-            node_row, node_col = np.divmod(keys, n_cols)
-            # slot of component (0, 0) of each node pair, and the step per row component
-            rank = np.arange(keys.size) - np.searchsorted(node_row, node_row)
-            base = br * bc * start[node_row] + bc * rank
-            stride = bc * degree[node_row]
-            for a in range(br):
-                self.indices[(base + a * stride)[:, None] + np.arange(bc)] = (
-                    bc * node_col[:, None] + np.arange(bc))
-        for table in (self.rows, self.cols, self.indptr, self.indices):
+        self.indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
+        self.nnz = br * bc * int(self.indptr[-1])
+        self.indices = np.empty(int(self.indptr[-1]), dtype=np.int32)
+        lo = 0
+        for keys in parts:  # in row order, each sorted
+            self.indices[lo:lo + keys.size] = keys % n_cols
+            lo += keys.size
+        # the scalar rows of a CSR matrix are built here, with the pattern,
+        # not when a solve forms the matrix and memory is at its height
+        self.scalar_rows = self._scalar_rows() if layout == "csr" else ()
+        for table in (self.rows, self.cols, self.indptr, self.indices, *self.scalar_rows):
             table.setflags(write=False)
 
     def slots(self, sl: slice) -> np.ndarray:
         """(e, nr*br*nc*bc) data slots of the elements in ``sl``, local order."""
         rows, cols = self.rows[sl, :, None], self.cols[sl, None, :]
         keep = (rows >= 0) & (cols >= 0)
-        row = self.br * np.where(keep, rows, 0)
+        row = np.where(keep, rows, 0)
         first = self.indptr[row].astype(np.intp)
-        last = self.indptr[row + 1].astype(np.intp) - self.bc
-        # the slot of each column node in row component 0: by bisection over
-        # the row's sorted columns, the last slot whose column is <= bc * c
-        target = self.bc * cols
-        slot = first
-        step = self.bc << max(self.max_degree - 1, 0).bit_length()
-        while (step := step >> 1) >= self.bc:
-            probe = np.minimum(slot + step, last)
-            slot = np.where(self.indices[probe] <= target, probe, slot)
-        base = np.where(keep, slot, self.nnz)[:, :, None, :, None]
-        stride = np.where(keep, last + self.bc - first, 0)[:, :, None, :, None]
+        last = self.indptr[row + 1].astype(np.intp) - 1
+        # the pair of each column node: by bisection over the row's sorted
+        # column nodes, the last pair whose column is <= c
+        pair = first
+        step = 1 << max(self.max_degree - 1, 0).bit_length()
+        while step := step >> 1:
+            probe = np.minimum(pair + step, last)
+            pair = np.where(self.indices[probe] <= cols, probe, pair)
+        size = self.br * self.bc
+        if self.layout == "bsr":
+            base, stride = size * pair, self.bc
+        else:
+            base = size * first + self.bc * (pair - first)
+            stride = self.bc * (last + 1 - first)
+        base = np.where(keep, base, self.nnz)[:, :, None, :, None]
+        stride = np.where(keep, stride, 0)[:, :, None, :, None]
         a = np.arange(self.br)[:, None, None]
         slots = base + a * stride + np.arange(self.bc)
         return slots.reshape(slots.shape[0], -1)
@@ -521,10 +559,32 @@ class BlockPattern:
         return np.zeros(self.nnz + self.bc)
 
     def matrix(self, data: np.ndarray):
-        """The ``scipy.sparse.csr_matrix`` of ``data`` on this pattern,
-        sharing its memory.  The one place the package builds a scipy
-        matrix, and so where scipy.sparse is first imported."""
+        """The scipy matrix of ``data`` on this pattern, sharing its memory.
+        The one place the package builds a scipy matrix, and so where
+        scipy.sparse is first imported."""
         import scipy.sparse as sparse
 
-        return sparse.csr_matrix((data[:self.nnz], self.indices, self.indptr),
-                                 shape=self.shape)
+        if self.layout == "bsr":
+            return sparse.bsr_matrix(
+                (data[:self.nnz].reshape(-1, self.br, self.bc), self.indices, self.indptr),
+                shape=self.shape)
+        return sparse.csr_matrix((data[:self.nnz], *self.scalar_rows), shape=self.shape)
+
+    def _scalar_rows(self):
+        """(indices, indptr) of the ``"csr"`` layout's scalar rows."""
+        # entry (a, b) of pair k in node row r goes to scalar row br*r + a, at
+        # bc*k + (br - 1)*bc*indptr[r] + a*bc*degree[r] + b (see slots); int32
+        # is exact, since a CSR matrix indexes its entries in int32
+        degree = np.diff(self.indptr)
+        row = np.repeat(np.arange(degree.size, dtype=np.int32), degree)
+        base = (self.bc * np.arange(self.indices.size, dtype=np.int32)
+                + (self.br - 1) * self.bc * self.indptr[row])
+        step = self.bc * degree[row]
+        del row
+        indices = np.empty(self.nnz, dtype=np.int32)
+        for a in range(self.br):
+            for b in range(self.bc):
+                indices[base + a * step + b] = self.bc * self.indices + b
+        indptr = self.bc * (self.br * self.indptr[:-1, None]
+                            + np.arange(self.br, dtype=np.int32) * degree[:, None])
+        return indices, np.append(indptr.ravel(), np.int32(self.nnz))

@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from .assembly import SaddleSystem, _chunks, _in_order, assemble
 from .constitutive import (BoundAudit, MuTriple, _acal_jets, _ratio_audit,
                            coefficient_derivatives)
-from .errors import MissingNormInput
+from .errors import InvalidDimensions, MissingNormInput
 from .fem import TaylorHoodSpace, build_mesh, lattice_points
 from .fields import (COMPONENT_ORDER, ScalarField, TensorField, VectorField,
                      _derivative_stacks, _field_jets, _jet_derivative, _jet_mul,
@@ -146,7 +146,7 @@ def _chunk_sums(geom, fn, threads: int = 1) -> np.ndarray:
     """The sum of ``fn(sl)`` (a number or a tuple of them) over the element chunks
     ``sl`` of ``geom``, added in chunk order whatever ``threads`` is."""
     total = 0.0
-    for part in _in_order(fn, _chunks(*geom.wdet.shape), threads):
+    for part in _in_order(fn, _chunks(geom.n_tets, geom.nq), threads):
         total = total + np.array(part)
     return total
 
@@ -155,14 +155,14 @@ def _centred_l2(geom, values, threads: int = 1) -> float:
     """||g - mean(g)||_L2 of the field whose (e, q) values at the points of
     chunk ``sl`` are ``values(sl)``: the mean from a first chunked pass."""
     def moments(sl):
-        wdet = geom.wdet[sl]
+        wdet = geom.weights(sl)
         return np.sum(wdet), np.sum(wdet * values(sl))
 
     vol, integral = _chunk_sums(geom, moments, threads)
 
     def centred(sl):
         d = values(sl) - integral / vol
-        return np.sum(geom.wdet[sl] * d * d)
+        return np.sum(geom.weights(sl) * d * d)
 
     return math.sqrt(float(_chunk_sums(geom, centred, threads)))
 
@@ -185,8 +185,7 @@ def errors_against_exact(system: SaddleSystem, result: SolveResult,
     u = result.velocity.reshape(-1, 3)
 
     def velocity(sl):
-        wdet = geom.wdet[sl]
-        pts = geom.points[sl].reshape(-1, 3)
+        pts, wdet = geom.quadrature(sl)
         uloc = u[space.tet_nodes[sl]]
         dv = (np.einsum("qi,eia->eqa", geom.n2_vals, uloc)
               - case.v_field.eval(pts).reshape(*wdet.shape, 3))
@@ -195,9 +194,9 @@ def errors_against_exact(system: SaddleSystem, result: SolveResult,
                 np.einsum("eq,eqa,eqa->", wdet, dv, dv))
 
     def pressure(sl):
-        p_exact = case.p_field.eval(geom.points[sl].reshape(-1, 3))
+        pts, wdet = geom.quadrature(sl)
         return (_p1_values(geom, system.mesh.tets[sl], result.pressure)
-                - p_exact.reshape(geom.wdet[sl].shape))
+                - case.p_field.eval(pts).reshape(wdet.shape))
 
     h1_sq, l2_sq = _chunk_sums(geom, velocity, threads)
     return (math.sqrt(float(h1_sq)), math.sqrt(float(l2_sq)),
@@ -246,9 +245,18 @@ class ConvergenceTable:
 def run_convergence(case: MMSCase, divisions, quad_n: int = 3,
                     threads: int = 1, with_audits: bool = True) -> ConvergenceTable:
     """Solve the case on a mesh sequence of the unit cube, on whose walls its
-    manufactured velocity vanishes, and tabulate errors and rates."""
+    manufactured velocity vanishes, and tabulate errors and rates.
+
+    Raises InvalidDimensions before any work when a division count repeats:
+    a rate needs two distinct mesh sizes.
+    """
+    divisions = list(divisions)
+    for i, n in enumerate(divisions):
+        if n in divisions[:i]:
+            raise InvalidDimensions(f"division count {n} is repeated: "
+                                    "a rate needs two distinct mesh sizes")
     box = (1.0, 1.0, 1.0)
-    table = ConvergenceTable(case.name, list(divisions), [], [], [], [])
+    table = ConvergenceTable(case.name, divisions, [], [], [], [])
     case_norms = case_norm_suite(case, lambda1_box(*box), box) if with_audits else None
     for n in divisions:
         mesh = build_mesh(n, n, n, *box)
@@ -459,12 +467,12 @@ def _sup_da(mu, b_field: TensorField, geom, threads: int = 1) -> Optional[float]
     """sup |dA| over the quadrature points of ``geom``, chunk by chunk; None
     as soon as one chunk's B is refused by :func:`coefficient_derivatives`."""
     def chunk(sl):
-        pts = geom.points[sl].reshape(-1, 3)
+        pts, _ = geom.quadrature(sl)
         derivs = coefficient_derivatives(mu, b_field, pts, b_field.eval(pts))
         return None if derivs is None else float(np.max(np.abs(derivs[3][1])))
 
     sups = []
-    for part in _in_order(chunk, _chunks(*geom.wdet.shape), threads):
+    for part in _in_order(chunk, _chunks(geom.n_tets, geom.nq), threads):
         if part is None:
             return None
         sups.append(part)
@@ -490,7 +498,7 @@ def audit_estimates(system: SaddleSystem, result: SolveResult, mu,
 
     def grad_sq(sl):
         gv = geom.p2_grad(u[space.tet_nodes[sl]])
-        return np.einsum("eq,eqac,eqac->", geom.wdet[sl], gv, gv)
+        return np.einsum("eq,eqac,eqac->", geom.weights(sl), gv, gv)
 
     grad_v = math.sqrt(float(_chunk_sums(geom, grad_sq, threads)))
     p_l2 = _centred_l2(

@@ -157,6 +157,32 @@ def test_solve_cell_alpha_is_min_over_cell_quadrature(tmp_path):
     assert got == [f"{a:.12g}" for a in want]
 
 
+def test_vtk_rows_are_the_per_row_format_in_any_batch(tmp_path, monkeypatch):
+    # the sections are %-formatted in joined batches; every row must read
+    # as its own "{:.12g}" format would, across batch boundaries too
+    from genstokes import vtkio
+
+    space = TaylorHoodSpace(build_mesh(2, 2, 2, 1.0, 1.0, 1.0))
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(space.n_velocity)
+    u[:4] = (-0.0, 1e-300, 1e20, np.inf)
+    p = rng.standard_normal(space.n_pressure)
+    alpha = rng.random(space.mesh.n_tets)
+    texts = []
+    for rows in (1 << 14, 7):
+        monkeypatch.setattr(vtkio, "_ROWS_PER_WRITE", rows)
+        vtkio.write_vtk(tmp_path / "s.vtk", space, u, p, alpha)
+        texts.append((tmp_path / "s.vtk").read_text())
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    start = lines.index("VECTORS velocity double") + 1
+    want = [" ".join(f"{v:.12g}" for v in row) for row in u.reshape(-1, 3)]
+    assert lines[start:start + len(want)] == want
+    start = lines.index(f"CELLS {space.mesh.n_tets} {space.mesh.n_tets * 11}") + 1
+    assert lines[start] == "10 " + " ".join(
+        str(i) for i in space.tet_nodes[0, vtkio._VTK_NODE_ORDER])
+
+
 def test_solve_zero_forcing_zero_fields(tmp_path):
     code = main(["--out", str(tmp_path), "solve", "--mu", "1,0,0", "--mesh", "2"])
     assert code == 0

@@ -178,12 +178,39 @@ def test_geometry_built_once_per_quadrature():
 def test_cached_geometry_tables_are_read_only():
     space = TaylorHoodSpace(build_mesh(1, 1, 1, 1.0, 1.0, 1.0))
     geom = space.geometry(3)
-    for table in (geom.grads, geom.wdet, geom.points, geom.n2_vals,
-                  geom.p1_vals, geom.p1_grads, geom.detj):
+    for table in (geom.grads, geom.shape_wdet, geom.shape_points, geom.origins,
+                  geom.n2_vals, geom.p1_vals, geom.p1_grads, geom.detj):
         with pytest.raises(ValueError):
             table[0] = 0.0
     with pytest.raises(ValueError):
-        geom.flat_points[0, 0] = 1.0  # views share the flag
+        geom.shape_points.reshape(-1)[0] = 1.0  # views share the flag
+
+
+@pytest.mark.parametrize("dims,box,exact", [
+    ((8, 8, 8), (1.0, 1.0, 1.0), True),
+    ((3, 4, 5), (1.0, 2.0, 0.5), False),
+])
+def test_chunk_points_match_per_element_einsum(dims, box, exact):
+    # the points of each element from its own Jacobian, as a per-element
+    # table held them; a dyadic mesh gives every element of a shape the
+    # same Jacobian bits, a non-dyadic one only to rounding
+    mesh = build_mesh(*dims, *box)
+    geom = TaylorHoodSpace(mesh).geometry(3)
+    ref_pts, ref_wts = quad_tet(3)
+    jac = mesh.jacobians()
+    want = np.einsum("qd,ecd->eqc", ref_pts, jac)
+    want += mesh.vertices[mesh.tets[:, 0]][:, None, :]
+    want_w = ref_wts * np.abs(np.linalg.det(jac))[:, None]
+    sl = slice(12, 6 * mesh.nx * mesh.ny * mesh.nz - 18)
+    pts, wdet = geom.quadrature(sl)
+    assert pts.shape == (want[sl].size // 3, 3) and wdet.shape == want_w[sl].shape
+    if exact:
+        assert pts.tobytes() == want[sl].reshape(-1, 3).tobytes()
+        assert wdet.tobytes() == want_w[sl].tobytes()
+    else:
+        assert np.max(np.abs(pts - want[sl].reshape(-1, 3))) <= 1e-15 * max(box)
+        assert np.max(np.abs(wdet - want_w[sl])) <= 1e-15 * np.max(want_w)
+    assert geom.flat_points.tobytes() == geom.quadrature(slice(None))[0].tobytes()
 
 
 def test_geometry_cache_forms_no_reference_cycle():
@@ -263,20 +290,26 @@ def test_geometry_refuses_partial_kuhn_cell():
 
 
 def test_geometry_memory_is_per_shape():
-    # tracemalloc peak of the quad_n = 4 geometry at mesh 8: 6.7 MB, almost
-    # all of it the per-element points and weights; a per-element gradient
-    # table would add 47 MB (the whole build peaked at 57 MB with one).
-    # The bound leaves a 50% margin.
-    space = TaylorHoodSpace(build_mesh(8, 8, 8, 1.0, 1.0, 1.0))
-    assert traced_peak(lambda: space.geometry(4)) < 10e6
+    # tracemalloc peak of the quad_n = 4 geometry at mesh 8: 0.77 MB, the
+    # Jacobians and the check that every element is a translate of its
+    # shape; per-element points and weights took it to 6.6 MB, and a
+    # per-element gradient table would add 47 MB.  No table is kept per
+    # element and quadrature point.
+    mesh = build_mesh(8, 8, 8, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    assert traced_peak(lambda: space.geometry(4)) < 1e6
     geom = space.geometry(4)
     assert geom.grads.shape == (6, 64, 10, 3)
+    tables = [t for t in vars(geom).values() if isinstance(t, np.ndarray)]
+    assert all(t.size < mesh.n_tets * geom.nq and t.shape[0] != mesh.n_tets
+               for t in tables)
 
 
 def test_pattern_build_memory_budget():
-    # tracemalloc peak of the mesh-16 K pattern build: 45 MB, of which the
-    # kept indices are 28 MB; a whole-mesh np.unique of the element node
-    # pairs, with per-entry slot tables, peaked at 126 MB
+    # tracemalloc peak of the mesh-16 K pattern build: 19 MB, of which the
+    # kept node-pair indices are 3 MB (45 MB with one index per scalar
+    # entry, 27 MB of them kept); a whole-mesh np.unique of the element
+    # node pairs, with per-entry slot tables, peaked at 126 MB
     space = TaylorHoodSpace(build_mesh(16, 16, 16, 1.0, 1.0, 1.0))
     peak = traced_peak(lambda: space.pattern("K"))
     assert peak <= 60 * 2**20, f"K pattern peak {peak / 2**20:.1f} MB > 60 MB"
@@ -284,20 +317,32 @@ def test_pattern_build_memory_budget():
 
 @pytest.mark.parametrize("block", ["K", "G"])
 def test_pattern_slots_hold_their_entries(block):
-    # every kept element entry's slot lies in the CSR row br*r + a at the
-    # column bc*c + b; dropped entries go past nnz
+    # every kept element entry's slot holds the matrix entry at row br*r + a
+    # and column bc*c + b; dropped entries go past nnz.  K keeps node pair k
+    # (row node r, column node indices[k]) as the 3x3 block of slots 9k to
+    # 9k + 8, row-major; G keeps scalar rows
     space = TaylorHoodSpace(build_mesh(3, 2, 2, 1.0, 1.5, 0.5))
     pat = space.pattern(block)
     slots = pat.slots(slice(0, space.mesh.n_tets)).reshape(
         -1, pat.rows.shape[1], pat.br, pat.cols.shape[1], pat.bc)
-    row_of = np.repeat(np.arange(pat.shape[0]), np.diff(pat.indptr))
     e, i, a, j, b = np.indices(slots.shape)
     r, c = pat.rows[e, i], pat.cols[e, j]
     kept = (r >= 0) & (c >= 0)
     s = slots[kept]
-    assert np.array_equal(row_of[s], (pat.br * r + a)[kept])
-    assert np.array_equal(pat.indices[s], (pat.bc * c + b)[kept])
     assert np.all(slots[~kept] >= pat.nnz)
+    if block == "K":
+        assert (pat.layout, pat.br, pat.bc) == ("bsr", 3, 3)
+        node_row = np.repeat(np.arange(pat.indptr.size - 1), np.diff(pat.indptr))
+        assert np.array_equal(node_row[s // 9], r[kept])
+        assert np.array_equal(pat.indices[s // 9], c[kept])
+        assert np.array_equal(s % 9, (3 * a + b)[kept])
+        assert pat.indices.size == pat.nnz // 9
+    # the matrix over data = slot numbers puts each slot at its entry
+    coo = pat.matrix(np.arange(pat.nnz, dtype=float)).tocoo()
+    row_of, col_of = np.empty(pat.nnz, int), np.empty(pat.nnz, int)
+    row_of[coo.data.astype(int)], col_of[coo.data.astype(int)] = coo.row, coo.col
+    assert np.array_equal(row_of[s], (pat.br * r + a)[kept])
+    assert np.array_equal(col_of[s], (pat.bc * c + b)[kept])
 
 
 def test_patterns_are_the_two_assembled_matrices():

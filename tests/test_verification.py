@@ -11,7 +11,7 @@ from conftest import traced_peak
 from genstokes import assembly, constitutive, verification
 from genstokes.assembly import assemble
 from genstokes.constitutive import MuTriple, coefficient_derivatives
-from genstokes.errors import ConfigError, MissingNormInput
+from genstokes.errors import ConfigError, InvalidDimensions, MissingNormInput
 from genstokes.fem import TaylorHoodSpace, build_mesh, lattice_points
 from genstokes.fields import COMPONENT_ORDER, ScalarField, TensorField
 from genstokes.solver import minres_solve
@@ -424,6 +424,19 @@ def test_single_mesh_run_has_no_rates():
     table = run_convergence(case, [2], with_audits=False)
     assert table.last_rates() is None
     assert table.rates() == {"h1_v": [], "l2_v": [], "l2_p": []}
+
+
+@pytest.mark.parametrize("divisions", [[2, 2], (2, 4, 2)])
+def test_run_convergence_refuses_repeated_division_count(monkeypatch, divisions):
+    # refused before any assembly or norm suite: a rate over one mesh size
+    # would divide by log(h0 / h1) = 0
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the divisions were checked")
+
+    monkeypatch.setattr(verification, "assemble", fail)
+    monkeypatch.setattr(verification, "case_norm_suite", fail)
+    with pytest.raises(InvalidDimensions, match="division count 2 is repeated"):
+        run_convergence(make_classical_case(), divisions)
 
 
 def test_errors_decrease_under_refinement():
