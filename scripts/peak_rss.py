@@ -1,20 +1,17 @@
-"""Peak memory and stage times of one ``solve`` at a chosen mesh.
+"""Peak memory and wall time of one ``genstokes solve`` at a chosen mesh.
 
-Runs the stages of ``genstokes solve`` (mesh and space, assembly, MINRES,
-the estimate audits, the per-cell alpha and the VTK output) on the
-benchmark's solve-grid-8 inputs: the seeded 17^3 shear grid B
-(``perfbench.inputs``), mu = (1, 1, 0.5) and ``F_EXPR``, at mesh N x N x N.
-They run in a child process whose address space is capped by
-``RLIMIT_AS``, with BLAS pinned to one thread.  The child reports each
-stage's wall time, and its own peak RSS so far, as the stage ends.  The
-parent then prints the child's wall time and peak resident set
-(``ru_maxrss`` from ``os.wait4``), or, when the child fails, its exit code
-and the stage it was in.
+Writes the benchmark's solve-grid-8 inputs (the 17^3 shear grid B of seed
+1301 from ``perfbench.inputs``, mu from ``perfbench.pipeline.MU`` and
+``F_EXPR``) to a temporary directory, then runs
+``python -m genstokes.cli --threads 1 solve --mesh N,N,N ...`` on them, with
+its report and VTK output, in a child process whose address space is capped
+by ``RLIMIT_AS`` and whose BLAS is pinned to one thread.  It prints the
+child's wall time and peak resident set (``ru_maxrss`` from ``os.wait4``),
+or, when the child fails, its exit code.
 
 Run from the repository root (the child imports genstokes from ``src``):
 
     python scripts/peak_rss.py --mesh 32 [--limit-gb 7]
-        [--seed 1301] [--threads 1]
 
 The exit code is the child's: 0 when it completed, 128 + n when signal n
 ended it.
@@ -31,74 +28,42 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, ROOT)
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
-MU = (1.0, 1.0, 0.5)
+SEED = 1301
+WORKLOAD = "solve-grid-8"
 
 
-def run_stages(mesh_n: int, seed: int, threads: int, workdir: str) -> None:
-    """The stages of ``solve`` in this process, one ``stage`` / ``done``
-    line per stage on standard output."""
-    from genstokes.assembly import assemble
-    from genstokes.constitutive import MuTriple
-    from genstokes.fem import TaylorHoodSpace, build_mesh
-    from genstokes.fields import TensorField, VectorField
-    from genstokes.solver import minres_solve
-    from genstokes.verification import audit_estimates
-    from genstokes.vtkio import write_vtk
+def measure(mesh_n: int, limit_gb: float) -> int:
+    """Run ``solve`` in a child capped at ``limit_gb``; print its wall time
+    and peak RSS, or its exit code.  Returns the exit code."""
     from perfbench.inputs import F_EXPR, write_inputs
+    from perfbench.pipeline import MU
 
-    def stage(name, fn):
-        print(f"stage {name}", flush=True)
-        start = time.perf_counter()
-        out = fn()
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"done {name} {time.perf_counter() - start:.2f} s, peak RSS so far "
-              f"{peak:.1f} MB", flush=True)
-        return out
-
-    mu = MuTriple(*MU)
-    b = TensorField.from_file(write_inputs("solve-grid-8", seed, workdir)["b_grid"])
-    f = VectorField.expression([c.strip() for c in F_EXPR.split(";")])
-    mesh = stage("mesh", lambda: build_mesh(mesh_n, mesh_n, mesh_n, 1.0, 1.0, 1.0))
-    space = TaylorHoodSpace(mesh)
-    system = stage("assemble", lambda: assemble(mesh, space, mu, b, f, threads=threads))
-    result = stage("minres", lambda: minres_solve(system))
-    print(f"minres iterations {result.stats['iterations']}", flush=True)
-    stage("audit", lambda: audit_estimates(system, result, mu, b, threads=threads))
-    alpha_cells = system.alpha_report.alpha_samples.reshape(mesh.n_tets, -1).min(axis=1)
-    stage("vtk", lambda: write_vtk(os.path.join(workdir, "solution.vtk"), space,
-                                   result.velocity, result.pressure, alpha_cells))
-
-
-def measure(mesh_n: int, limit_gb: float, seed: int, threads: int) -> int:
-    """Run the stages in a child capped at ``limit_gb``; print its stage
-    times, wall time and peak RSS, or its exit code.  Returns the exit code."""
     limit = int(limit_gb * 2**30)
     # the child imports genstokes from this checkout, whatever the caller's path
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, os.path.abspath(__file__), "--child", "--mesh", str(mesh_n),
-            "--seed", str(seed), "--threads", str(threads)]
-    start = time.perf_counter()
-    child = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, text=True, env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    current = "start-up"  # imports and inputs, before the first stage
-    for line in child.stdout:
-        print(line, end="", flush=True)
-        if line.startswith("stage "):
-            current = line.split()[1]
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as workdir:
+        b_grid = write_inputs(WORKLOAD, SEED, workdir)["b_grid"]
+        argv = [sys.executable, "-m", "genstokes.cli", "--threads", "1", "--out", workdir,
+                "solve", "--mu", ",".join(f"{v:g}" for v in MU[WORKLOAD]),
+                "--mesh", f"{mesh_n},{mesh_n},{mesh_n}", "--b-grid", b_grid,
+                "--f-expr", F_EXPR]
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            argv, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
     code = os.waitstatus_to_exitcode(status)
     if code == 0:
         print(f"mesh {mesh_n}: wall {wall:.1f} s, peak RSS "
               f"{usage.ru_maxrss / 1024:.1f} MB (limit {limit_gb:g} GB)")
     else:
-        print(f"mesh {mesh_n}: exit code {code} in stage {current} after {wall:.1f} s "
+        print(f"mesh {mesh_n}: exit code {code} after {wall:.1f} s "
               f"(limit {limit_gb:g} GB)")
     return code
 
@@ -108,16 +73,8 @@ def main(argv=None) -> int:
     parser.add_argument("--mesh", type=int, required=True, help="divisions per axis")
     parser.add_argument("--limit-gb", type=float, default=7.0,
                         help="the child's address-space limit in GB")
-    parser.add_argument("--seed", type=int, default=1301,
-                        help="benchmark seed of the shear grid")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        with tempfile.TemporaryDirectory() as workdir:
-            run_stages(args.mesh, args.seed, args.threads, workdir)
-        return 0
-    code = measure(args.mesh, args.limit_gb, args.seed, args.threads)
+    code = measure(args.mesh, args.limit_gb)
     return code if code >= 0 else 128 - code  # killed by signal -code, as a shell reports it
 
 

@@ -16,7 +16,8 @@ its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
 keeps its basis gradients, Jacobian determinants, quadrature points and
 weights, and element matrix maps (``ElementGeometry.kuhn_tables``) once per
 shape, forms a chunk's points from its cells' corners when asked, and
-refuses a mesh whose elements are not such translates when it is built.
+refuses a mesh whose elements are not such translates, or whose six tets of
+a cell do not start at its corner, when it is built.
 Each space keeps the fixed patterns of its two assembled matrices, with one
 column index per node pair: K in 3x3 node blocks (BSR), G in scalar rows
 (CSR).  It finds where a chunk of element entries goes in them when the
@@ -314,7 +315,8 @@ def p1_basis(pts: np.ndarray):
 class ElementGeometry:
     """Geometric tables shared by assembly and error integration.
 
-    Element ``e`` is a translate of Kuhn shape ``e % 6`` (checked here, else
+    Element ``e`` is a translate of Kuhn shape ``e % 6`` whose first vertex
+    is the corner of cell ``e // 6`` (both checked here, else
     InvalidDimensions), so every table is kept per shape: the physical P2
     basis gradients ``grads`` (6, nq, 10, 3), ``p1_grads`` (6, 4, 3),
     ``detj`` (6,), the quadrature points ``shape_points`` (6, nq, 3) from
@@ -347,6 +349,12 @@ class ElementGeometry:
             e = int(np.flatnonzero(off)[0])
             raise InvalidDimensions(f"element {e} is not a translate of Kuhn shape {e % 6}: "
                                     f"its Jacobian differs from element {e % 6}'s")
+        corners = mesh.tets[:, 0].reshape(nt // 6, 6)
+        apart = np.flatnonzero(np.any(corners != corners[:, :1], axis=1))
+        if apart.size:
+            k = int(apart[0])
+            raise InvalidDimensions(f"elements {6 * k}..{6 * k + 5} do not share a first "
+                                    f"vertex, the corner of Kuhn cell {k}")
         self.n_tets, self.nq = nt, self.ref_wts.size
         self.detj = np.linalg.det(jac[:6])
         # grad_x phi = Jinv^T grad_ref phi; the rows of Jinv are the

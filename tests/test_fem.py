@@ -289,6 +289,19 @@ def test_geometry_refuses_partial_kuhn_cell():
         TaylorHoodSpace(cut).geometry(3)
 
 
+def test_geometry_refuses_cells_that_swap_tets_of_one_shape():
+    # swapping two cells' tets of one shape keeps every element a translate
+    # of shape e % 6, but each of the two cells then holds a tet that starts
+    # at the other cell's corner
+    mesh = build_mesh(2, 1, 1, 1.0, 1.0, 1.0)
+    order = np.arange(mesh.n_tets)
+    order[[2, 8]] = order[[8, 2]]
+    swapped = BoxMesh(2, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[order],
+                      mesh.edges, mesh.tet_edges[order])
+    with pytest.raises(InvalidDimensions, match="do not share a first vertex"):
+        TaylorHoodSpace(swapped).geometry(3)
+
+
 def test_geometry_memory_is_per_shape():
     # tracemalloc peak of the quad_n = 4 geometry at mesh 8: 0.77 MB, the
     # Jacobians and the check that every element is a translate of its

@@ -46,13 +46,12 @@ def test_minres_reaches_the_last_member_of_every_family():
         assert np.max(np.abs(m.pressure - d.pressure)) <= 1e-8, label
 
 
-def test_peak_rss_reports_a_mesh_2_solve(capsys):
-    # the parent runs every stage of solve in a capped child and reports
-    # the child's own peak resident set
+def test_peak_rss_reports_a_mesh_2_solve(capfd):
+    # the parent runs the solve command in a capped child and reports the
+    # child's own peak resident set
     code = _load("peak_rss").main(["--mesh", "2", "--limit-gb", "4"])
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert code == 0, out
-    for name in ("mesh", "assemble", "minres", "audit", "vtk"):
-        assert f"done {name} " in out
+    assert re.search(r"^wrote \S+solution\.vtk and \S+report\.json$", out, re.MULTILINE)
     assert re.search(r"^mesh 2: wall [0-9.]+ s, peak RSS [0-9.]+ MB \(limit 4 GB\)$",
                      out, re.MULTILINE)
