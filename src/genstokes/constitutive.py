@@ -3,8 +3,8 @@
 The derivatives of B^{-1} and A come from one formula, the truncated Taylor
 jets (``fields``) of B^{-1} = adj(B) / det(B) and A, which holds to any
 order and for any determinant; the audits and the manufactured coefficient
-read the same jets.  Values of B^{-1}, and so of A, come from the
-Cayley-Hamilton inverse, which refuses ill-conditioned samples.
+read the same jets.  Values of B^{-1}, and so of A, come from the same
+cofactor expansion in ``ch_inverse_batch``, which refuses ill-conditioned B.
 
 The audits compare sampled sup-norms (max-abs-entry for tensors) against the
 explicit constants of the constitutive regularity estimates; inequalities
@@ -24,7 +24,7 @@ from .errors import DomainError
 from .fields import (_COMP_INDEX, COMPONENT_ORDER, ScalarField, TensorField,
                      _field_jets, _jet_array, _jet_mul, _jet_pow, _jet_sum,
                      _symmetric_stack, _taylor_tables)
-from .tensors import SymTensor3, ch_inverse_batch, unimodular_batch
+from .tensors import SymTensor3, _adjugate, ch_inverse_batch, unimodular_batch
 
 __all__ = [
     "MuTriple",
@@ -117,21 +117,16 @@ def acal_samples(mu_vals, bvals: np.ndarray, binv=None) -> np.ndarray:
 def _coefficient_jets(mu_jets, b: dict, order) -> tuple:
     """The jets of B^{-1} = adj(B) / det(B) and of A = mu1 I + mu2 B +
     mu3 B^{-1}, each {(i, j): jet} over the upper triangle, from the jets
-    of the mu_k and the ``TensorField.jets`` of B."""
+    of the mu_k and the ``TensorField.jets`` of B, through the cofactor
+    expansion of ``ch_inverse_batch``, whose values are the order-0 B^{-1}."""
     _, pairs = _taylor_tables(order)
-
-    def cofactor(i, j):
-        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
-        return _jet_sum(_jet_mul(b[i1, j1], b[i2, j2], pairs),
-                        -_jet_mul(b[i1, j2], b[i2, j1], pairs))
-
-    adj = {ij: cofactor(*ij) for ij in _COMP_INDEX.values()}
-    det = _jet_sum(*(_jet_mul(b[0, j], adj[0, j], pairs) for j in range(3)))
+    mul = lambda x, y: _jet_mul(x, y, pairs)
+    adj, det = _adjugate(b, mul, _jet_sum)
     inv_det = _jet_pow(det, -1.0, order, pairs)
-    inv = {ij: _jet_mul(adj[ij], inv_det, pairs) for ij in adj}
+    inv = {ij: mul(c, inv_det) for ij, c in adj.items()}
     m1, m2, m3 = mu_jets
-    return inv, {(i, j): _jet_sum(m1 if i == j else 0.0, _jet_mul(m2, b[i, j], pairs),
-                                  _jet_mul(m3, inv[i, j], pairs)) for i, j in inv}
+    return inv, {(i, j): _jet_sum(m1 if i == j else 0.0, mul(m2, b[i, j]),
+                                  mul(m3, inv[i, j])) for i, j in inv}
 
 
 def _acal_jets(mu, b: TensorField, pts, order) -> list:
@@ -235,10 +230,9 @@ def audit_bounds(mu, b: TensorField, pts, volume: float = 1.0) -> list:
         or coefficient_derivatives(mu, b, pts, bvals, binv, order=0))
     audits = []
 
-    dets = np.linalg.det(bvals)
     sup_b, _ = _sup_entry(bvals)
     sup_binv, idx_binv = _sup_entry(binv)
-    sup_detinv = float(np.max(1.0 / np.abs(dets)))
+    sup_detinv = float(np.max(1.0 / np.abs(_adjugate(bvals)[1])))
 
     lhs = sup_binv
     rhs = 15.0 * sup_detinv * sup_b**2

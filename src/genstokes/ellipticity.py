@@ -267,13 +267,14 @@ def positivity_report(mu, point, blocks) -> EllipticityReport:
     of sample i.
     """
     g_min = np.concatenate([b.g_min for b in blocks])
-    lam_min = np.concatenate([b.lam_min for b in blocks])
     alpha = float(g_min.min())
     if math.isfinite(alpha):
         n_idx = int(np.argmax(g_min <= alpha + _TIE_RTOL * abs(alpha)))
     else:  # NaN or -inf: the first sample attaining it
         n_idx = int(np.argmin(g_min))
 
+    starts = np.cumsum([0] + [len(b.g_min) for b in blocks])
+    k = int(np.searchsorted(starts, n_idx, side="right")) - 1  # the block holding it
     scenario = lam_set = margin = None
     if isinstance(mu, MuTriple):
         scenario, lam_set = classify(mu)
@@ -284,7 +285,7 @@ def positivity_report(mu, point, blocks) -> EllipticityReport:
         scenario=scenario,
         interval_set=lam_set,
         minimizer_point=tuple(point(n_idx)),
-        minimizer_eigenvalue=float(lam_min[n_idx]),
+        minimizer_eigenvalue=float(blocks[k].lam_min[n_idx - starts[k]]),
         margin=margin,
         alpha_samples=g_min,
     )

@@ -188,8 +188,9 @@ def _jet_derivative(a, k: int, order: int):
 
 
 def _jet_sum(*terms):
-    """Sum of jets; a constant adds to row 0 only."""
-    const = sum((t for t in terms if isinstance(t, float)), np.float64(0.0))
+    """Sum of jets; constants add to row 0 only, starting from -0.0, the
+    identity of IEEE addition, which keeps the sign of a zero."""
+    const = sum((t for t in terms if isinstance(t, float)), np.float64(-0.0))
     arrays = [t for t in terms if not isinstance(t, float)]
     if not arrays:
         return const

@@ -1,7 +1,7 @@
 """Pointwise algebra of symmetric 3x3 tensors.
 
 Componentwise arithmetic on small immutable values: principal invariants,
-the Cayley-Hamilton inverse, the symmetrization operator S(M), the product
+the inverse adj(B) / det B, the symmetrization operator S(M), the product
 operator S(M)A + A S(M), and the paper's analytic first and second
 derivatives of the inverse of a unimodular tensor (``verify`` checks them;
 the coefficient derivatives are ``constitutive``'s jets).  Eigenvalues come
@@ -11,7 +11,8 @@ entry.
 Each stacked formula has one vectorized kernel over (..., 3, 3) arrays
 (``eig_sym3_batch``, ``ch_inverse_batch``, ``d_inverse_batch``,
 ``d2_inverse_batch``); the scalar entry points on :class:`SymTensor3` values
-are wrappers around them.
+are wrappers around them.  The cofactors and the determinant have one
+expansion, ``_adjugate``, which ``constitutive`` also runs on Taylor jets.
 
 All functions are pure; values are frozen dataclasses, so concurrent use is
 safe.
@@ -19,6 +20,7 @@ safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +50,9 @@ __all__ = [
 # the derivative formulas of B^{-1}.
 UNIMODULAR_TOL = 1e-8
 
-# Largest max|B X - I| that ch_inverse_batch returns.  Beyond it the
-# cancellation in the Cayley-Hamilton form has outrun the polish (condition
-# numbers of about 1e5 and up), and the inverse is refused, not returned.
+# Largest max|B X - I| that ch_inverse_batch returns; a less accurate inverse
+# is refused.  Of randomly rotated spectra with condition number 1e5 / 1e6 /
+# 1e7, 0 / 5% / 30% are refused; rotated diag(l, l, 1/l^2) from 2.7e10.
 _INVERSE_RESIDUAL_TOL = 1e-6
 
 
@@ -144,12 +146,7 @@ def invariants(b: SymTensor3) -> Invariants3:
         + 2.0 * (b.a12 * b.a12 + b.a13 * b.a13 + b.a23 * b.a23)
     )
     i2 = 0.5 * (i1 * i1 - tr_b2)
-    i3 = (
-        b.a11 * (b.a22 * b.a33 - b.a23 * b.a23)
-        - b.a12 * (b.a12 * b.a33 - b.a23 * b.a13)
-        + b.a13 * (b.a12 * b.a23 - b.a22 * b.a13)
-    )
-    return Invariants3(i1, i2, i3)
+    return Invariants3(i1, i2, float(_adjugate(b.to_matrix())[1]))
 
 
 def eig_sym3(b: SymTensor3) -> EigenTriple:
@@ -171,26 +168,35 @@ def eig_sym3_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def ch_inverse(b: SymTensor3) -> SymTensor3:
-    """Inverse via the Cayley-Hamilton representation; see :func:`ch_inverse_batch`."""
+    """Inverse adj(B) / det B; see :func:`ch_inverse_batch`."""
     return SymTensor3.from_matrix(ch_inverse_batch(b.to_matrix()))
 
 
-def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
-    """Cayley-Hamilton inverse for an (..., 3, 3) symmetric stack.
+def _adjugate(b, mul=operator.mul, add=operator.add) -> tuple:
+    """The cofactors {(i, j): adj(B)_ij} over the upper triangle of a symmetric
+    B, and det B = sum_j B_0j adj(B)_0j.  ``b`` is an (..., 3, 3) stack, or
+    B's entries {(i, j): jet} with the jets' product ``mul`` and sum ``add``."""
+    if isinstance(b, np.ndarray):
+        b = np.moveaxis(b, (-2, -1), (0, 1))  # b[i, j]: the stack of entries (i, j)
+    adj = {}
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+        adj[i, j] = add(mul(b[i1, j1], b[i2, j2]), -mul(b[i1, j2], b[i2, j1]))
+    return adj, add(add(mul(b[0, 0], adj[0, 0]), mul(b[0, 1], adj[0, 1])),
+                    mul(b[0, 2], adj[0, 2]))
 
-    B^{-1} = (B^2 - (Tr B) B + II_B I) / det B, followed by one
-    multiplicative refinement step X <- X (2I - B X); the quadratic term of
-    the representation cancels strongly for ill-conditioned inputs and the
-    polish restores the product accuracy.  Raises :class:`SingularTensor`,
-    naming the first offending sample, when |det B| <= 1e-14 * ||B||_F^3,
-    or when the polished inverse X still has max|B X - I| above
-    ``_INVERSE_RESIDUAL_TOL``.
+
+def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
+    """B^{-1} = adj(B) / det B for an (..., 3, 3) symmetric stack.
+
+    ``_adjugate``'s cofactors, which are the Cayley-Hamilton numerator
+    B^2 - (Tr B) B + II_B I, times 1/det B: bitwise the order-0 jets of B^{-1}
+    in ``constitutive``.  Raises :class:`SingularTensor`, naming the first
+    offending sample, when |det B| <= 1e-14 * ||B||_F^3 or when the inverse X
+    has max|B X - I| above ``_INVERSE_RESIDUAL_TOL``.
     """
     mats = np.asarray(mats, dtype=float)
-    i1 = np.trace(mats, axis1=-2, axis2=-1)
-    tr_b2 = np.sum(mats * np.swapaxes(mats, -1, -2), axis=(-2, -1))
-    i2 = 0.5 * (i1 * i1 - tr_b2)
-    det = np.linalg.det(mats)
+    adj, det = _adjugate(mats)
     scale = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
     bad = np.flatnonzero(np.abs(det) <= 1e-14 * np.maximum(scale**3, 1e-300))
     if bad.size:
@@ -199,18 +205,15 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
             f"inversion (first: flat index {bad[0]}, "
             f"det = {np.ravel(det)[bad[0]]:.3e})"
         )
-    b2 = mats @ mats
-    eye = np.eye(3)
-    binv = (
-        b2 - i1[..., None, None] * mats + i2[..., None, None] * eye
-    ) / det[..., None, None]
-    binv = binv @ (2.0 * eye - mats @ binv)
-    binv = 0.5 * (binv + np.swapaxes(binv, -1, -2))
-    resid = np.max(np.abs(mats @ binv - eye), axis=(-2, -1))
+    inv_det = 1.0 / det
+    binv = np.empty_like(mats)
+    for (i, j), c in adj.items():
+        binv[..., i, j] = binv[..., j, i] = c * inv_det
+    resid = np.max(np.abs(mats @ binv - np.eye(3)), axis=(-2, -1))
     bad = np.flatnonzero(resid > _INVERSE_RESIDUAL_TOL)
     if bad.size:
         raise SingularTensor(
-            f"{bad.size} sample(s) too ill-conditioned for the Cayley-Hamilton "
+            f"{bad.size} sample(s) too ill-conditioned for the cofactor "
             f"inverse (first: flat index {bad[0]}, "
             f"max|BX - I| = {np.ravel(resid)[bad[0]]:.3e})"
         )
@@ -292,7 +295,7 @@ def lop(a: SymTensor3, m) -> SymTensor3:
 def unimodular_batch(mats: np.ndarray) -> np.ndarray:
     """Whether det B = 1 within ``UNIMODULAR_TOL``, per matrix of an
     (..., 3, 3) stack; a non-finite determinant is not."""
-    return np.abs(np.linalg.det(mats) - 1.0) <= UNIMODULAR_TOL
+    return np.abs(_adjugate(np.asarray(mats, dtype=float))[1] - 1.0) <= UNIMODULAR_TOL
 
 
 def _check_unimodular(b: SymTensor3) -> None:

@@ -2,8 +2,8 @@
 
 Each property draws its own data from one seeded generator and reports a
 pass flag plus a short numeric detail.  The checks mirror the pointwise
-identities (symmetrization, the product operator bound, Cayley-Hamilton
-inversion, derivative formulas), the admissible-set classification against
+identities (symmetrization, the product operator bound, the cofactor
+inverse, derivative formulas), the admissible-set classification against
 brute-force sign sampling, the discrete Korn identity, the coercivity
 sandwich of the assembled velocity block, and the explicit constitutive
 norm bounds.
@@ -143,7 +143,7 @@ def run_suite(seed: int = 0, trials: int = 50) -> dict:
     props.append(_prop("lop_antisymmetric_kernel", worst_anti < 1e-12,
                        f"max |L| {worst_anti:.2e}"))
 
-    # Cayley-Hamilton inverse and eigenvalue reconstruction
+    # the inverse adj(B) / det B and eigenvalue reconstruction
     worst_inv, worst_rec = 0.0, 0.0
     for _ in range(trials):
         b = random_spd(rng)

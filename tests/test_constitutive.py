@@ -16,9 +16,12 @@ from genstokes.constitutive import (
     shipped_smooth_fields,
 )
 from genstokes.errors import DomainError, SingularTensor
-from genstokes.fields import ScalarField, TensorField, write_grid_file
-from genstokes.tensors import (SymTensor3, d2_inverse_batch, d_inverse_batch,
-                               eig_sym3, unimodular_batch)
+from genstokes.fields import (ScalarField, TensorField, _field_jets,
+                              _symmetric_stack, write_grid_file)
+from genstokes.tensors import (UNIMODULAR_TOL, SymTensor3, ch_inverse_batch,
+                               d2_inverse_batch, d_inverse_batch, eig_sym3,
+                               unimodular_batch)
+from genstokes.verification import SHIPPED_CASES
 
 from test_tensors import as_array, random_spd
 from test_verification import _DET2_B
@@ -253,6 +256,33 @@ def test_inverse_jets_match_the_unimodular_formulas():
     det2 = TensorField.expression(_DET2_B)
     assert not unimodular_batch(det2.eval(pts)).any()
     assert coefficient_derivatives(mu, det2, pts, det2.eval(pts), order=2) is None
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_inverse_values_are_bitwise_the_inverse_jets(order):
+    # ch_inverse_batch and the jets of B^{-1} run one cofactor expansion and
+    # both multiply by 1/det, so the values agree to the bit, signed zeros
+    # included; a kernel that divides by det differs in the last bit
+    pts = grid_points(9)
+    mu_jets = _field_jets(constitutive._mu_fields(MuTriple(1.0, 1.0, 1.0)), pts, order)
+    for name, fld in shipped_smooth_fields().items():
+        inv, _ = constitutive._coefficient_jets(mu_jets, fld.jets(pts, order), order)
+        jets = _symmetric_stack(inv, len(pts), 0, order)
+        values = ch_inverse_batch(fld.eval(pts))
+        assert np.array_equal(values.view(np.uint64), jets.view(np.uint64)), name
+
+
+def test_unimodular_verdict_is_that_of_the_lu_determinant():
+    # unimodular_batch reads the cofactor determinant; on the shipped fields,
+    # both manufactured cases and a det-2 field it says what LAPACK's LU
+    # determinant says, sample by sample
+    pts = grid_points(16)
+    fields = [*shipped_smooth_fields().values(), TensorField.expression(_DET2_B),
+              *(make().b_field for make in SHIPPED_CASES.values())]
+    for fld in fields:
+        bvals = fld.eval(pts)
+        lu = np.abs(np.linalg.det(bvals) - 1.0) <= UNIMODULAR_TOL
+        assert np.array_equal(unimodular_batch(bvals), lu)
 
 
 def test_constant_b_has_zero_derivatives_and_a_varying_grid_must_be_unimodular(

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from genstokes.constitutive import MuTriple, g_eval
+from genstokes.constitutive import MuTriple, g_eval, mu_values
 from genstokes.ellipticity import (
     IntervalSet,
     Scenario,
     alpha_field,
     classify,
+    lambda_endpoints,
     max_identity_perturbation,
+    positivity_report,
+    positivity_samples,
     roots,
 )
 from genstokes.errors import DegenerateQuadratic, NotAdmissible, NotSPD
@@ -273,6 +276,29 @@ def test_alpha_minimizer_stays_put_under_rounding_level_ties():
     assert nudged.minimizer_point == flat.minimizer_point == tuple(pts[0])
     assert nudged.minimizer_eigenvalue == flat.minimizer_eigenvalue == 0.5
     assert nudged.as_dict()["minimizer_point"] == flat.as_dict()["minimizer_point"]
+
+
+def test_report_over_blocks_is_the_one_block_report():
+    # the minimizer's eigenvalue is read from the block that holds it, here
+    # the third of four unequal blocks
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(size=(600, 3))
+    eigs = np.sort(rng.uniform(0.5, 3.0, size=(600, 3)), axis=1)
+    eigs[400, 0] = 0.2  # the first sample of a block
+    mu = MuTriple(0.0, 1.0, 0.0)  # g(lambda) = lambda
+
+    def samples(sl):
+        return positivity_samples(mu_values(mu, pts[sl]), eigs[sl], pts[sl],
+                                  lambda_endpoints(mu))
+
+    one = positivity_report(mu, pts.__getitem__, [samples(slice(None))])
+    cuts = (0, 150, 400, 500, 600)
+    many = positivity_report(mu, pts.__getitem__,
+                             [samples(slice(a, b)) for a, b in zip(cuts, cuts[1:])])
+    assert many.alpha == one.alpha == 0.2
+    assert many.minimizer_point == one.minimizer_point == tuple(pts[400])
+    assert many.minimizer_eigenvalue == one.minimizer_eigenvalue == 0.2
+    assert np.array_equal(many.alpha_samples, one.alpha_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ behind.  A third check
 keeps sympy and scipy off the import path of the CLI, and a fourth checks
 that only a solve loads scipy, and only the scipy it uses; a fifth keeps
 expression fields on one evaluator, a sixth keeps sympy out of the package
-and text from being evaluated anywhere, and a seventh keeps the layout of
-a jet as arrays inside ``fields``.
+and text from being evaluated anywhere, a seventh keeps the layout of
+a jet as arrays inside ``fields``, and an eighth keeps B^{-1} and det B on
+one cofactor expansion.
 """
 
 import ast
@@ -200,3 +201,25 @@ def test_jet_layout_is_named_only_in_fields():
         if node_name in layout
     )
     assert users == []
+
+
+def test_lapack_det_and_inv_only_for_jacobians_and_random_spd():
+    # B^{-1} and det B come from one cofactor expansion, tensors._adjugate;
+    # LAPACK's det and inv are left for the element Jacobians and for
+    # scaling verify's random samples to det 1
+    calls = []
+    for name, tree in _modules().items():
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first: inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("det", "inv")
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg"):
+                calls.append(f"{name} {owner.get(node, '<module>')} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                calls += [f"{name} import {a.name}" for a in node.names
+                          if a.name in ("det", "inv")]
+    assert sorted(calls) == ["fem.py __init__ det", "fem.py __init__ inv",
+                             "verifysuite.py random_spd det"]

@@ -398,17 +398,24 @@ def test_ch_inverse_batch_names_first_singular_sample():
 
 
 def test_ch_inverse_batch_refuses_ill_conditioned_unimodular():
-    # rotated diag(l, l, 1/l^2): np.linalg.inv inverts these to 1e-7, but
-    # the Cayley-Hamilton form loses the small eigenvalue to cancellation
+    # rotated diag(l, l, 1/l^2), condition l^3: the cofactor inverse returns
+    # l = 300 and 1000 (max|BX - I| 2.1e-9 and 4.8e-8) and refuses l = 3000
+    # and 1e4 on the residual; from l = 1e5 the determinant check refuses
     q = Rotation.from_euler("zyz", (0.3, 1.1, -0.7)).as_matrix()
-    mats = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-    for k, lam in ((2, 1000.0), (3, 300.0)):
-        m = (q * np.array([lam, lam, lam**-2])) @ q.T
-        mats[k] = 0.5 * (m + m.T)
-        assert np.max(np.abs(mats[k] @ np.linalg.inv(mats[k]) - np.eye(3))) < 1e-6
+
+    def stack(lams):
+        mats = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+        for k, lam in zip((2, 3), lams):
+            m = (q * np.array([lam, lam, lam**-2])) @ q.T
+            mats[k] = 0.5 * (m + m.T)
+        return mats
+
+    mats = stack((1000.0, 300.0))
+    resid = np.abs(mats @ ch_inverse_batch(mats) - np.eye(3))
+    assert np.max(resid) <= tensors._INVERSE_RESIDUAL_TOL
     with pytest.raises(SingularTensor,
                        match=r"^2 sample\(s\) too ill-conditioned .*flat index 2,"):
-        ch_inverse_batch(mats)
+        ch_inverse_batch(stack((3000.0, 1e4)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
