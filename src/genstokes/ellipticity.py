@@ -80,8 +80,12 @@ class IntervalSet:
         if len(self.intervals) > 2:
             raise ValueError("at most two intervals supported")
 
-    def contains(self, lam: float) -> bool:
-        return any(lo < lam < hi for lo, hi in self.intervals)
+    def contains(self, lam):
+        """Whether ``lam`` lies in the set, elementwise for an array."""
+        inside = np.zeros(np.shape(lam), dtype=bool)
+        for lo, hi in self.intervals:
+            inside |= (lo < lam) & (lam < hi)
+        return inside if inside.ndim else bool(inside)
 
     def finite_endpoints(self) -> list:
         out = []

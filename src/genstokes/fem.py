@@ -5,11 +5,13 @@ split into six tetrahedra sharing the cell's main diagonal (the standard
 Kuhn subdivision); face diagonals are consistent across neighbours, so the
 mesh is conforming.  Node and element ordering are fully deterministic.
 
-Velocity uses quadratic elements (vertex + edge-midpoint nodes per
-component), pressure linear elements on vertices; the pair is inf-sup
-stable.  Tetrahedral quadrature comes from a conical-product construction
-(Gauss-Jacobi x Gauss-Jacobi x Gauss-Legendre on the collapsed cube), exact
-for total degree <= 2n - 1 with n points per direction.
+Velocity uses quadratic elements, pressure linear elements on vertices; the
+pair is inf-sup stable.  The quadratic nodes of Kuhn mesh n are the vertices
+of Kuhn mesh 2n (Freudenthal refinement); this module alone numbers them, as
+that lattice's points in C order, so the interior nodes are its interior
+grid in C order.  Tetrahedral quadrature comes from a conical-product
+construction (Gauss-Jacobi x Gauss-Jacobi x Gauss-Legendre on the collapsed
+cube), exact for total degree <= 2n - 1 with n points per direction.
 
 Every element of a Kuhn mesh is a translate of one of the six tetrahedra of
 its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
@@ -52,6 +54,7 @@ __all__ = [
     "KuhnTables",
     "BlockPattern",
     "LOCAL_EDGES",
+    "P2_NODES",
     "SYM_PAIRS",
     "MIRROR",
     "lattice_points",
@@ -60,6 +63,8 @@ __all__ = [
 
 # Local edge order of a tetrahedron (a, b, c, d).
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# The vertex pair (a, b) of each local P2 node: the vertices, then the edges.
+P2_NODES = ((0, 0), (1, 1), (2, 2), (3, 3), *LOCAL_EDGES)
 
 # The six Kuhn tetrahedra of the unit cell: vertex paths from (0,0,0) to
 # (1,1,1), one axis step per permutation entry.
@@ -96,10 +101,8 @@ class BoxMesh:
     lx: float
     ly: float
     lz: float
-    vertices: np.ndarray  # (nv, 3)
+    vertices: np.ndarray  # (nv, 3), the lattice points in C order
     tets: np.ndarray      # (nt, 4) vertex ids
-    edges: np.ndarray     # (ne, 2) sorted vertex pairs
-    tet_edges: np.ndarray  # (nt, 6) edge ids in LOCAL_EDGES order
 
     @property
     def n_vertices(self) -> int:
@@ -119,12 +122,6 @@ class BoxMesh:
         v = self.vertices[self.tets]
         return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
 
-    def on_walls(self, pts) -> np.ndarray:
-        """Mask of the points ``pts`` (m, 3) that lie on a face of the box."""
-        tol = 1e-12 * max(self.box)
-        box = np.array(self.box)
-        return np.any((np.abs(pts) <= tol) | (np.abs(pts - box) <= tol), axis=1)
-
 
 def lattice_points(axes) -> np.ndarray:
     """(n0*n1*n2, 3) points of the tensor lattice of three axis arrays, C order."""
@@ -140,6 +137,12 @@ def cell_centres(box, n: int) -> np.ndarray:
     )
 
 
+def _box_lattice(divisions, box) -> np.ndarray:
+    """The points of the box's lattice with ``divisions`` cells per axis, C order."""
+    return lattice_points([np.linspace(0.0, length, n + 1)
+                           for n, length in zip(divisions, box)])
+
+
 def build_mesh(nx: int, ny: int, nz: int, lx: float, ly: float, lz: float) -> BoxMesh:
     """Structured Kuhn-subdivided tetrahedral mesh of the box."""
     if min(nx, ny, nz) < 1:
@@ -147,30 +150,21 @@ def build_mesh(nx: int, ny: int, nz: int, lx: float, ly: float, lz: float) -> Bo
     if min(lx, ly, lz) <= 0:
         raise InvalidDimensions("edge lengths must be positive")
 
-    vertices = lattice_points([np.linspace(0.0, length, n + 1)
-                               for n, length in zip((nx, ny, nz), (lx, ly, lz))])
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
+    vertices = _box_lattice((nx, ny, nz), (lx, ly, lz))
     base = lattice_points([np.arange(nx), np.arange(ny), np.arange(nz)])  # (ncell, 3)
-    # corners[c, t, v] = vertex id of vertex v of Kuhn tet t in cell c
-    corner_idx = base[:, None, None, :] + _KUHN_CORNERS[None, :, :, :]
-    tets = vid(corner_idx[..., 0], corner_idx[..., 1], corner_idx[..., 2])
-    tets = tets.reshape(-1, 4).astype(np.int64)
-
-    pairs = tets[:, LOCAL_EDGES]  # (nt, 6, 2)
-    pairs = np.sort(pairs, axis=-1).reshape(-1, 2)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    tet_edges = inverse.reshape(-1, 6).astype(np.int64)
-
-    return BoxMesh(nx, ny, nz, float(lx), float(ly), float(lz),
-                   vertices, tets, edges, tet_edges)
+    # vertex v of Kuhn tet t in cell c: index(c) + index(_KUHN_CORNERS[t, v])
+    index = np.array([(ny + 1) * (nz + 1), nz + 1, 1])  # of a lattice point
+    tets = ((base @ index)[:, None, None] + _KUHN_CORNERS @ index).reshape(-1, 4)
+    return BoxMesh(nx, ny, nz, float(lx), float(ly), float(lz), vertices, tets)
 
 
 @dataclass
 class TaylorHoodSpace:
-    """Quadratic velocity / linear pressure pair with zero-velocity walls."""
+    """Quadratic velocity / linear pressure pair with zero-velocity walls.
+
+    Scalar node r is point r of the lattice of Kuhn mesh 2n in C order, so
+    the interior nodes are its interior grid, the DST grid, in C order.
+    """
 
     mesh: BoxMesh
     scalar_nodes: np.ndarray = field(init=False)   # (n_scalar, 3) coordinates
@@ -184,15 +178,19 @@ class TaylorHoodSpace:
 
     def __post_init__(self):
         mesh = self.mesh
-        midpoints = 0.5 * (
-            mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]]
-        )
-        self.scalar_nodes = np.vstack([mesh.vertices, midpoints])
-        self.tet_nodes = np.hstack(
-            [mesh.tets, mesh.n_vertices + mesh.tet_edges]
-        ).astype(np.int64)
-
-        self.dirichlet_scalar = mesh.on_walls(self.scalar_nodes)
+        cells = np.array([mesh.nx, mesh.ny, mesh.nz])
+        if mesh.n_vertices != np.prod(cells + 1):
+            raise InvalidDimensions(f"{mesh.n_vertices} vertices are not the lattice "
+                                    f"of {mesh.nx} x {mesh.ny} x {mesh.nz} cells")
+        self.scalar_nodes = _box_lattice(2 * cells, mesh.box)
+        # q[v]: the fine-lattice index of vertex v's own lattice point; the index
+        # is linear, so local node (a, b) of P2_NODES, the sum point, is q[a] + q[b]
+        q = np.ravel_multi_index(np.indices(cells + 1).reshape(3, -1), 2 * cells + 1)
+        self.tet_nodes = np.empty((mesh.n_tets, 10), dtype=np.int64)
+        for node, (a, b) in enumerate(P2_NODES):
+            self.tet_nodes[:, node] = q[mesh.tets[:, a]] + q[mesh.tets[:, b]]
+        interior = np.zeros(2 * cells - 1, dtype=bool)  # the walls pad the DST grid
+        self.dirichlet_scalar = np.pad(interior, 1, constant_values=True).ravel()
         self.dirichlet_mask = np.repeat(self.dirichlet_scalar, 3)
 
     @property
@@ -438,7 +436,7 @@ class ElementGeometry:
         """(ne, a, c, d) = d_c d_d v_a, constant per element, of the P2 fields
         with element coefficients ``coeffs`` (ne, 10, a)."""
         # vertex i: 4 grad L_i grad L_i^T; edge (a, b): 4 (grad L_a grad L_b^T + transpose)
-        a, b = np.array([(0, 0), (1, 1), (2, 2), (3, 3), *LOCAL_EDGES]).T
+        a, b = np.array(P2_NODES).T
         outer = np.einsum("sic,sid->sicd", self.p1_grads[:, a], self.p1_grads[:, b])
         hess = np.where(a == b, 2.0, 4.0)[:, None, None] * (outer + outer.swapaxes(-1, -2))
         return self._by_shape("xsia,sicd->xsacd", coeffs, hess)

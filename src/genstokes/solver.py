@@ -7,7 +7,8 @@ spectrally equivalent to the vector Laplacian.  The P2 nodes of Kuhn mesh n
 are the lattice of Kuhn mesh 2n, where the P1 Laplacian stiffness is the
 7-point stencil, so the velocity block is preconditioned by a DST-I fast
 Poisson solve on that lattice (three products with each axis's sine matrix
-per transform), scaled by c = (alpha + ||A||_inf) / 2; the
+per transform, on the interior grid, whose C order is the space's numbering),
+scaled by c = (alpha + ||A||_inf) / 2; the
 pressure block by the lumped P1 mass m / c.  The constant pressure spans the
 (consistent) null space; the gauge is fixed afterwards by projecting to zero
 m-weighted mean, so no gauge enters the iteration.  MINRES is one
@@ -158,13 +159,10 @@ def _lattice_preconditioner(system: SaddleSystem):
     c = (alpha + ||A||_inf) / 2 comes from the coercivity sandwich.
     """
     _check_gauge(system.m)
-    mesh, space = system.mesh, system.space
+    mesh = system.mesh
     dims = 2 * np.array([mesh.nx, mesh.ny, mesh.nz])
     h = np.array(mesh.box) / dims
     shape = tuple(int(d) - 1 for d in dims)
-    nodes = space.scalar_nodes[~space.dirichlet_scalar]
-    lattice = np.ravel_multi_index(
-        (np.rint(nodes / h).astype(np.int64) - 1).T, shape)
     lam = sum(
         ((2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))) / hk**2)
         .reshape([-1 if k == axis else 1 for k in range(3)])
@@ -185,10 +183,10 @@ def _lattice_preconditioner(system: SaddleSystem):
         return (grid.reshape(-1, n2) @ sines[2]).reshape(3, n0, n1, n2)
 
     def velocity(r):
-        grid = np.empty((3, lattice.size))
-        grid[:, lattice] = r.reshape(-1, 3).T
+        # interior dof 3 r + a is component a at point r of the grid, C order
+        grid = r.reshape(-1, 3).T.reshape(3, n0, n1, n2)
         grid = sine_products(sine_products(grid) / scale)
-        return grid.reshape(3, -1)[:, lattice].T.ravel()
+        return grid.reshape(3, -1).T.ravel()
 
     return velocity, c / system.m
 

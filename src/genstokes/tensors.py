@@ -192,13 +192,13 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
     ``_adjugate``'s cofactors, which are the Cayley-Hamilton numerator
     B^2 - (Tr B) B + II_B I, times 1/det B: bitwise the order-0 jets of B^{-1}
     in ``constitutive``.  Raises :class:`SingularTensor`, naming the first
-    offending sample, when |det B| <= 1e-14 * ||B||_F^3 or when the inverse X
-    has max|B X - I| above ``_INVERSE_RESIDUAL_TOL``.
+    offending sample, unless |det B| > 1e-14 * ||B||_F^3 and the inverse X
+    has max|B X - I| <= ``_INVERSE_RESIDUAL_TOL``: a NaN or inf is refused.
     """
     mats = np.asarray(mats, dtype=float)
     adj, det = _adjugate(mats)
     scale = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
-    bad = np.flatnonzero(np.abs(det) <= 1e-14 * np.maximum(scale**3, 1e-300))
+    bad = np.flatnonzero(~(np.abs(det) > 1e-14 * np.maximum(scale**3, 1e-300)))
     if bad.size:
         raise SingularTensor(
             f"{bad.size} sample(s) with determinant below tolerance for "
@@ -210,7 +210,7 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
     for (i, j), c in adj.items():
         binv[..., i, j] = binv[..., j, i] = c * inv_det
     resid = np.max(np.abs(mats @ binv - np.eye(3)), axis=(-2, -1))
-    bad = np.flatnonzero(resid > _INVERSE_RESIDUAL_TOL)
+    bad = np.flatnonzero(~(resid <= _INVERSE_RESIDUAL_TOL))
     if bad.size:
         raise SingularTensor(
             f"{bad.size} sample(s) too ill-conditioned for the cofactor "

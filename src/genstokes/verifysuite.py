@@ -199,7 +199,7 @@ def run_suite(seed: int = 0, trials: int = 50) -> dict:
     for mu in triples:
         _, lam_set = classify(mu)
         g = mu.mu1 + mu.mu2 * lams + mu.mu3 / lams
-        member = np.array([lam_set.contains(l) for l in lams])
+        member = lam_set.contains(lams)
         # skip samples within roundoff of a boundary root
         safe = np.abs(g) > 1e-9 * (abs(mu.mu1) + abs(mu.mu2) * lams
                                    + abs(mu.mu3) / lams)

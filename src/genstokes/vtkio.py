@@ -1,14 +1,17 @@
 """Legacy ASCII VTK output of discrete solutions.
 
 Writes an unstructured grid of quadratic tetrahedra over the full quadratic
-nodal set (vertices plus edge midpoints).  Velocity is a point vector
-array; the vertex-based pressure is extended to midpoints by averaging the
-edge endpoints; the per-cell positivity samples go out as cell data.
+nodal set (vertices plus edge midpoints), in the space's node order.
+Velocity is a point vector array; the vertex-based pressure is extended to
+midpoints by averaging the edge endpoints, element by element through
+``P2_NODES``; the per-cell positivity samples go out as cell data.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .fem import P2_NODES
 
 __all__ = ["write_vtk"]
 
@@ -32,27 +35,23 @@ def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
 
 
 def write_vtk(path, space, velocity: np.ndarray, pressure: np.ndarray,
-              alpha_cells=None, title: str = "genstokes solution") -> None:
-    mesh = space.mesh
+              alpha_cells=None) -> None:
     pts = space.scalar_nodes
     n_pts = pts.shape[0]
     vel = np.asarray(velocity, dtype=float).reshape(n_pts, 3)
 
-    p_nodes = np.empty(n_pts)
-    p_nodes[: mesh.n_vertices] = pressure
-    p_nodes[mesh.n_vertices:] = 0.5 * (
-        pressure[mesh.edges[:, 0]] + pressure[mesh.edges[:, 1]]
-    )
+    # local node (a, b) of an element holds the mean of its vertices a and b
+    p_vertices, p_nodes = pressure[space.mesh.tets], np.empty(n_pts)
+    for node, (a, b) in enumerate(P2_NODES):
+        p_nodes[space.tet_nodes[:, node]] = 0.5 * (p_vertices[:, a] + p_vertices[:, b])
 
     cells = space.tet_nodes[:, _VTK_NODE_ORDER]
     nt = cells.shape[0]
     vector = "%.12g %.12g %.12g\n"
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write("# vtk DataFile Version 3.0\ngenstokes solution\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n_pts} double\n")
         _write_rows(fh, vector, pts)
         fh.write(f"CELLS {nt} {nt * 11}\n")

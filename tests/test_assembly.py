@@ -148,7 +148,7 @@ def test_perturbed_vertices_rejected_where_tables_are_built():
     vertices = mesh.vertices.copy()
     vertices[13] += (0.01, -0.02, 0.015)  # the centre vertex
     bent = BoxMesh(mesh.nx, mesh.ny, mesh.nz, mesh.lx, mesh.ly, mesh.lz,
-                   vertices, mesh.tets, mesh.edges, mesh.tet_edges)
+                   vertices, mesh.tets)
     space = TaylorHoodSpace(bent)
     with pytest.raises(InvalidDimensions, match="not a translate of Kuhn shape"):
         space.geometry(3)

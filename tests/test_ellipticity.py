@@ -162,6 +162,21 @@ def test_classify_double_root_excluded():
     assert lam_set.contains(0.501)
 
 
+@pytest.mark.parametrize("intervals", [
+    (), ((0.0, 0.5), (0.5, math.inf)), ((0.25, 2.0),), ((0.0, 1e-3), (4.0, 8.0))])
+def test_interval_set_contains_an_array_elementwise(intervals):
+    # endpoints, points inside and outside each interval, 0 and inf
+    lam_set = IntervalSet(intervals)
+    ends = [x for lo, hi in intervals for x in (lo, hi)]
+    lams = np.array([0.0, 1e-4, 0.1, 0.25, 0.5, 0.499, 0.501, 1.0, 2.0, 3.0,
+                     4.0, 6.0, 8.0, 1e6, math.inf, *ends])
+    member = lam_set.contains(lams)
+    assert member.dtype == bool
+    assert member.tolist() == [lam_set.contains(float(x)) for x in lams]
+    assert member.tolist() == [any(lo < x < hi for lo, hi in intervals) for x in lams]
+    assert lam_set.contains(lams.reshape(-1, 1)).ravel().tolist() == member.tolist()
+
+
 # ---------------------------------------------------------------------------
 # alpha over fields
 

@@ -80,7 +80,7 @@ def test_mesh_determinism():
     a = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     b = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     assert np.array_equal(a.tets, b.tets)
-    assert np.array_equal(a.edges, b.edges)
+    assert np.array_equal(TaylorHoodSpace(a).tet_nodes, TaylorHoodSpace(b).tet_nodes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -131,8 +131,35 @@ def test_p1_partition_of_unity():
 def test_taylor_hood_dof_counts():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
-    assert space.n_velocity == 3 * (mesh.n_vertices + len(mesh.edges))
+    assert space.n_velocity == 3 * 5**3  # the (2n + 1)^3 lattice of mesh 2n
     assert space.n_pressure == mesh.n_vertices
+
+
+def test_scalar_nodes_are_the_vertices_of_the_doubled_mesh():
+    space = TaylorHoodSpace(build_mesh(2, 3, 4, 1.0, 2.0, 0.5))
+    fine = build_mesh(4, 6, 8, 1.0, 2.0, 0.5)
+    assert space.scalar_nodes.tobytes() == fine.vertices.tobytes()
+    # an element's nodes are its vertices and the midpoints of its edges
+    vertices = space.scalar_nodes[space.tet_nodes[:, :4]]
+    assert np.array_equal(vertices, space.mesh.vertices[space.mesh.tets])
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        mid = 0.5 * (vertices[:, a] + vertices[:, b])
+        assert np.allclose(space.scalar_nodes[space.tet_nodes[:, 4 + k]], mid,
+                           rtol=0.0, atol=1e-15)
+
+
+def test_space_refuses_a_mesh_whose_vertices_are_not_its_lattice():
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    short = BoxMesh(2, 2, 2, 1.0, 1.0, 1.0, mesh.vertices[:-1], mesh.tets)
+    with pytest.raises(InvalidDimensions, match="26 vertices"):
+        TaylorHoodSpace(short)
+
+
+def test_mesh_and_space_memory_budget():
+    # tracemalloc peak of a mesh-24 mesh and space: 47.0 MB when the edges
+    # were found by a np.unique of every element's endpoint pairs
+    peak = traced_peak(lambda: TaylorHoodSpace(build_mesh(24, 24, 24, 1, 1, 1)))
+    assert peak <= 24 * 2**20, f"mesh and space peak {peak / 2**20:.1f} MB > 24 MB"
 
 
 def test_dirichlet_mask_geometry():
@@ -283,8 +310,7 @@ def test_shape_tables_match_per_element_reference():
 
 def test_geometry_refuses_partial_kuhn_cell():
     mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
-    cut = BoxMesh(1, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[:5],
-                  mesh.edges, mesh.tet_edges[:5])
+    cut = BoxMesh(1, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[:5])
     with pytest.raises(InvalidDimensions, match="not a whole number of Kuhn cells"):
         TaylorHoodSpace(cut).geometry(3)
 
@@ -296,8 +322,7 @@ def test_geometry_refuses_cells_that_swap_tets_of_one_shape():
     mesh = build_mesh(2, 1, 1, 1.0, 1.0, 1.0)
     order = np.arange(mesh.n_tets)
     order[[2, 8]] = order[[8, 2]]
-    swapped = BoxMesh(2, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[order],
-                      mesh.edges, mesh.tet_edges[order])
+    swapped = BoxMesh(2, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[order])
     with pytest.raises(InvalidDimensions, match="do not share a first vertex"):
         TaylorHoodSpace(swapped).geometry(3)
 

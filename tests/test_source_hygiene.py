@@ -9,8 +9,9 @@ keeps sympy and scipy off the import path of the CLI, and a fourth checks
 that only a solve loads scipy, and only the scipy it uses; a fifth keeps
 expression fields on one evaluator, a sixth keeps sympy out of the package
 and text from being evaluated anywhere, a seventh keeps the layout of
-a jet as arrays inside ``fields``, and an eighth keeps B^{-1} and det B on
-one cofactor expansion.
+a jet as arrays inside ``fields``, an eighth keeps B^{-1} and det B on
+one cofactor expansion, and a ninth keeps the numbering of the P2 nodes
+inside ``fem``.
 """
 
 import ast
@@ -187,20 +188,33 @@ def test_text_reaches_python_eval_only_through_parse_expression():
     assert evaluators == []
 
 
-def test_jet_layout_is_named_only_in_fields():
-    # how a jet's rows become values, gradients and Hessians is decided in
-    # fields.py alone; other modules go through _jet_array and _symmetric_stack
-    layout = {"_UNPACK", "_HESS_INDEX", "_jet_stack"}
-    users = sorted(
+def _users_outside(owner: str, names: set) -> list:
+    """``"module name"`` for each use of one of ``names`` (a name, an
+    attribute or an import) in a module other than ``owner``, sorted."""
+    return sorted(
         f"{name} {node_name}"
-        for name, tree in _modules().items() if name != "fields.py"
+        for name, tree in _modules().items() if name != owner
         for node in ast.walk(tree)
         for node_name in [node.id if isinstance(node, ast.Name)
                           else node.attr if isinstance(node, ast.Attribute)
                           else node.name if isinstance(node, ast.alias) else None]
-        if node_name in layout
+        if node_name in names
     )
-    assert users == []
+
+
+def test_jet_layout_is_named_only_in_fields():
+    # how a jet's rows become values, gradients and Hessians is decided in
+    # fields.py alone; other modules go through _jet_array and _symmetric_stack
+    assert _users_outside("fields.py", {"_UNPACK", "_HESS_INDEX", "_jet_stack"}) == []
+
+
+def test_node_numbering_is_decided_only_in_fem():
+    # the P2 nodes are numbered as the lattice of the doubled Kuhn mesh in
+    # fem.py alone; other modules index by tet_nodes and interior_number,
+    # recover no lattice position from a coordinate, and only the VTK writer
+    # reads the nodes' coordinates
+    names = {"scalar_nodes", "ravel_multi_index", "rint"}
+    assert _users_outside("fem.py", names) == ["vtkio.py scalar_nodes"]
 
 
 def test_lapack_det_and_inv_only_for_jacobians_and_random_spd():

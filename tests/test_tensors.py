@@ -418,6 +418,17 @@ def test_ch_inverse_batch_refuses_ill_conditioned_unimodular():
         ch_inverse_batch(stack((3000.0, 1e4)))
 
 
+@pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((0, 0), np.inf)])
+def test_ch_inverse_batch_refuses_non_finite_entries(entry, value):
+    # a NaN fails both refusals' comparisons; before they were written so,
+    # B with B_01 = B_10 = NaN came back as an all-NaN inverse
+    mats = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
+    mats[0][entry] = mats[0][entry[::-1]] = value
+    with (pytest.raises(SingularTensor, match=r"^1 sample\(s\) .*flat index 0,"),
+          np.errstate(invalid="ignore")):  # inf * 0 in the cofactors
+        ch_inverse_batch(mats)
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_rotated_spectra())
 def test_ch_inverse_batch_right_or_refused(m):
