@@ -17,19 +17,20 @@ chunks of elements: each chunk evaluates B once, takes its eigenvalues
 (which give alpha and ||A||_inf), forms A, runs the six GEMMs for the 465
 upper-triangle entries of its element matrices, mirrors them, and integrates
 f against the basis.  K and G are added into the fixed patterns of the
-space (``TaylorHoodSpace.pattern``: K in 3x3 node blocks, G in scalar
-rows) and F by interior dof number, chunk by chunk in element order.  Each
-chunk's quadrature points are formed from the per-shape tables when it is
-computed (``ElementGeometry.quadrature``).  K is exactly symmetric, memory
-is linear in the mesh, and ``threads`` only computes chunks concurrently:
-the entries are bitwise independent of the thread count.
+space (``TaylorHoodSpace.pattern``: K in 3x3 node blocks, G as its
+transpose in 1x3 node blocks) and F by interior dof number, chunk by chunk
+in element order.  Each chunk's quadrature points are formed from the
+per-shape tables when it is computed (``ElementGeometry.quadrature``).  K
+is exactly symmetric, memory is linear in the mesh, and ``threads`` only
+computes chunks concurrently: the entries are bitwise independent of the
+thread count.
 
 Assembly keeps the entries as numpy arrays (``SaddleSystem.k_data`` and
 ``g_data``) and loads no scipy module: the scipy matrices ``K`` and ``G``
 are formed over those arrays on first read (K a BSR matrix with 3x3
-blocks, G a CSR matrix), which is when a solve first imports
-scipy.sparse.  The property suite behind ``verify`` takes u^t K u from the
-entries (``SaddleSystem.energy``) and never forms K.
+blocks, G the CSC transpose of the CSR matrix G^T), which is when a solve
+first imports scipy.sparse.  The property suite behind ``verify`` takes
+u^t K u from the entries (``SaddleSystem.energy``) and never forms K.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ class SaddleSystem:
     """Assembled sparse blocks of the constrained mixed problem.
 
     ``k_data`` and ``g_data`` are the entries of K, the (interior-dof)
-    velocity block, and G, the divergence block with shape (n_interior,
-    n_pressure), on the space's patterns ``"K"`` and ``"G"``; F is the load
-    vector, m the pressure gauge weights.  ``alpha`` and ``anorm_inf`` are
-    the extreme eigenvalues of the coefficient tensor sampled at the
-    assembly quadrature points.
+    velocity block, and of G^T, the transpose of the divergence block G
+    with shape (n_interior, n_pressure), on the space's patterns ``"K"``
+    and ``"G"``; F is the load vector, m the pressure gauge weights.
+    ``alpha`` and ``anorm_inf`` are the extreme eigenvalues of the
+    coefficient tensor sampled at the assembly quadrature points.
     """
 
     k_data: np.ndarray
@@ -100,8 +101,9 @@ class SaddleSystem:
 
     @cached_property
     def G(self):
-        """The scipy CSR divergence block over ``g_data``, formed on first read."""
-        return self.space.pattern("G").matrix(self.g_data)
+        """The scipy divergence block over ``g_data``, formed on first read:
+        the CSC transpose of the CSR matrix G^T, which shares its arrays."""
+        return self.space.pattern("G").matrix(self.g_data).T
 
     @property
     def n_interior(self) -> int:
@@ -208,7 +210,7 @@ def assemble(
         fv = f.eval(pts).reshape(-1, nq, 3)
         f_vals = np.einsum("eq,eqa,qi->eia", wdet, fv, geom.n2_vals, optimize=True)
         # interior dof 3r + a of node r's component a; wall entries go past the end
-        dofs = 3 * space.interior_number[space.tet_nodes[sl]][:, :, None] + np.arange(3)
+        dofs = 3 * space.tet_interior[sl][:, :, None] + np.arange(3)
         return _Chunk(samples, k_pat.slots(sl), k_vals,
                       np.where(dofs >= 0, dofs, n_interior), f_vals,
                       float(np.einsum("eq,eqa,eqa->", wdet, fv, fv)),

@@ -21,11 +21,13 @@ shape, forms a chunk's points from its cells' corners when asked, and
 refuses a mesh whose elements are not such translates, or whose six tets of
 a cell do not start at its corner, when it is built.
 Each space keeps the fixed patterns of its two assembled matrices, with one
-column index per node pair: K in 3x3 node blocks (BSR), G in scalar rows
-(CSR).  It finds where a chunk of element entries goes in them when the
-chunk is scattered (``BlockPattern``); the load vector needs no pattern,
-since its entries go to interior dof numbers
-(``TaylorHoodSpace.interior_number``).
+column index per node pair and the entries in node blocks: K in 3x3 blocks,
+and G as its transpose D = G^T, pressure rows in 1x3 blocks.  It finds where
+a chunk of element entries goes in them when the chunk is scattered
+(``BlockPattern``); the load vector needs no pattern, since its entries go
+to interior dof numbers (``TaylorHoodSpace.interior_number``).  One
+element-node table, ``TaylorHoodSpace.tet_interior``, gives the rows and
+columns of K and the columns of D.
 The patterns and entries are numpy arrays: scipy enters only in
 ``BlockPattern.matrix``, which imports scipy.sparse when a solve first
 forms a matrix, so meshing and assembly load no scipy module.
@@ -222,18 +224,25 @@ class TaylorHoodSpace:
         keep = ~self.dirichlet_scalar
         return np.where(keep, np.cumsum(keep) - 1, -1)
 
+    @cached_property
+    def tet_interior(self) -> np.ndarray:
+        """(nt, 10) int32 ``interior_number[tet_nodes]``, read-only."""
+        table = self.interior_number.astype(np.int32)[self.tet_nodes]
+        table.setflags(write=False)
+        return table
+
     def pattern(self, block: str) -> "BlockPattern":
         """The pattern of one assembled block, built once: ``"K"``, interior
-        velocity x interior velocity in 3x3 node blocks (BSR), or ``"G"``,
-        interior velocity x pressure (CSR)."""
+        velocity x interior velocity in 3x3 node blocks, or ``"G"``, stored
+        as its transpose D = G^T, pressure x interior velocity in 1x3 node
+        blocks.  Both read ``tet_interior`` itself, not a copy."""
         if block not in self._patterns:
-            rows = self.interior_number[self.tet_nodes]
-            n_rows = int(np.count_nonzero(~self.dirichlet_scalar))
+            nodes = self.tet_interior
+            n_nodes = int(np.count_nonzero(~self.dirichlet_scalar))
             if block == "K":
-                pat = BlockPattern(rows, rows, n_rows, n_rows, 3, 3, "bsr")
+                pat = BlockPattern(nodes, nodes, n_nodes, n_nodes, 3, 3)
             elif block == "G":
-                pat = BlockPattern(rows, self.mesh.tets, n_rows, self.n_pressure, 3, 1,
-                                   "csr")
+                pat = BlockPattern(self.mesh.tets, nodes, self.n_pressure, n_nodes, 1, 3)
             else:
                 raise ValueError(f"no block {block!r}: the patterns are 'K' and 'G'")
             self._patterns[block] = pat
@@ -392,7 +401,7 @@ class ElementGeometry:
                 * g[s, :, None, :, None, None, :]
             )
             velocity[s] = kel.reshape(nq * 6, 30, 30)[:, _UPPER[0], _UPPER[1]]
-        divergence = -np.einsum("sq,qj,sqia->siaj", w, self.p1_vals, g)
+        divergence = -np.einsum("sq,qj,sqia->sjia", w, self.p1_vals, g)
         tables = KuhnTables(velocity, divergence.reshape(6, 120))
         for table in tables:
             table.setflags(write=False)
@@ -461,8 +470,8 @@ class KuhnTables(NamedTuple):
     each quadrature point (point-major) to the upper triangle of the 30x30
     velocity element matrix, whose rows and columns are (node, component)
     pairs; ``MIRROR`` expands a row of it to all 900 entries.
-    ``divergence[s]`` (120,) is the (30, 4) divergence element block
-    -int q_j d_a phi_i.
+    ``divergence[s]`` (120,) is the (4, 30) element block of D = G^T,
+    -int q_j d_a phi_i at row j and column (i, a).
     """
 
     velocity: np.ndarray
@@ -484,9 +493,11 @@ def _node_pairs(rows, cols, n_cols: int) -> list:
     parts = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         c = cols[order[lo:hi] // rows.shape[1]]
-        keys = np.sort((node[lo:hi, None] * n_cols + c)[c >= 0])
+        # int64 keys: r * n_cols passes 2^31 from about 46,000 nodes on
+        keys = np.sort((node[lo:hi, None].astype(np.int64) * n_cols + c)[c >= 0])
         # distinct by sorting: np.unique hashes, 30 times slower on these keys
         parts.append(keys[np.append(True, keys[1:] != keys[:-1])])
+        del c, keys  # let the next run reuse their memory
     return parts
 
 
@@ -494,17 +505,15 @@ class BlockPattern:
     """Fixed pattern of a block assembled from element blocks, by node pairs.
 
     ``rows`` (nt, nr) and ``cols`` (nt, nc) are each element's row and column
-    nodes in the block's node numbering, -1 for a dropped (wall) node.  Node
-    row r holds the column nodes ``indices[indptr[r]:indptr[r + 1]]`` of the
-    distinct node pairs (r, c) that share an element, in increasing c: one
-    int32 per node pair.  A node pair carries a ``br`` x ``bc`` block of
-    entries, row ``br*r + a`` and column ``bc*c + b``.  ``layout`` orders the
-    entries in ``data``:
-
-    * ``"bsr"``: pair k's block is ``data[br*bc*k:][:br*bc]``, row-major, and
-      :meth:`matrix` is a ``scipy.sparse.bsr_matrix``;
-    * ``"csr"``: scalar row ``br*r + a`` holds the blocks' row a in turn,
-      and :meth:`matrix` is a ``scipy.sparse.csr_matrix``.
+    nodes in the block's node numbering, -1 for a dropped (wall) node; an
+    int32 table is kept as it is, not copied.  Node row r holds the column
+    nodes ``indices[indptr[r]:indptr[r + 1]]`` of the distinct node pairs
+    (r, c) that share an element, in increasing c: one int32 per node pair.
+    A node pair carries a ``br`` x ``bc`` block of entries, row ``br*r + a``
+    and column ``bc*c + b``: pair k's block is ``data[br*bc*k:][:br*bc]``,
+    row-major.  :meth:`matrix` is a ``scipy.sparse.bsr_matrix`` of these
+    blocks, or, for a one-row block, the ``csr_matrix`` whose scalar row r
+    holds them in turn, which is the same data in the same order.
 
     :meth:`slots` places a slice of elements' entries; dropped entries go to
     the slots from ``nnz`` on, which :meth:`matrix` leaves out.  The pattern
@@ -512,12 +521,11 @@ class BlockPattern:
     spans every element entry.
     """
 
-    def __init__(self, rows, cols, n_rows: int, n_cols: int, br: int, bc: int,
-                 layout: str):
-        self.rows, self.cols = rows.astype(np.int32), cols.astype(np.int32)
-        self.br, self.bc, self.layout = br, bc, layout
+    def __init__(self, rows, cols, n_rows: int, n_cols: int, br: int, bc: int):
+        self.rows, self.cols = (np.asarray(t, dtype=np.int32) for t in (rows, cols))
+        self.br, self.bc = br, bc
         self.shape = (br * n_rows, bc * n_cols)
-        parts = _node_pairs(rows, cols, n_cols)
+        parts = _node_pairs(self.rows, self.cols, n_cols)
         degree = sum((np.bincount(keys // n_cols, minlength=n_rows) for keys in parts),
                      np.zeros(n_rows, np.int64))
         self.max_degree = int(degree.max(initial=0))
@@ -528,10 +536,7 @@ class BlockPattern:
         for keys in parts:  # in row order, each sorted
             self.indices[lo:lo + keys.size] = keys % n_cols
             lo += keys.size
-        # the scalar rows of a CSR matrix are built here, with the pattern,
-        # not when a solve forms the matrix and memory is at its height
-        self.scalar_rows = self._scalar_rows() if layout == "csr" else ()
-        for table in (self.rows, self.cols, self.indptr, self.indices, *self.scalar_rows):
+        for table in (self.rows, self.cols, self.indptr, self.indices):
             table.setflags(write=False)
 
     def slots(self, sl: slice) -> np.ndarray:
@@ -539,25 +544,17 @@ class BlockPattern:
         rows, cols = self.rows[sl, :, None], self.cols[sl, None, :]
         keep = (rows >= 0) & (cols >= 0)
         row = np.where(keep, rows, 0)
-        first = self.indptr[row].astype(np.intp)
+        pair = self.indptr[row].astype(np.intp)
         last = self.indptr[row + 1].astype(np.intp) - 1
         # the pair of each column node: by bisection over the row's sorted
         # column nodes, the last pair whose column is <= c
-        pair = first
         step = 1 << max(self.max_degree - 1, 0).bit_length()
         while step := step >> 1:
             probe = np.minimum(pair + step, last)
             pair = np.where(self.indices[probe] <= cols, probe, pair)
-        size = self.br * self.bc
-        if self.layout == "bsr":
-            base, stride = size * pair, self.bc
-        else:
-            base = size * first + self.bc * (pair - first)
-            stride = self.bc * (last + 1 - first)
-        base = np.where(keep, base, self.nnz)[:, :, None, :, None]
-        stride = np.where(keep, stride, 0)[:, :, None, :, None]
-        a = np.arange(self.br)[:, None, None]
-        slots = base + a * stride + np.arange(self.bc)
+        base = np.where(keep, self.br * self.bc * pair, self.nnz)[:, :, None, :, None]
+        stride = np.where(keep, self.bc, 0)[:, :, None, :, None]
+        slots = base + np.arange(self.br)[:, None, None] * stride + np.arange(self.bc)
         return slots.reshape(slots.shape[0], -1)
 
     def new_data(self) -> np.ndarray:
@@ -570,27 +567,10 @@ class BlockPattern:
         scipy.sparse is first imported."""
         import scipy.sparse as sparse
 
-        if self.layout == "bsr":
-            return sparse.bsr_matrix(
-                (data[:self.nnz].reshape(-1, self.br, self.bc), self.indices, self.indptr),
-                shape=self.shape)
-        return sparse.csr_matrix((data[:self.nnz], *self.scalar_rows), shape=self.shape)
-
-    def _scalar_rows(self):
-        """(indices, indptr) of the ``"csr"`` layout's scalar rows."""
-        # entry (a, b) of pair k in node row r goes to scalar row br*r + a, at
-        # bc*k + (br - 1)*bc*indptr[r] + a*bc*degree[r] + b (see slots); int32
-        # is exact, since a CSR matrix indexes its entries in int32
-        degree = np.diff(self.indptr)
-        row = np.repeat(np.arange(degree.size, dtype=np.int32), degree)
-        base = (self.bc * np.arange(self.indices.size, dtype=np.int32)
-                + (self.br - 1) * self.bc * self.indptr[row])
-        step = self.bc * degree[row]
-        del row
-        indices = np.empty(self.nnz, dtype=np.int32)
-        for a in range(self.br):
-            for b in range(self.bc):
-                indices[base + a * step + b] = self.bc * self.indices + b
-        indptr = self.bc * (self.br * self.indptr[:-1, None]
-                            + np.arange(self.br, dtype=np.int32) * degree[:, None])
-        return indices, np.append(indptr.ravel(), np.int32(self.nnz))
+        if self.br == 1:  # scalar row r: pair k's entries bc*k + b, column bc*c + b
+            indices = self.bc * self.indices[:, None] + np.arange(self.bc, dtype=np.int32)
+            return sparse.csr_matrix((data[:self.nnz], indices.ravel(),
+                                      self.bc * self.indptr), shape=self.shape)
+        return sparse.bsr_matrix(
+            (data[:self.nnz].reshape(-1, self.br, self.bc), self.indices, self.indptr),
+            shape=self.shape)

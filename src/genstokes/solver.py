@@ -13,7 +13,8 @@ pressure block by the lumped P1 mass m / c.  The constant pressure spans the
 (consistent) null space; the gauge is fixed afterwards by projecting to zero
 m-weighted mean, so no gauge enters the iteration.  MINRES is one
 hand-written pass that applies K and G from the assembled blocks (no copy of
-the KKT matrix).  It measures convergence in the preconditioner's norm, which
+the KKT matrix; G is the CSC transpose of the CSR matrix G^t that assembly
+stores).  It measures convergence in the preconditioner's norm, which
 drifts from the 2-norm under refinement, so it stops on the true 2-norm
 residual, checked every few iterations, a fixed factor under the requested
 tolerance; the final residual is gated at that tolerance.

@@ -196,20 +196,22 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
     has max|B X - I| <= ``_INVERSE_RESIDUAL_TOL``: a NaN or inf is refused.
     """
     mats = np.asarray(mats, dtype=float)
-    adj, det = _adjugate(mats)
-    scale = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
-    bad = np.flatnonzero(~(np.abs(det) > 1e-14 * np.maximum(scale**3, 1e-300)))
-    if bad.size:
-        raise SingularTensor(
-            f"{bad.size} sample(s) with determinant below tolerance for "
-            f"inversion (first: flat index {bad[0]}, "
-            f"det = {np.ravel(det)[bad[0]]:.3e})"
-        )
-    inv_det = 1.0 / det
-    binv = np.empty_like(mats)
-    for (i, j), c in adj.items():
-        binv[..., i, j] = binv[..., j, i] = c * inv_det
-    resid = np.max(np.abs(mats @ binv - np.eye(3)), axis=(-2, -1))
+    # the refusals name the inf or NaN that a huge or non-finite entry gives
+    with np.errstate(invalid="ignore", over="ignore"):
+        adj, det = _adjugate(mats)
+        scale = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
+        bad = np.flatnonzero(~(np.abs(det) > 1e-14 * np.maximum(scale**3, 1e-300)))
+        if bad.size:
+            raise SingularTensor(
+                f"{bad.size} sample(s) with determinant below tolerance for "
+                f"inversion (first: flat index {bad[0]}, "
+                f"det = {np.ravel(det)[bad[0]]:.3e})"
+            )
+        inv_det = 1.0 / det
+        binv = np.empty_like(mats)
+        for (i, j), c in adj.items():
+            binv[..., i, j] = binv[..., j, i] = c * inv_det
+        resid = np.max(np.abs(mats @ binv - np.eye(3)), axis=(-2, -1))
     bad = np.flatnonzero(~(resid <= _INVERSE_RESIDUAL_TOL))
     if bad.size:
         raise SingularTensor(

@@ -369,10 +369,12 @@ def test_blocks_are_formed_once_over_the_assembled_entries():
     assert np.shares_memory(system.G.data, system.g_data)
     assert system.K.shape == (system.n_interior, system.n_interior)
     assert system.G.shape == (system.n_interior, system.n_pressure)
-    # K in 3x3 node blocks, one column index per node pair; G in scalar rows
+    # K in 3x3 node blocks, one column index per node pair; G read as the
+    # transpose of the CSR matrix G^T over the same entries
     assert system.K.format == "bsr" and system.K.blocksize == (3, 3)
     assert system.K.indices.size * 9 == system.k_data.size
-    assert system.G.format == "csr"
+    assert system.G.T.format == "csr"
+    assert np.shares_memory(system.G.T.data, system.g_data)
 
 
 def test_block_product_is_bitwise_the_scalar_product():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
+from genstokes import fem
 from genstokes.errors import InvalidDimensions
 from genstokes.fem import (
     LOCAL_EDGES,
@@ -353,12 +354,45 @@ def test_pattern_build_memory_budget():
     assert peak <= 60 * 2**20, f"K pattern peak {peak / 2**20:.1f} MB > 60 MB"
 
 
+def test_divergence_pattern_build_memory_budget():
+    # tracemalloc peak of the mesh-16 G pattern build: 7.3 MB with G stored
+    # as its transpose in 1x3 node blocks; the scalar-row layout, with its
+    # per-entry column indices built beside the pattern, peaked at 13.9 MB
+    space = TaylorHoodSpace(build_mesh(16, 16, 16, 1.0, 1.0, 1.0))
+    peak = traced_peak(lambda: space.pattern("G"))
+    assert peak <= 10 * 2**20, f"G pattern peak {peak / 2**20:.1f} MB > 10 MB"
+
+
+def test_patterns_share_one_element_node_table():
+    # K's rows, K's columns and the columns of G's transpose are the
+    # space's one int32 tet_interior table, not three copies of it
+    space = TaylorHoodSpace(build_mesh(3, 2, 2, 1.0, 1.5, 0.5))
+    k, d = space.pattern("K"), space.pattern("G")
+    assert space.tet_interior.dtype == np.int32
+    assert np.array_equal(space.tet_interior, space.interior_number[space.tet_nodes])
+    for table in (k.rows, k.cols, d.cols):
+        assert np.shares_memory(table, space.tet_interior)
+    assert np.array_equal(d.rows, space.mesh.tets)
+
+
+def test_node_pair_keys_do_not_wrap_in_int32():
+    # int32 node tables, as the patterns keep them; the key r * n_cols + c of
+    # row 40,000 and column 70,000 passes 2^31
+    n_cols = 70_001
+    rows = np.array([[40_000, -1], [5, 40_000]], dtype=np.int32)
+    cols = np.array([[70_000, 3], [-1, 1 << 16]], dtype=np.int32)
+    keys = np.concatenate(fem._node_pairs(rows, cols, n_cols))
+    assert keys.max() > 2**31
+    pairs = sorted(zip((keys // n_cols).tolist(), (keys % n_cols).tolist()))
+    assert pairs == [(5, 1 << 16), (40_000, 3), (40_000, 1 << 16), (40_000, 70_000)]
+
+
 @pytest.mark.parametrize("block", ["K", "G"])
 def test_pattern_slots_hold_their_entries(block):
     # every kept element entry's slot holds the matrix entry at row br*r + a
     # and column bc*c + b; dropped entries go past nnz.  K keeps node pair k
     # (row node r, column node indices[k]) as the 3x3 block of slots 9k to
-    # 9k + 8, row-major; G keeps scalar rows
+    # 9k + 8, row-major; G's transpose keeps it as the 1x3 block 3k to 3k + 2
     space = TaylorHoodSpace(build_mesh(3, 2, 2, 1.0, 1.5, 0.5))
     pat = space.pattern(block)
     slots = pat.slots(slice(0, space.mesh.n_tets)).reshape(
@@ -369,7 +403,7 @@ def test_pattern_slots_hold_their_entries(block):
     s = slots[kept]
     assert np.all(slots[~kept] >= pat.nnz)
     if block == "K":
-        assert (pat.layout, pat.br, pat.bc) == ("bsr", 3, 3)
+        assert (pat.br, pat.bc) == (3, 3)
         node_row = np.repeat(np.arange(pat.indptr.size - 1), np.diff(pat.indptr))
         assert np.array_equal(node_row[s // 9], r[kept])
         assert np.array_equal(pat.indices[s // 9], c[kept])

@@ -10,8 +10,9 @@ that only a solve loads scipy, and only the scipy it uses; a fifth keeps
 expression fields on one evaluator, a sixth keeps sympy out of the package
 and text from being evaluated anywhere, a seventh keeps the layout of
 a jet as arrays inside ``fields``, an eighth keeps B^{-1} and det B on
-one cofactor expansion, and a ninth keeps the numbering of the P2 nodes
-inside ``fem``.
+one cofactor expansion, a ninth keeps the numbering of the P2 nodes
+inside ``fem``, and a tenth keeps the building of scipy sparse matrices
+there too.
 """
 
 import ast
@@ -217,16 +218,23 @@ def test_node_numbering_is_decided_only_in_fem():
     assert _users_outside("fem.py", names) == ["vtkio.py scalar_nodes"]
 
 
+def _owners(tree) -> dict:
+    """Each node of ``tree`` inside a function, mapped to the name of the
+    innermost function that holds it."""
+    owner = {}
+    for func in ast.walk(tree):  # outer functions first: inner ones win
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    return owner
+
+
 def test_lapack_det_and_inv_only_for_jacobians_and_random_spd():
     # B^{-1} and det B come from one cofactor expansion, tensors._adjugate;
     # LAPACK's det and inv are left for the element Jacobians and for
     # scaling verify's random samples to det 1
     calls = []
     for name, tree in _modules().items():
-        owner = {}
-        for func in ast.walk(tree):  # outer functions first: inner ones win
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        owner = _owners(tree)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr in ("det", "inv")
                     and isinstance(node.value, ast.Attribute)
@@ -237,3 +245,27 @@ def test_lapack_det_and_inv_only_for_jacobians_and_random_spd():
                           if a.name in ("det", "inv")]
     assert sorted(calls) == ["fem.py __init__ det", "fem.py __init__ inv",
                              "verifysuite.py random_spd det"]
+
+
+def test_scipy_sparse_matrices_are_built_only_in_fem():
+    # BlockPattern.matrix forms the package's scipy matrices over the
+    # assembled entries; elsewhere only the reference LU takes anything from
+    # scipy.sparse: bmat to stack the blocks and splu to factorize them
+    uses = []
+    for name, tree in _modules().items():
+        if name == "fem.py":
+            continue
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [f"import {a.name}" for a in node.names
+                         if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [a.name for a in node.names if a.name == "sparse"]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names
+                         if (node.module or "").startswith("scipy.sparse")]
+            else:
+                continue
+            uses += [f"{name} {owner.get(node, '<module>')} {n}" for n in names]
+    assert sorted(uses) == ["solver.py solve bmat", "solver.py solve splu"]

@@ -10,6 +10,7 @@ against that routine itself.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,15 +419,20 @@ def test_ch_inverse_batch_refuses_ill_conditioned_unimodular():
         ch_inverse_batch(stack((3000.0, 1e4)))
 
 
-@pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((0, 0), np.inf)])
+@pytest.mark.parametrize("entry, value",
+                         [((0, 1), np.nan), ((0, 0), np.inf), ((0, 1), 1e200)])
 def test_ch_inverse_batch_refuses_non_finite_entries(entry, value):
     # a NaN fails both refusals' comparisons; before they were written so,
-    # B with B_01 = B_10 = NaN came back as an all-NaN inverse
+    # B with B_01 = B_10 = NaN came back as an all-NaN inverse.  The refusal
+    # comes with no numpy warning: inf * 0 in the cofactors of an inf entry
+    # and the overflow of 1e200 squared once each warned before it
     mats = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
     mats[0][entry] = mats[0][entry[::-1]] = value
-    with (pytest.raises(SingularTensor, match=r"^1 sample\(s\) .*flat index 0,"),
-          np.errstate(invalid="ignore")):  # inf * 0 in the cofactors
-        ch_inverse_batch(mats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularTensor, match=r"^1 sample\(s\) .*flat index 0,"):
+            ch_inverse_batch(mats)
+    assert [str(w.message) for w in caught] == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
