@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constitutive import acal_samples, acal_values, mu_values
+from .constitutive import acal_samples, mu_values
 from .ellipticity import (EllipticityReport, PositivitySamples, lambda_endpoints,
                           positivity_report, positivity_samples)
 from .errors import BCViolation, NotElliptic, SingularTensor
@@ -164,7 +164,7 @@ class _Chunk:
     f_vals: np.ndarray
     f_sq: float  # int |f|^2 over the chunk
     g_slots: np.ndarray
-    singular: bool
+    refused: Optional[tuple]  # a SingularTensor's (test, first, value, count)
 
 
 def assemble(
@@ -180,8 +180,8 @@ def assemble(
 
     Raises NotSPD, then NotElliptic when the sampled positivity constant of
     A(B) at the quadrature points is not strictly positive (NaN included),
-    then SingularTensor, each judged over all quadrature points; and
-    InvalidDimensions when the mesh is not a Kuhn box mesh.
+    then SingularTensor, each judged over all quadrature points as one call
+    over them would judge it.
     """
     geom = space.geometry(quad_n)
     velocity, divergence = geom.kuhn_tables
@@ -197,12 +197,12 @@ def assemble(
         bvals = b_field.eval(pts)
         mvals = mu_values(mu, pts)
         samples = positivity_samples(mvals, eig_sym3_batch(bvals), pts, endpoints)
-        k_vals, singular = None, False
+        k_vals, refused = None, None
         if samples.g_min.min() > 0.0:
             try:
                 a6 = acal_samples(mvals, bvals)[:, _SYM_ROWS, _SYM_COLS]
-            except SingularTensor:
-                singular = True
+            except SingularTensor as err:
+                refused = (err.test, sl.start * nq + err.first, err.value, err.count)
             else:
                 # (shape, cell, q*6) @ (shape, q*6, 465), back to element order
                 upper = np.matmul(a6.reshape(-1, 6, nq * 6).transpose(1, 0, 2), velocity)
@@ -214,10 +214,10 @@ def assemble(
         return _Chunk(samples, k_pat.slots(sl), k_vals,
                       np.where(dofs >= 0, dofs, n_interior), f_vals,
                       float(np.einsum("eq,eqa,eqa->", wdet, fv, fv)),
-                      g_pat.slots(sl), singular)
+                      g_pat.slots(sl), refused)
 
     k_data, g_data, f_data = k_pat.new_data(), g_pat.new_data(), np.zeros(n_interior + 1)
-    blocks, f_sq, singular = [], 0.0, False
+    blocks, f_sq, refused = [], 0.0, []
     for part in _in_order(chunk, _chunks(mesh.n_tets), threads):
         blocks.append(part.samples)
         if part.k_vals is not None:
@@ -226,7 +226,8 @@ def assemble(
         np.add.at(g_data, part.g_slots.ravel(),
                   np.tile(divergence.ravel(), len(part.g_slots) // 6))
         f_sq += part.f_sq
-        singular |= part.singular
+        if part.refused:
+            refused.append(part.refused)
         del part  # let the next chunk reuse its memory
 
     def point(i):  # quadrature point i, element-major
@@ -241,10 +242,10 @@ def assemble(
             point=report.minimizer_point,
             alpha=report.alpha,
         )
-    if singular:
-        # name the first singular sample over all points, as one call would
-        acal_values(mu, b_field, geom.flat_points)
-        raise SingularTensor("coefficient B is singular at a quadrature point")
+    if refused:  # one call tests every determinant first, then the residuals
+        test, first, value, _ = min(refused)
+        count = sum(r[3] for r in refused if r[0] == test)
+        raise SingularTensor.samples(test, count, first, value)
     mel = np.einsum("sq,qj->sj", geom.shape_wdet, geom.p1_vals)
     m_vec = np.bincount(mesh.tets.ravel(), np.tile(mel, (mesh.n_tets // 6, 1)).ravel(),
                         minlength=space.n_pressure)

@@ -110,8 +110,10 @@ def acal_samples(mu_vals, bvals: np.ndarray, binv=None) -> np.ndarray:
     """A = mu1 I + mu2 B + mu3 B^{-1} from sampled ``mu_values`` and B (N, 3, 3);
     ``binv`` is B^{-1} there, computed here when not given."""
     m1, m2, m3 = (m[:, None, None] for m in mu_vals)
-    binv = ch_inverse_batch(bvals) if binv is None else binv
-    return m1 * np.eye(3) + m2 * bvals + m3 * binv
+    a = m1 * np.eye(3) + m2 * bvals
+    if m3.any():  # else B is not inverted: with mu3 = 0, A needs no B^{-1}
+        a += m3 * (ch_inverse_batch(bvals) if binv is None else binv)
+    return a
 
 
 def _coefficient_jets(mu_jets, b: dict, order) -> tuple:

@@ -6,7 +6,22 @@ class GenStokesError(Exception):
 
 
 class SingularTensor(GenStokesError):
-    """Tensor inversion requested for a (numerically) singular tensor."""
+    """Tensor inversion requested for a (numerically) singular tensor.
+
+    :meth:`samples` refuses ``count`` samples by ``test`` (0: the
+    determinant, 1: the inverse's residual), naming the flat index ``first``
+    and the tested ``value`` of the first; it keeps the four as attributes."""
+
+    _TESTS = (("with determinant below tolerance for inversion", "det"),
+              ("too ill-conditioned for the cofactor inverse", "max|BX - I|"))
+
+    @classmethod
+    def samples(cls, test: int, count: int, first: int, value: float):
+        what, name = cls._TESTS[test]
+        err = cls(f"{count} sample(s) {what} (first: flat index {first}, "
+                  f"{name} = {value:.3e})")
+        err.test, err.count, err.first, err.value = test, count, first, value
+        return err
 
 
 class NotUnimodular(GenStokesError):

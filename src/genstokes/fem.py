@@ -13,13 +13,13 @@ grid in C order.  Tetrahedral quadrature comes from a conical-product
 construction (Gauss-Jacobi x Gauss-Jacobi x Gauss-Legendre on the collapsed
 cube), exact for total degree <= 2n - 1 with n points per direction.
 
-Every element of a Kuhn mesh is a translate of one of the six tetrahedra of
-its first cell (element ``e`` of shape ``e % 6``).  So ``ElementGeometry``
-keeps its basis gradients, Jacobian determinants, quadrature points and
-weights, and element matrix maps (``ElementGeometry.kuhn_tables``) once per
-shape, forms a chunk's points from its cells' corners when asked, and
-refuses a mesh whose elements are not such translates, or whose six tets of
-a cell do not start at its corner, when it is built.
+A mesh is its division counts and its box (``BoxMesh``), so every element
+is a translate of one of the six tetrahedra of a cell (element ``e`` of
+shape ``e % 6``, from the corner of cell ``e // 6``).  ``ElementGeometry``
+forms the six shape Jacobians from the cell size, keeps its basis
+gradients, Jacobian determinants, quadrature points and weights, and
+element matrix maps (``ElementGeometry.kuhn_tables``) once per shape, and
+forms a chunk's points from its cells' corners when asked.
 Each space keeps the fixed patterns of its two assembled matrices, with one
 column index per node pair and the entries in node blocks: K in 3x3 blocks,
 and G as its transpose D = G^T, pressure rows in 1x3 blocks.  It finds where
@@ -36,6 +36,7 @@ forms a matrix, so meshing and assembly load no scipy module.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -88,14 +89,13 @@ _UPPER = np.triu_indices(30)
 MIRROR = np.zeros((30, 30), dtype=np.intp)
 MIRROR[_UPPER] = np.arange(_UPPER[0].size)
 MIRROR = np.maximum(MIRROR, MIRROR.T).ravel()
-# Relative tolerance of the check that every element is a translate of its
-# Kuhn shape's representative.
-_SHAPE_RTOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxMesh:
-    """Conforming tetrahedral mesh of a box."""
+    """Conforming tetrahedral mesh of nx x ny x nz Kuhn-divided cells of the
+    box [0, lx] x [0, ly] x [0, lz]; its vertex and element tables are built
+    from these six values on first read."""
 
     nx: int
     ny: int
@@ -103,26 +103,43 @@ class BoxMesh:
     lx: float
     ly: float
     lz: float
-    vertices: np.ndarray  # (nv, 3), the lattice points in C order
-    tets: np.ndarray      # (nt, 4) vertex ids
+
+    def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.divisions):
+            raise InvalidDimensions(f"division counts {self.divisions} "
+                                    "are not whole numbers >= 1")
+        if not all(isinstance(x, numbers.Real) and 0.0 < x < np.inf for x in self.box):
+            raise InvalidDimensions(f"edge lengths {self.box} are not finite and positive")
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def n_tets(self) -> int:
-        return self.tets.shape[0]
+    def divisions(self):
+        return (self.nx, self.ny, self.nz)
 
     @property
     def box(self):
         return (self.lx, self.ly, self.lz)
 
-    def jacobians(self) -> np.ndarray:
-        """(nt, 3, 3) affine maps of the reference tetrahedron; the columns
-        are the edge vectors from each tet's first vertex."""
-        v = self.vertices[self.tets]
-        return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+    @property
+    def n_vertices(self) -> int:
+        return (self.nx + 1) * (self.ny + 1) * (self.nz + 1)
+
+    @property
+    def n_tets(self) -> int:
+        return 6 * self.nx * self.ny * self.nz
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """(nv, 3) the lattice points in C order."""
+        return _box_lattice(self.divisions, self.box)
+
+    @cached_property
+    def tets(self) -> np.ndarray:
+        """(nt, 4) vertex ids: Kuhn tet t of cell c is element 6c + t."""
+        nx, ny, nz = self.divisions
+        base = lattice_points([np.arange(nx), np.arange(ny), np.arange(nz)])  # (ncell, 3)
+        # vertex v of Kuhn tet t in cell c: index(c) + index(_KUHN_CORNERS[t, v])
+        index = np.array([(ny + 1) * (nz + 1), nz + 1, 1])  # of a lattice point
+        return ((base @ index)[:, None, None] + _KUHN_CORNERS @ index).reshape(-1, 4)
 
 
 def lattice_points(axes) -> np.ndarray:
@@ -146,18 +163,8 @@ def _box_lattice(divisions, box) -> np.ndarray:
 
 
 def build_mesh(nx: int, ny: int, nz: int, lx: float, ly: float, lz: float) -> BoxMesh:
-    """Structured Kuhn-subdivided tetrahedral mesh of the box."""
-    if min(nx, ny, nz) < 1:
-        raise InvalidDimensions("division counts must be >= 1")
-    if min(lx, ly, lz) <= 0:
-        raise InvalidDimensions("edge lengths must be positive")
-
-    vertices = _box_lattice((nx, ny, nz), (lx, ly, lz))
-    base = lattice_points([np.arange(nx), np.arange(ny), np.arange(nz)])  # (ncell, 3)
-    # vertex v of Kuhn tet t in cell c: index(c) + index(_KUHN_CORNERS[t, v])
-    index = np.array([(ny + 1) * (nz + 1), nz + 1, 1])  # of a lattice point
-    tets = ((base @ index)[:, None, None] + _KUHN_CORNERS @ index).reshape(-1, 4)
-    return BoxMesh(nx, ny, nz, float(lx), float(ly), float(lz), vertices, tets)
+    """Structured Kuhn-subdivided tetrahedral mesh of the box (``BoxMesh``)."""
+    return BoxMesh(nx, ny, nz, *(float(length) for length in (lx, ly, lz)))
 
 
 @dataclass
@@ -180,10 +187,7 @@ class TaylorHoodSpace:
 
     def __post_init__(self):
         mesh = self.mesh
-        cells = np.array([mesh.nx, mesh.ny, mesh.nz])
-        if mesh.n_vertices != np.prod(cells + 1):
-            raise InvalidDimensions(f"{mesh.n_vertices} vertices are not the lattice "
-                                    f"of {mesh.nx} x {mesh.ny} x {mesh.nz} cells")
+        cells = np.array(mesh.divisions)
         self.scalar_nodes = _box_lattice(2 * cells, mesh.box)
         # q[v]: the fine-lattice index of vertex v's own lattice point; the index
         # is linear, so local node (a, b) of P2_NODES, the sum point, is q[a] + q[b]
@@ -322,17 +326,15 @@ def p1_basis(pts: np.ndarray):
 class ElementGeometry:
     """Geometric tables shared by assembly and error integration.
 
-    Element ``e`` is a translate of Kuhn shape ``e % 6`` whose first vertex
-    is the corner of cell ``e // 6`` (both checked here, else
-    InvalidDimensions), so every table is kept per shape: the physical P2
-    basis gradients ``grads`` (6, nq, 10, 3), ``p1_grads`` (6, 4, 3),
-    ``detj`` (6,), the quadrature points ``shape_points`` (6, nq, 3) from
-    the cell's corner and the weights times |det J| ``shape_wdet`` (6, nq).
-    Beside them only each cell's corner, ``origins`` (ne / 6, 3), is kept;
-    :meth:`quadrature` forms the points and weights of a chunk of elements
-    (:meth:`weights` the weights alone), and nothing is stored per element
-    and quadrature point.  The methods
-    apply the shape tables to per-element coefficients.
+    Element ``e`` of a ``BoxMesh`` is Kuhn shape ``e % 6`` translated to the
+    corner of cell ``e // 6``, so every table is kept per shape, formed from
+    the cell size ``cell`` (3,): the Jacobians ``shape_jacobians`` (6, 3, 3),
+    the physical P2 basis gradients ``grads`` (6, nq, 10, 3), ``p1_grads``
+    (6, 4, 3), ``detj`` (6,), the quadrature points ``shape_points``
+    (6, nq, 3) from the cell's corner and the weights times |det J|
+    ``shape_wdet`` (6, nq).  :meth:`quadrature` forms a chunk's points and
+    weights (:meth:`weights` the weights alone); nothing is stored per
+    element.  The methods apply the shape tables to per-element coefficients.
 
     The tables are read-only: ``TaylorHoodSpace.geometry`` hands one instance
     to every caller.  Neither the mesh nor the space is kept, so a space that
@@ -340,37 +342,22 @@ class ElementGeometry:
     """
 
     def __init__(self, mesh: BoxMesh, space: TaylorHoodSpace, quad_n: int = 3):
-        self.quad_n = quad_n
         ref_pts, self.ref_wts = quad_tet(quad_n)
         self.n2_vals, n2_grads = p2_basis(ref_pts)
         self.p1_vals = p1_basis(ref_pts)
 
-        jac = mesh.jacobians()
-        nt = jac.shape[0]
-        if nt % 6:
-            raise InvalidDimensions(f"{nt} elements is not a whole number of Kuhn cells")
-        cells = jac.reshape(nt // 6, 6, 9)
-        scale = np.abs(cells[0]).max(axis=1)
-        off = np.abs(cells - cells[0]).max(axis=2) > _SHAPE_RTOL * scale
-        if np.any(off):
-            e = int(np.flatnonzero(off)[0])
-            raise InvalidDimensions(f"element {e} is not a translate of Kuhn shape {e % 6}: "
-                                    f"its Jacobian differs from element {e % 6}'s")
-        corners = mesh.tets[:, 0].reshape(nt // 6, 6)
-        apart = np.flatnonzero(np.any(corners != corners[:, :1], axis=1))
-        if apart.size:
-            k = int(apart[0])
-            raise InvalidDimensions(f"elements {6 * k}..{6 * k + 5} do not share a first "
-                                    f"vertex, the corner of Kuhn cell {k}")
-        self.n_tets, self.nq = nt, self.ref_wts.size
-        self.detj = np.linalg.det(jac[:6])
+        self.n_tets, self.nq, self.divisions = mesh.n_tets, self.ref_wts.size, mesh.divisions
+        # the Kuhn paths start at 0 and L / n is bitwise linspace's step, so
+        # these are the first cell's Jacobians; C order, as einsum sums in it
+        self.cell = np.array(mesh.box) / np.array(mesh.divisions)
+        jac = np.ascontiguousarray((_KUHN_CORNERS[:, 1:] * self.cell).transpose(0, 2, 1))
+        self.shape_jacobians = jac
+        self.detj = np.linalg.det(jac)
         # grad_x phi = Jinv^T grad_ref phi; the rows of Jinv are the
         # gradients of barycentric coordinates 1-3
-        self.p1_grads = np.einsum("id,sdc->sic", _DL, np.linalg.inv(jac[:6]))
+        self.p1_grads = np.einsum("id,sdc->sic", _DL, np.linalg.inv(jac))
         self.grads = np.einsum("qid,sdc->sqic", n2_grads, self.p1_grads[:, 1:])
-        # every tet of a cell starts at the cell's corner, its origin
-        self.shape_points = np.einsum("qd,scd->sqc", ref_pts, jac[:6])
-        self.origins = mesh.vertices[mesh.tets[::6, 0]]
+        self.shape_points = np.einsum("qd,scd->sqc", ref_pts, jac)
         self.shape_wdet = self.ref_wts * np.abs(self.detj)[:, None]
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
@@ -415,10 +402,12 @@ class ElementGeometry:
     def quadrature(self, sl: slice):
         """The quadrature points (e * nq, 3), element-major, and the
         :meth:`weights` of the elements in ``sl``: each element's shape
-        points translated to its cell's origin."""
+        points translated to its cell's corner, index times ``cell`` per
+        axis, bitwise the mesh vertex (linspace's i * step)."""
         e = range(self.n_tets)[sl]
         e = np.arange(e.start, e.stop, e.step)
-        pts = self.shape_points[e % 6] + self.origins[e // 6][:, None, :]
+        corner = np.stack(np.unravel_index(e // 6, self.divisions), axis=-1) * self.cell
+        pts = self.shape_points[e % 6] + corner[:, None, :]
         return pts.reshape(-1, 3), self.weights(sl)
 
     @property

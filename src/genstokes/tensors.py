@@ -202,11 +202,7 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
         scale = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
         bad = np.flatnonzero(~(np.abs(det) > 1e-14 * np.maximum(scale**3, 1e-300)))
         if bad.size:
-            raise SingularTensor(
-                f"{bad.size} sample(s) with determinant below tolerance for "
-                f"inversion (first: flat index {bad[0]}, "
-                f"det = {np.ravel(det)[bad[0]]:.3e})"
-            )
+            raise SingularTensor.samples(0, bad.size, int(bad[0]), np.ravel(det)[bad[0]])
         inv_det = 1.0 / det
         binv = np.empty_like(mats)
         for (i, j), c in adj.items():
@@ -214,11 +210,7 @@ def ch_inverse_batch(mats: np.ndarray) -> np.ndarray:
         resid = np.max(np.abs(mats @ binv - np.eye(3)), axis=(-2, -1))
     bad = np.flatnonzero(~(resid <= _INVERSE_RESIDUAL_TOL))
     if bad.size:
-        raise SingularTensor(
-            f"{bad.size} sample(s) too ill-conditioned for the cofactor "
-            f"inverse (first: flat index {bad[0]}, "
-            f"max|BX - I| = {np.ravel(resid)[bad[0]]:.3e})"
-        )
+        raise SingularTensor.samples(1, bad.size, int(bad[0]), np.ravel(resid)[bad[0]])
     return binv
 
 

@@ -7,9 +7,8 @@ from scipy.special import roots_legendre
 
 from genstokes.assembly import assemble, korn_terms
 from genstokes.constitutive import MuTriple
-from genstokes.errors import (BCViolation, InvalidDimensions, NotElliptic,
-                              SingularTensor)
-from genstokes.fem import LOCAL_EDGES, BoxMesh, TaylorHoodSpace, build_mesh
+from genstokes.errors import BCViolation, NotElliptic, SingularTensor
+from genstokes.fem import LOCAL_EDGES, TaylorHoodSpace, build_mesh
 from genstokes.fields import TensorField, VectorField
 from genstokes.tensors import SymTensor3
 
@@ -141,19 +140,6 @@ def test_threads_bitwise_equal_over_several_chunks(monkeypatch):
     assert s1.F.tobytes() == s3.F.tobytes()
     assert (s1.alpha, s1.anorm_inf, s1.f_l2) == (s3.alpha, s3.anorm_inf, s3.f_l2)
     assert s1.alpha_report.alpha_samples.tobytes() == s3.alpha_report.alpha_samples.tobytes()
-
-
-def test_perturbed_vertices_rejected_where_tables_are_built():
-    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
-    vertices = mesh.vertices.copy()
-    vertices[13] += (0.01, -0.02, 0.015)  # the centre vertex
-    bent = BoxMesh(mesh.nx, mesh.ny, mesh.nz, mesh.lx, mesh.ly, mesh.lz,
-                   vertices, mesh.tets)
-    space = TaylorHoodSpace(bent)
-    with pytest.raises(InvalidDimensions, match="not a translate of Kuhn shape"):
-        space.geometry(3)
-    with pytest.raises(InvalidDimensions):
-        assemble(bent, space, MuTriple(1.0, 0.0, 0.0), TensorField.identity())
 
 
 def test_first_assemble_memory_budget():
@@ -317,7 +303,76 @@ def test_assemble_singular_coefficient_names_first_sample(monkeypatch):
 
     b = Split()
     with pytest.raises(SingularTensor, match=r"first: flat index 162,"):
-        assemble(mesh, space, MuTriple(1.0, 1.0, 0.0), b)
+        assemble(mesh, space, MuTriple(1.0, 1.0, 0.5), b)
+
+
+def _ill_conditioned():
+    """A rotated diag(l, l, l^-2), l^3 = 1e11: its determinant passes the
+    inverse's test, the residual of its inverse does not."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) @ np.array(
+        [[1, 0, 0], [0, c, -s], [0, s, c]])
+    b = rot @ np.diag([1e11 ** (1 / 3)] * 2 + [1e11 ** (-2 / 3)]) @ rot.T
+    return 0.5 * (b + b.T)
+
+
+@pytest.mark.parametrize("cells", [("ill", "eye", "flat"), ("ill", "eye", "ill"),
+                                   ("flat", "ill", "flat")])
+def test_singular_refusal_is_one_call_over_all_points(monkeypatch, cells):
+    # one chunk per cell; the refusal counts and names the samples as
+    # ch_inverse_batch does over every point: the determinant test first
+    import genstokes.assembly as assembly
+    from genstokes.tensors import ch_inverse_batch
+
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 6 * 900 * 8)
+    mesh = build_mesh(3, 1, 1, 3.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    flat = np.diag([1.0, 1.0, 1e-15])
+    kinds = {"ill": _ill_conditioned(), "eye": np.eye(3), "flat": flat}
+
+    class ByCell:
+        def eval(self, pts):
+            return np.stack([kinds[cells[int(x)]] for x in pts[:, 0]])
+
+    with pytest.raises(SingularTensor) as one_call:
+        ch_inverse_batch(ByCell().eval(space.geometry(3).flat_points))
+    with pytest.raises(SingularTensor) as err:
+        assemble(mesh, space, MuTriple(1.0, 1.0, 0.5), ByCell())
+    assert str(err.value) == str(one_call.value)
+    assert err.value.count == 162 * cells.count("flat" if "flat" in cells else "ill")
+
+
+def test_singular_b_assembles_without_the_inverse_term():
+    # A = I + B is uniformly elliptic (alpha = 1) whatever det B is; with
+    # mu3 = 0 no B^-1 is formed, so a33 = 1e-15 assembles as 1e-9 does
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    for a33 in ("1e-9", "1e-15"):
+        b = TensorField.expression({"a11": "1", "a22": "1", "a33": a33})
+        system = assemble(mesh, space, MuTriple(1.0, 1.0, 0.0), b)
+        assert system.alpha == pytest.approx(1.0, rel=1e-8)
+        assert system.anorm_inf == 2.0
+    with pytest.raises(SingularTensor):  # the term is there when mu3 is not 0
+        assemble(mesh, space, MuTriple(1.0, 1.0, 0.5), b)
+
+
+def test_singular_refusal_memory_budget():
+    # tracemalloc peak of a mesh-8 refusal, patterns and tables built first:
+    # 28.3 MB when the refusal re-evaluated A over every quadrature point to
+    # name the first sample, against 11.8 MB for a full assembly of
+    # a33 = 1 + x; the chunks now keep their counts and first samples
+    mesh = build_mesh(8, 8, 8, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    space.pattern("K"), space.pattern("G"), space.geometry(3).kuhn_tables
+    b = TensorField.expression({"a11": "1", "a22": "1", "a33": "1e-15*(1 + x)"})
+    b.eval(np.zeros((1, 3)))
+
+    def refuse():
+        with pytest.raises(SingularTensor, match="first: flat index 0,"):
+            assemble(mesh, space, MuTriple(1.0, 1.0, 0.5), b)
+
+    peak = traced_peak(refuse)
+    assert peak <= 16 * 2**20, f"refusal peak {peak / 2**20:.1f} MB > 16 MB"
 
 
 def test_thread_count_does_not_change_entries():

@@ -75,6 +75,19 @@ def test_invalid_dimensions():
         build_mesh(0, 1, 1, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidDimensions):
         build_mesh(1, 1, 1, 0.0, 1.0, 1.0)
+    # NaN passed a "<= 0" test and gave NaN geometry; inf reached a singular
+    # LAPACK solve; a float count reached the space as a TypeError
+    for args, bad in [((2, 2, 2, np.nan, 1, 1), r"\(nan, 1.0, 1.0\)"),
+                      ((2, 2, 2, 1, np.inf, 1), r"\(1.0, inf, 1.0\)"),
+                      ((2, 2, 2, 1, 1, -np.inf), r"\(1.0, 1.0, -inf\)"),
+                      ((2.0, 2, 2, 1, 1, 1), r"\(2.0, 2, 2\)"),
+                      ((2, 1.5, 2, 1, 1, 1), r"\(2, 1.5, 2\)"),
+                      ((2, 2, -1, 1, 1, 1), r"\(2, 2, -1\)")]:
+        with pytest.raises(InvalidDimensions, match=bad):
+            build_mesh(*args)
+    with pytest.raises(InvalidDimensions, match="edge lengths"):
+        BoxMesh(2, 2, 2, np.nan, 1.0, 1.0)
+    assert build_mesh(np.int64(2), 2, 2, 1, 1, 1) == BoxMesh(2, 2, 2, 1.0, 1.0, 1.0)
 
 
 def test_mesh_determinism():
@@ -149,13 +162,6 @@ def test_scalar_nodes_are_the_vertices_of_the_doubled_mesh():
                            rtol=0.0, atol=1e-15)
 
 
-def test_space_refuses_a_mesh_whose_vertices_are_not_its_lattice():
-    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
-    short = BoxMesh(2, 2, 2, 1.0, 1.0, 1.0, mesh.vertices[:-1], mesh.tets)
-    with pytest.raises(InvalidDimensions, match="26 vertices"):
-        TaylorHoodSpace(short)
-
-
 def test_mesh_and_space_memory_budget():
     # tracemalloc peak of a mesh-24 mesh and space: 47.0 MB when the edges
     # were found by a np.unique of every element's endpoint pairs
@@ -206,12 +212,46 @@ def test_geometry_built_once_per_quadrature():
 def test_cached_geometry_tables_are_read_only():
     space = TaylorHoodSpace(build_mesh(1, 1, 1, 1.0, 1.0, 1.0))
     geom = space.geometry(3)
-    for table in (geom.grads, geom.shape_wdet, geom.shape_points, geom.origins,
+    for table in (geom.grads, geom.shape_wdet, geom.shape_points, geom.shape_jacobians,
                   geom.n2_vals, geom.p1_vals, geom.p1_grads, geom.detj):
         with pytest.raises(ValueError):
             table[0] = 0.0
     with pytest.raises(ValueError):
         geom.shape_points.reshape(-1)[0] = 1.0  # views share the flag
+
+
+def _element_jacobians(mesh):
+    """(nt, 3, 3) each element's edge vectors from its first vertex, as
+    columns, from the mesh's vertex and element tables."""
+    v = mesh.vertices[mesh.tets]
+    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+
+
+@pytest.mark.parametrize("dims,box,exact", [
+    ((1, 1, 1), (1.0, 1.0, 1.0), True),
+    ((2, 4, 4), (1.0, 2.0, 0.5), True),
+    ((4, 4, 4), (4.0, 1.0, 0.25), True),
+    ((3, 1, 2), (1.0, 1.0, 1.0), False),
+    ((3, 4, 1), (0.7, 1.3, 2.9), False),
+    ((1, 3, 3), (1.1, 0.3, 1.0), False),
+])
+def test_every_element_is_a_translate_of_its_kuhn_shape(dims, box, exact):
+    # element e is shape e % 6 translated to the corner of cell e // 6: its
+    # Jacobian is its shape's table, bitwise when the cell size is dyadic
+    mesh = build_mesh(*dims, *box)
+    geom = TaylorHoodSpace(mesh).geometry(3)
+    jac = _element_jacobians(mesh).reshape(-1, 6, 3, 3)
+    if exact:
+        assert (jac == geom.shape_jacobians).all()
+    else:
+        scale = np.abs(geom.shape_jacobians).max(axis=(1, 2))[:, None, None]
+        assert np.max(np.abs(jac - geom.shape_jacobians) / scale) <= 1e-15
+    # the six tets of a cell share its corner, vertex i of an axis at i * cell
+    corners = mesh.tets[:, 0].reshape(-1, 6)
+    assert (corners == corners[:, :1]).all()
+    lattice = np.indices(dims).reshape(3, -1).T * geom.cell
+    assert mesh.vertices[corners[:, 0]].tobytes() == lattice.tobytes()
+    assert (mesh.n_vertices, mesh.n_tets) == (len(mesh.vertices), len(mesh.tets))
 
 
 @pytest.mark.parametrize("dims,box,exact", [
@@ -225,7 +265,7 @@ def test_chunk_points_match_per_element_einsum(dims, box, exact):
     mesh = build_mesh(*dims, *box)
     geom = TaylorHoodSpace(mesh).geometry(3)
     ref_pts, ref_wts = quad_tet(3)
-    jac = mesh.jacobians()
+    jac = _element_jacobians(mesh)
     want = np.einsum("qd,ecd->eqc", ref_pts, jac)
     want += mesh.vertices[mesh.tets[:, 0]][:, None, :]
     want_w = ref_wts * np.abs(np.linalg.det(jac))[:, None]
@@ -272,7 +312,7 @@ def test_shape_tables_match_per_element_reference():
     p = rng.standard_normal(space.n_pressure)
     uloc = u.reshape(-1, 3)[space.tet_nodes]
 
-    jac = mesh.jacobians()
+    jac = _element_jacobians(mesh)
     vol = np.abs(np.linalg.det(jac)) / 6.0
     jinv = np.linalg.inv(jac)  # row k: gradient of barycentric coordinate k + 1
     dl = np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1)
@@ -309,39 +349,31 @@ def test_shape_tables_match_per_element_reference():
         assert rel(broken_h1_pressure(space, geom, p), want_h1) < 1e-13
 
 
-def test_geometry_refuses_partial_kuhn_cell():
-    mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
-    cut = BoxMesh(1, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[:5])
-    with pytest.raises(InvalidDimensions, match="not a whole number of Kuhn cells"):
-        TaylorHoodSpace(cut).geometry(3)
-
-
-def test_geometry_refuses_cells_that_swap_tets_of_one_shape():
-    # swapping two cells' tets of one shape keeps every element a translate
-    # of shape e % 6, but each of the two cells then holds a tet that starts
-    # at the other cell's corner
-    mesh = build_mesh(2, 1, 1, 1.0, 1.0, 1.0)
-    order = np.arange(mesh.n_tets)
-    order[[2, 8]] = order[[8, 2]]
-    swapped = BoxMesh(2, 1, 1, 1.0, 1.0, 1.0, mesh.vertices, mesh.tets[order])
-    with pytest.raises(InvalidDimensions, match="do not share a first vertex"):
-        TaylorHoodSpace(swapped).geometry(3)
-
-
 def test_geometry_memory_is_per_shape():
-    # tracemalloc peak of the quad_n = 4 geometry at mesh 8: 0.77 MB, the
-    # Jacobians and the check that every element is a translate of its
-    # shape; per-element points and weights took it to 6.6 MB, and a
-    # per-element gradient table would add 47 MB.  No table is kept per
-    # element and quadrature point.
+    # tracemalloc peak of the quad_n = 4 geometry at mesh 8: 0.14 MB, with
+    # the shape Jacobians formed from the cell size; 0.77 MB with every
+    # element's Jacobian and the check that it was its shape's, 6.6 MB with
+    # per-element points and weights, and a per-element gradient table
+    # would add 47 MB.  No table is kept per element and quadrature point.
     mesh = build_mesh(8, 8, 8, 1.0, 1.0, 1.0)
     space = TaylorHoodSpace(mesh)
-    assert traced_peak(lambda: space.geometry(4)) < 1e6
+    assert traced_peak(lambda: space.geometry(4)) < 0.3e6
     geom = space.geometry(4)
     assert geom.grads.shape == (6, 64, 10, 3)
     tables = [t for t in vars(geom).values() if isinstance(t, np.ndarray)]
     assert all(t.size < mesh.n_tets * geom.nq and t.shape[0] != mesh.n_tets
                for t in tables)
+
+
+def test_geometry_is_formed_from_the_divisions_and_box():
+    # tracemalloc peak of the quad_n = 3 geometry at mesh 24: 0.06 MB, as at
+    # any mesh size; 19 MB when it formed every element's Jacobian from the
+    # vertex table (152 MB at mesh 48)
+    mesh = build_mesh(24, 24, 24, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    peak = traced_peak(lambda: space.geometry(3))
+    assert peak <= 2**20, f"geometry peak {peak / 2**20:.2f} MB > 1 MB"
+    assert "vertices" not in vars(mesh)  # nor the space read the vertex table
 
 
 def test_pattern_build_memory_budget():
