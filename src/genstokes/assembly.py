@@ -16,14 +16,16 @@ so each element matrix is one row of a GEMM against its shape's table
 chunks of elements: each chunk evaluates B once, takes its eigenvalues
 (which give alpha and ||A||_inf), forms A, runs the six GEMMs for the 465
 upper-triangle entries of its element matrices, mirrors them, and integrates
-f against the basis.  K and G are added into the fixed patterns of the
-space (``TaylorHoodSpace.pattern``: K in 3x3 node blocks, G as its
-transpose in 1x3 node blocks) and F by interior dof number, chunk by chunk
-in element order.  Each chunk's quadrature points are formed from the
-per-shape tables when it is computed (``ElementGeometry.quadrature``).  K
-is exactly symmetric, memory is linear in the mesh, and ``threads`` only
-computes chunks concurrently: the entries are bitwise independent of the
-thread count.
+f against the basis.  Of the positivity samples a chunk keeps one value per
+element, the least g over its points; the report evaluates the element
+that attains alpha once more to name the minimizing point.  K and G are
+added into the fixed patterns of the space (``TaylorHoodSpace.pattern``: K
+in 3x3 node blocks, G as its transpose in 1x3 node blocks) and F by
+interior dof number, chunk by chunk in element order.  Each chunk's
+quadrature points are formed from the per-shape tables when it is computed
+(``ElementGeometry.quadrature``).  K is exactly symmetric, memory is linear
+in the mesh, and ``threads`` only computes chunks concurrently: the entries
+are bitwise independent of the thread count.
 
 Assembly keeps the entries as numpy arrays (``SaddleSystem.k_data`` and
 ``g_data``) and loads no scipy module: the scipy matrices ``K`` and ``G``
@@ -196,7 +198,8 @@ def assemble(
         pts, wdet = geom.quadrature(sl)
         bvals = b_field.eval(pts)
         mvals = mu_values(mu, pts)
-        samples = positivity_samples(mvals, eig_sym3_batch(bvals), pts, endpoints)
+        samples = positivity_samples(mvals, eig_sym3_batch(bvals).reshape(-1, nq, 3),
+                                     pts, endpoints)
         k_vals, refused = None, None
         if samples.g_min.min() > 0.0:
             try:
@@ -230,11 +233,11 @@ def assemble(
             refused.append(part.refused)
         del part  # let the next chunk reuse its memory
 
-    def point(i):  # quadrature point i, element-major
-        e, q = divmod(i, nq)
-        return geom.quadrature(slice(e, e + 1))[0][q]
+    def element(e):  # the points, mu and eigenvalues of B of element e
+        pts = geom.quadrature(slice(e, e + 1))[0]
+        return pts, mu_values(mu, pts), eig_sym3_batch(b_field.eval(pts))
 
-    report = positivity_report(mu, point, blocks)
+    report = positivity_report(mu, element, blocks)
     if not report.alpha > 0.0:
         raise NotElliptic(
             f"coefficient not uniformly positive: alpha = {report.alpha:.6g} "

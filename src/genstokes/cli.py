@@ -250,10 +250,8 @@ def cmd_solve(args) -> int:
     report["lambda_set"] = lam_set.as_dict()
 
     # per-cell alpha: the minimum over the cell's assembly quadrature points
-    samples = system.alpha_report.alpha_samples
-    alpha_cells = samples.reshape(mesh.n_tets, -1).min(axis=1)
-
-    write_vtk(args.vtk, space, result.velocity, result.pressure, alpha_cells)
+    write_vtk(args.vtk, space, result.velocity, result.pressure,
+              system.alpha_report.alpha_samples)
     _write_report(args.report, report)
     print(f"alpha = {system.alpha:.8g}; residual = {result.residual:.3e}")
     apriori = next(b_ for b_ in report["bounds"]

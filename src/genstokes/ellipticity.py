@@ -11,8 +11,12 @@ scenario label is attached afterwards.
 
 For spatially varying data, the uniform positivity constant alpha is the
 sampled minimum of g over the eigenvalues of B(x).  Assembly streams its
-quadrature points through ``positivity_samples`` block by block and joins
-the blocks with ``positivity_report``; ``alpha_field`` is the one-block case.
+quadrature points through ``positivity_samples`` block by block, keeping
+one value per element, the least g over its points, and joins the blocks
+with ``positivity_report``; ``alpha_field`` is the one-block case, whose
+groups are single samples.  The report evaluates again only the first
+group within the tie tolerance of alpha, to name the first tied sample,
+its point and its eigenvalue: the sample a pass over all samples names.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ class EllipticityReport:
     minimizer_point: Optional[tuple] = None
     minimizer_eigenvalue: Optional[float] = None
     margin: Optional[float] = None
-    # per-sample min_i g(lambda_i), in sample order; not part of the report
+    # min_i g(lambda_i) per sample group in order (a sample in alpha_field,
+    # an element in assembly); not part of the report
     alpha_samples: Optional[np.ndarray] = field(default=None, repr=False,
                                                 compare=False)
 
@@ -215,10 +220,9 @@ def classify(mu: MuTriple):
 
 @dataclass
 class PositivitySamples:
-    """Positivity data of one block of sample points (see :func:`positivity_samples`)."""
+    """Positivity data of one block of sample groups (see :func:`positivity_samples`)."""
 
-    g_min: np.ndarray   # (n,) min_i g(lambda_i) per sample
-    lam_min: np.ndarray  # (n,) the eigenvalue of B attaining it
+    g_min: np.ndarray   # (n_groups,) least g over each group's samples
     g_max: float        # the block's largest g: its largest eigenvalue of A
     margin: Optional[float]  # least |eigenvalue - endpoint of Lambda|
 
@@ -230,15 +234,30 @@ def lambda_endpoints(mu) -> Optional[list]:
     return None
 
 
+def _g_samples(mu_vals, eigs: np.ndarray):
+    """g at every eigenvalue (n, 3), and per sample the least g and the
+    eigenvalue attaining it (the first of equal ones)."""
+    m1, m2, m3 = mu_vals
+    g = m1[:, None] + m2[:, None] * eigs + m3[:, None] / eigs
+    rows = np.arange(g.shape[0])
+    col = np.argmin(g, axis=1)
+    return g, g[rows, col], eigs[rows, col]
+
+
 def positivity_samples(mu_vals, eigs: np.ndarray, pts: np.ndarray,
                        endpoints: Optional[list]) -> PositivitySamples:
     """g_x(lambda_i(B(x))) = mu1 + mu2 lambda_i + mu3 / lambda_i at samples.
 
-    ``mu_vals`` are the sampled (mu1, mu2, mu3), ``eigs`` (n, 3) the
-    ascending eigenvalues of B at the points ``pts``.  The eigenvalues of A
-    are the g(lambda_i), since A is a function of B.  Raises NotSPD naming
-    the first sample with a non-positive eigenvalue.
+    ``mu_vals`` are the sampled (mu1, mu2, mu3), ``eigs`` the ascending
+    eigenvalues of B at the points ``pts``, (n, 3) for groups of one
+    sample or (n_groups, group, 3) for groups of ``group`` consecutive
+    samples (an element's quadrature points); ``g_min`` keeps each group's
+    least g.  The eigenvalues of A are the g(lambda_i), since A is a
+    function of B.  Raises NotSPD naming the first sample with a
+    non-positive eigenvalue.
     """
+    groups = eigs.shape[0]
+    eigs = eigs.reshape(-1, 3)
     bad = eigs[:, 0] <= 0.0
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -246,15 +265,13 @@ def positivity_samples(mu_vals, eigs: np.ndarray, pts: np.ndarray,
             f"B has eigenvalue {eigs[k, 0]:.6g} <= 0 at sample {pts[k]}",
             point=tuple(pts[k]),
         )
-    m1, m2, m3 = mu_vals
-    g = m1[:, None] + m2[:, None] * eigs + m3[:, None] / eigs
-    rows = np.arange(g.shape[0])
-    col = np.argmin(g, axis=1)
+    g, g_min, _ = _g_samples(mu_vals, eigs)
     margin = None
     if endpoints is not None:
         margin = (float(np.min(np.abs(np.subtract.outer(endpoints, eigs.ravel()))))
                   if endpoints else math.inf)
-    return PositivitySamples(g[rows, col], eigs[rows, col], float(g.max()), margin)
+    return PositivitySamples(g_min.reshape(groups, -1).min(axis=1), float(g.max()),
+                             margin)
 
 
 # A sample whose g lies within this relative distance of the minimum ties
@@ -263,22 +280,28 @@ def positivity_samples(mu_vals, eigs: np.ndarray, pts: np.ndarray,
 _TIE_RTOL = 1e-12
 
 
-def positivity_report(mu, point, blocks) -> EllipticityReport:
+def _first_minimizer(g: np.ndarray, alpha: float) -> int:
+    """The first entry of ``g`` within a relative ``_TIE_RTOL`` of its
+    least value ``alpha``; for NaN or -inf, the first entry attaining it."""
+    if math.isfinite(alpha):
+        return int(np.argmax(g <= alpha + _TIE_RTOL * abs(alpha)))
+    return int(np.argmin(g))
+
+
+def positivity_report(mu, group, blocks) -> EllipticityReport:
     """The report over consecutive blocks of :class:`PositivitySamples`.
 
     alpha is the least g; the minimizer is the first sample whose g lies
-    within a relative 1e-12 of it, and ``point(i)`` gives the coordinates
-    of sample i.
+    within a relative 1e-12 of it.  ``group(i)`` gives the points (k, 3),
+    the ``mu_values`` and the eigenvalues (k, 3) of group i's samples; only
+    the first group holding a tied sample is evaluated again, and its
+    first tied sample is the first over all samples.
     """
     g_min = np.concatenate([b.g_min for b in blocks])
     alpha = float(g_min.min())
-    if math.isfinite(alpha):
-        n_idx = int(np.argmax(g_min <= alpha + _TIE_RTOL * abs(alpha)))
-    else:  # NaN or -inf: the first sample attaining it
-        n_idx = int(np.argmin(g_min))
-
-    starts = np.cumsum([0] + [len(b.g_min) for b in blocks])
-    k = int(np.searchsorted(starts, n_idx, side="right")) - 1  # the block holding it
+    pts, mu_vals, eigs = group(_first_minimizer(g_min, alpha))
+    _, g, lam = _g_samples(mu_vals, eigs)
+    q = _first_minimizer(g, alpha)
     scenario = lam_set = margin = None
     if isinstance(mu, MuTriple):
         scenario, lam_set = classify(mu)
@@ -288,8 +311,8 @@ def positivity_report(mu, point, blocks) -> EllipticityReport:
         positive=alpha > 0.0,
         scenario=scenario,
         interval_set=lam_set,
-        minimizer_point=tuple(point(n_idx)),
-        minimizer_eigenvalue=float(blocks[k].lam_min[n_idx - starts[k]]),
+        minimizer_point=tuple(pts[q]),
+        minimizer_eigenvalue=float(lam[q]),
         margin=margin,
         alpha_samples=g_min,
     )
@@ -299,13 +322,18 @@ def alpha_field(mu, b: TensorField, pts) -> EllipticityReport:
     """Sampled uniform-positivity constant of A(B) over ``pts``.
 
     alpha = min over samples and i of g_x(lambda_i(B(x))); the report keeps
-    the per-sample minima as ``alpha_samples``.  Raises NotSPD when some
-    sample of B has a non-positive eigenvalue.
+    the per-sample minima as ``alpha_samples`` (groups of one sample).
+    Raises NotSPD when some sample of B has a non-positive eigenvalue.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     eigs = eig_sym3_batch(b.eval(pts))  # (N, 3) ascending
-    samples = positivity_samples(mu_values(mu, pts), eigs, pts, lambda_endpoints(mu))
-    return positivity_report(mu, pts.__getitem__, [samples])
+    mu_vals = mu_values(mu, pts)
+    samples = positivity_samples(mu_vals, eigs, pts, lambda_endpoints(mu))
+
+    def group(i):
+        return pts[i:i + 1], [m[i:i + 1] for m in mu_vals], eigs[i:i + 1]
+
+    return positivity_report(mu, group, [samples])
 
 
 def _inf_g(mu: MuTriple, lo: float, hi: float) -> float:

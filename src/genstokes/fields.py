@@ -14,9 +14,11 @@ triangles and is symmetric for every field.  The jet functions are:
 * ``_grid_jets`` -- values sampled on a regular lattice over
   [0,Lx]x[0,Ly]x[0,Lz], up to order 2.  Each node holds the derivative
   stacks of degree 0, 1 and 2: second-order finite differences (one-sided
-  at the faces), and the Hessian's upper triangle only.  A call locates
-  each point, clipped to the box, once and interpolates every component's
-  stacks trilinearly together.
+  at the faces), and the Hessian's upper triangle only.  The degree 1 and 2
+  rows are built on the first call of order >= 1, so a field evaluated
+  only at order 0 (as ``solve`` evaluates B) keeps its values alone.  A
+  call locates each point, clipped to the box, once and interpolates every
+  component's stacks trilinearly together.
 
 Grid file format (plain text): a header line ``nx ny nz Lx Ly Lz`` with the
 node counts per axis, then ``nx*ny*nz`` whitespace-separated records in
@@ -331,30 +333,43 @@ def _grid_jets(values, box):
     Each node holds each field's derivative stacks of degree 0, 1 and 2:
     the value, its second-order finite differences (one-sided at the faces),
     and the upper triangle d_l (d_k f), k <= l, of the differences of those.
-    A call locates each point, clipped to the box, in its cell once and
-    interpolates every field's rows together; the cell search, weights and
-    summation order are ``scipy.interpolate.RegularGridInterpolator``'s
-    linear method, so the results are its results bit for bit."""
+    Only the values are kept at first; the first call of order >= 1 builds
+    the other rows, which later calls share.  A call locates each point,
+    clipped to the box, in its cell once and interpolates every field's rows
+    together; the cell search, weights and summation order are
+    ``scipy.interpolate.RegularGridInterpolator``'s linear method, so the
+    results are its results bit for bit."""
     if values.ndim != 4 or min(values.shape[:3]) < 2:
         raise ConfigError("grid fields need a 3-d array with >= 2 nodes per axis")
     if len(box) != 3 or not all(math.isfinite(b) and b > 0 for b in box):
         raise ConfigError(f"grid box edges must be finite and positive, got {box}")
-    shape = values.shape[:3]
+    shape, n_fields = values.shape[:3], values.shape[3]
     axes = [np.linspace(0.0, b, n) for b, n in zip(box, shape)]
 
     def diff(data, k):  # two-node axes can only support first-order edges
         return np.gradient(data, axes[k], axis=k, edge_order=2 if shape[k] >= 3 else 1)
 
-    # table[field, row, node], rows in a jet's order; a non-finite node value
-    # gives non-finite differences, which the positivity checks refuse, so
-    # numpy need not warn about them first
-    table = np.empty((values.shape[3], 10, math.prod(shape)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        grads = [diff(values, k) for k in range(3)]
-        hess = [diff(grads[k], l) for (k, l), _, _ in _multi_indices(2)]
-        for row, stack in enumerate([values, *grads, *hess]):
-            table[:, row] = stack.reshape(-1, values.shape[3]).T
-    table.flags.writeable = False
+    # value_rows[field, 0, node]: a C-ordered copy, so np.take copies
+    # nothing more; all that a field keeps until a derivative is asked
+    value_rows = np.array(values.reshape(-1, n_fields).T, order="C")[:, None]
+    value_rows.flags.writeable = False
+
+    @functools.cache
+    def all_rows():
+        """table[field, row, node], the ten rows in a jet's order.  Two
+        concurrent first calls may each build it, bit for bit alike.  A
+        non-finite node value gives non-finite differences, which the
+        positivity checks refuse, so numpy need not warn about them first."""
+        vals = value_rows[:, 0].T.reshape(shape + (n_fields,))
+        table = np.empty((n_fields, 10, math.prod(shape)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            grads = [diff(vals, k) for k in range(3)]
+            hess = [diff(grads[k], l) for (k, l), _, _ in _multi_indices(2)]
+            for row, stack in enumerate([vals, *grads, *hess]):
+                table[:, row] = stack.reshape(-1, n_fields).T
+        table.flags.writeable = False
+        return table
+
     # row alpha of a jet is d^alpha f / alpha!, which is 1 below degree 2
     scale = np.array([s for d in range(3) for _, _, s in _multi_indices(d)], float)
     ny, nz = shape[1:]
@@ -370,11 +385,12 @@ def _grid_jets(values, box):
             fracs.append((p - axis[i]) / (axis[i + 1] - axis[i]))
             base = base * shape[k] + i
         rows = len(_taylor_tables(order)[0])
-        out = np.zeros((table.shape[0], rows, len(base)))
+        table = all_rows()[:, :rows] if order else value_rows
+        out = np.zeros((n_fields, rows, len(base)))
         for corner in itertools.product((0, 1), repeat=3):
             wx, wy, wz = (f if c else 1 - f for c, f in zip(corner, fracs))
-            term = np.take(table[:, :rows], base + (corner[0] * ny + corner[1]) * nz
-                           + corner[2], axis=-1)
+            term = np.take(table, base + (corner[0] * ny + corner[1]) * nz + corner[2],
+                           axis=-1)
             term *= wx * wy * wz
             out += term
         if order == 2:

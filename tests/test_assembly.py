@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import all_samples_minimizer, traced_peak
 from scipy.special import roots_legendre
 
 from genstokes.assembly import assemble, korn_terms
 from genstokes.constitutive import MuTriple
+from genstokes.ellipticity import positivity_report
 from genstokes.errors import BCViolation, NotElliptic, SingularTensor
 from genstokes.fem import LOCAL_EDGES, TaylorHoodSpace, build_mesh
-from genstokes.fields import TensorField, VectorField
+from genstokes.fields import ScalarField, TensorField, VectorField
 from genstokes.tensors import SymTensor3
 
 
@@ -157,6 +158,97 @@ def test_first_assemble_memory_budget():
     peak = traced_peak(lambda: assemble(mesh, space, case.mu, case.b_field,
                                         case.f_field))
     assert peak <= 80 * 2**20, f"assembly peak {peak / 2**20:.1f} MB > 80 MB"
+
+
+def test_first_assemble_memory_budget_mesh_16():
+    # tracemalloc peak of a mesh-16 assembly, patterns and tables built
+    # first: 76.5 MB when every chunk kept g and its eigenvalue at each of
+    # the 663,552 quadrature points, 66.6 MB with one g per element
+    from genstokes.verification import make_anisotropic_case
+
+    case = make_anisotropic_case()
+    tiny = build_mesh(1, 1, 1, 1.0, 1.0, 1.0)
+    assemble(tiny, TaylorHoodSpace(tiny), case.mu, case.b_field, case.f_field)
+    mesh = build_mesh(16, 16, 16, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    space.pattern("K"), space.pattern("G"), space.geometry(3).kuhn_tables
+    peak = traced_peak(lambda: assemble(mesh, space, case.mu, case.b_field,
+                                        case.f_field))
+    assert peak <= 70 * 2**20, f"assembly peak {peak / 2**20:.1f} MB > 70 MB"
+
+
+def _diag_field(lam1):
+    """B = diag(lam1(x), 2, 3) at the points."""
+    class Diag:
+        def eval(self, pts):
+            mats = np.zeros((len(pts), 3, 3))
+            mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2] = lam1(pts), 2.0, 3.0
+            return mats
+
+    return Diag()
+
+
+def _plateau(pts):
+    # 1/2 on a box around c, rising 1e-13 (1 - x) above it: 32 samples tie
+    # within 1e-12, the first in element 6 at point 8, the least in element 32
+    s = np.abs(pts - np.array([0.6, 0.4, 0.55])).max(axis=1)
+    return 0.5 + np.maximum(s - 0.12, 0.0) + 1e-13 * (1.0 - pts[:, 0])
+
+
+def _near(pts, c):  # 6-8 samples within 0.1 of c, none an element's first
+    return np.abs(pts - np.array(c)).max(axis=1) < 0.1
+
+
+def _nan_after_minus_inf(pts):
+    return np.where(_near(pts, (0.7, 0.7, 0.7)), np.nan, 1.0)
+
+
+# mu1 = -inf near (0.3, 0.6, 0.4), from sample 355 (element 13, point 4) on
+_MINUS_INF_MU1 = ScalarField(
+    lambda pts, order: [np.where(_near(pts, (0.3, 0.6, 0.4)), -np.inf, 1.0)[None]])
+
+
+@pytest.mark.parametrize("mu, b, first", [
+    pytest.param(MuTriple(0.0, 1.0, 0.0), _diag_field(_plateau), 6 * 27 + 8,
+                 id="tie-mid-element"),
+    pytest.param(MuTriple(1.0, 1.0, 1.0),
+                 TensorField.constant(SymTensor3.diag(2.0, 0.5, 1.0)), 0,
+                 id="constant-b-every-sample-ties"),
+    pytest.param((_MINUS_INF_MU1, 1.0, 0.0),
+                 _diag_field(lambda pts: np.ones(len(pts))), 13 * 27 + 4, id="minus-inf"),
+    pytest.param((_MINUS_INF_MU1, 1.0, 0.0), _diag_field(_nan_after_minus_inf),
+                 42 * 27 + 1, id="nan-after-minus-inf"),
+])
+def test_per_element_samples_name_the_all_samples_minimizer(monkeypatch, mu, b, first):
+    # six-element chunks, so the minimizing element lies in a later block;
+    # the report is the one assemble builds, read before any refusal
+    import genstokes.assembly as assembly
+
+    monkeypatch.setattr(assembly, "_CHUNK_BYTES", 6 * 900 * 8)
+    reports = []
+
+    def spy(*args):
+        reports.append(positivity_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(assembly, "positivity_report", spy)
+    mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    space = TaylorHoodSpace(mesh)
+    alpha, point, eigenvalue, index = all_samples_minimizer(
+        mu, b, space.geometry(3).flat_points)
+    assert index == first
+    if alpha > 0.0:
+        assemble(mesh, space, mu, b)
+    else:
+        with pytest.raises(NotElliptic):
+            assemble(mesh, space, mu, b)
+    (report,) = reports
+    assert report.alpha_samples.shape == (mesh.n_tets,)
+    assert np.array_equal(report.alpha, alpha, equal_nan=True)
+    assert report.minimizer_point == point
+    assert np.array_equal(report.minimizer_eigenvalue, eigenvalue, equal_nan=True)
+    if np.isnan(alpha):  # NaN wins over an earlier -inf, as over every sample
+        assert (report.alpha_samples == -np.inf).any()
 
 
 def test_newtonian_reduction_matches_double_strain_form():

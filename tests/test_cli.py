@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import importlib.util
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import all_samples_minimizer
 
 from genstokes import cli, verification
 from genstokes.cli import main
-from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh
+from genstokes.constitutive import MuTriple
+from genstokes.fem import ElementGeometry, TaylorHoodSpace, build_mesh, cell_centres
 from genstokes.fields import TensorField, write_grid_file
 from genstokes.solver import minres_solve
 from genstokes.tensors import eig_sym3_batch
@@ -89,6 +93,32 @@ def test_ellipticity_radius_report(tmp_path):
     data = json.loads(report.read_text())
     assert data["scenario"] == "ii"
     assert data["radius"] == pytest.approx(1.0 / 6.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("workload, mu", [("solve-grid-8", (1.0, 1.0, 0.5)),
+                                        ("ellipticity-uniaxial", (-2.5, 4.0, 0.25))])
+def test_ellipticity_report_on_benchmark_grids_names_all_samples_minimizer(
+        tmp_path, workload, mu):
+    # the benchmark's shear and uniaxial grids (seed 1301), sampled as the
+    # benchmark samples them: alpha, the minimizer point and its eigenvalue
+    # in the report are those of the rule over all samples at once
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    grid = inputs.write_inputs(workload, 1301, str(tmp_path))["b_grid"]
+    report = tmp_path / "r.json"
+    code = main(["--out", str(tmp_path), "ellipticity", "--mu", ",".join(map(str, mu)),
+                 "--b-grid", grid, "--samples", "40", "--radius",
+                 "--report", str(report)])
+    assert code == 0
+    data = json.loads(report.read_text())
+    b = TensorField.from_file(grid)
+    alpha, point, eigenvalue, _ = all_samples_minimizer(
+        MuTriple(*mu), b, cell_centres(b.box, 40))
+    assert data["alpha"] == alpha
+    assert data["minimizer_point"] == list(point)
+    assert data["minimizer_eigenvalue"] == eigenvalue
 
 
 def test_missing_mu_is_config_error(tmp_path):

@@ -294,8 +294,8 @@ def test_alpha_minimizer_stays_put_under_rounding_level_ties():
 
 
 def test_report_over_blocks_is_the_one_block_report():
-    # the minimizer's eigenvalue is read from the block that holds it, here
-    # the third of four unequal blocks
+    # the minimizer lies in the third of four unequal blocks; the report
+    # evaluates its sample again through ``group``
     rng = np.random.default_rng(5)
     pts = rng.uniform(size=(600, 3))
     eigs = np.sort(rng.uniform(0.5, 3.0, size=(600, 3)), axis=1)
@@ -306,9 +306,12 @@ def test_report_over_blocks_is_the_one_block_report():
         return positivity_samples(mu_values(mu, pts[sl]), eigs[sl], pts[sl],
                                   lambda_endpoints(mu))
 
-    one = positivity_report(mu, pts.__getitem__, [samples(slice(None))])
+    def group(i):
+        return pts[i:i + 1], mu_values(mu, pts[i:i + 1]), eigs[i:i + 1]
+
+    one = positivity_report(mu, group, [samples(slice(None))])
     cuts = (0, 150, 400, 500, 600)
-    many = positivity_report(mu, pts.__getitem__,
+    many = positivity_report(mu, group,
                              [samples(slice(a, b)) for a, b in zip(cuts, cuts[1:])])
     assert many.alpha == one.alpha == 0.2
     assert many.minimizer_point == one.minimizer_point == tuple(pts[400])

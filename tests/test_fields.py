@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,6 +220,37 @@ def test_tensor_grid_locates_once_and_matches_components_bitwise(tmp_path):
             want = getattr(fld.components[name], derivative)(pts)
             assert np.array_equal(got[..., i, j], want)
             assert np.array_equal(got[..., j, i], want)
+
+
+def test_grid_file_keeps_values_until_a_derivative_is_asked(tmp_path):
+    # a 17^3 tensor grid, the size of the benchmark's shear grid: loading it
+    # and evaluating it at order 0 peaked at 4.9 MB when every derivative
+    # row was built at load, and at 0.5 MB with the values alone.  Asked
+    # for order 1 after order 0, then order 2, its jets are the oracle's
+    # interpolated rows (hess's upper triangle over alpha!) bit for bit.
+    rng = np.random.default_rng(17)
+    box = (1.0, 1.0, 1.0)
+    values = rng.uniform(0.5, 1.5, size=(17, 17, 17, 6))
+    path = tmp_path / "shear.txt"
+    write_grid_file(path, values, box)
+    pts = rng.uniform(-0.1, 1.1, size=(500, 3))
+    loaded = []
+
+    def load_and_eval():
+        loaded.append(TensorField.from_file(path))
+        loaded[0].eval(pts)
+
+    peak = traced_peak(load_and_eval)
+    assert peak <= 2**20, f"grid load peak {peak / 2**20:.2f} MB > 1 MB"
+    jets = loaded[0].components["a11"].jets
+    upper = list(itertools.combinations_with_replacement(range(3), 2))
+    for order in (1, 2):
+        got = jets(pts, order)
+        for k in range(6):
+            val, grad, hess = _rgi_oracle(values[..., k], box, pts)
+            want = [val, *grad.T, *(hess[:, i, j] / (2.0 if i == j else 1.0)
+                                    for i, j in upper)]
+            assert got[k].tobytes() == np.stack(want[:len(got[k])]).tobytes()
 
 
 def test_tensor_grid_file_roundtrip(tmp_path):
